@@ -9,10 +9,8 @@ and re-emits byte-identically.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,14 +110,6 @@ def _emit_text(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("PENDULUM_VIB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_moments(cfg: RunConfig) -> int:
@@ -224,7 +214,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         raise ValueError("--eps-sweep is required")
     e = load_excitation(cfg.excitation_path)
     initial = FullState(*cfg.initial)
-    report = convergence_sweep(e, cfg.eps_sweep, initial, cfg.t_end, max_workers=_max_workers())
+    report = convergence_sweep(e, cfg.eps_sweep, initial, cfg.t_end)
     ratios_phi, phi_ok = _ratio_verdict(report["max_err_phi"])
     ratios_drift, drift_ok = _ratio_verdict(report["p_alpha_drift"])
     doc = dict(report)
@@ -237,9 +227,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out) if cfg.out else Path(
-        f"reproduction-{datetime.date.today().isoformat()}"
-    )
+    out_dir = Path(cfg.out) if cfg.out else Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     phis = np.linspace(0.5 * math.pi + 1e-3, math.pi, cfg.samples)
@@ -317,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int)
     p.add_argument("--ny", type=int)
     p.add_argument("--p-max", dest="p_max", type=float)
-    p.add_argument("--out", help="output directory (default reproduction-<date>)")
+    p.add_argument("--out", help="output directory (default reproduction)")
 
     return parser
 
@@ -341,7 +329,7 @@ def main(argv=None) -> int:
             "tol": rep.tol,
         }
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return EXIT_INPUT
+        return EXIT_SCIENCE
     except InconsistentCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCIENCE

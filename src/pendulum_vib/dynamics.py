@@ -370,22 +370,13 @@ def convergence_sweep(
     epsilons,
     initial: FullState,
     t_end: float,
-    max_workers: int = 1,
 ) -> dict:
     """Run :func:`compare_full_averaged` for each amplitude scale.
 
-    Returns the JSON-ready report; entries are ordered like ``epsilons``
-    regardless of worker scheduling.
+    Returns the JSON-ready report; entries are ordered like ``epsilons``.
     """
     epsilons = [float(x) for x in epsilons]
-    runs = [replace(e, epsilon=eps) for eps in epsilons]
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(lambda exc: compare_full_averaged(exc, initial, t_end), runs))
-    else:
-        reports = [compare_full_averaged(exc, initial, t_end) for exc in runs]
+    reports = [compare_full_averaged(replace(e, epsilon=eps), initial, t_end) for eps in epsilons]
     return {
         "epsilons": epsilons,
         "max_err_phi": [r.max_err_phi for r in reports],

@@ -7,17 +7,23 @@ moves in the potential
     V(phi) = B / (2 sin^2 phi) + (1/2) (A - C) sin^2 phi - cos phi
 
 Everything here is about V: its derivatives, its equilibria, the critical
-curve in the (A - C, B) plane where an equilibrium degenerates, and the
-resulting one- vs three-equilibrium domain classification.
+curve gamma in the (A - C, B) plane where an equilibrium degenerates, and the
+one- vs three-equilibrium domain classification, all in closed form.  With
+a = A - C and c = cos phi, sin^3(phi) dV = (1 - c^2)^2 (a c + 1) - B c.  For
+B > 0 this quintic has one root with c > 0, a minimum.  On c < 0 it vanishes
+where B = (1 - c^2)^2 (a c + 1) / c, which for a > 1 rises from 0 at c = -1
+to its maximum B* at the root c* of the fold cubic 4 a c^3 + 3 c^2 + 1 = 0
+and falls back to 0 at c = -1/a.  So for B < B* (domain II) there is also a
+maximum in (c*, -1/a) and a minimum in (-1, c*); for B > B* or a <= 1
+(domain I) nothing more; on gamma, B = B*, one degenerate equilibrium at c*.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Literal
-
-import numpy as np
+from typing import Literal
 
 __all__ = [
     "AveragedParams",
@@ -37,11 +43,9 @@ __all__ = [
     "equilibrium_report",
 ]
 
-GRID_INTERVALS = 4096
-PHI_MARGIN = 1e-6
-BISECT_WIDTH = 1e-12
 DEDUP_TOL = 1e-9
-DEGENERATE_DV_TOL = 1e-10
+# Relative distance |B - B*| / B* to gamma within which a point is "boundary".
+BOUNDARY_REL = 1e-12
 
 DomainLabel = Literal["I", "II", "boundary"]
 EquilibriumKind = Literal["stable", "unstable", "degenerate"]
@@ -52,7 +56,7 @@ class SingularConfigurationError(ValueError):
 
 
 class InconsistentCountError(RuntimeError):
-    """The root finder returned an equilibrium count the theory forbids."""
+    """The equilibria found disagree with what the theory says they must be."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class AveragedParams:
     """Dimensionless parameters (A, B, C) of the reduced averaged system.
 
     A and C are means of squared velocities, B a squared momentum, so all
-    three are nonnegative; the reduced dynamics depends on A and C only
-    through the difference A - C.
+    three are finite and nonnegative; the reduced dynamics depends on A and C
+    only through the difference A - C.
     """
 
     A: float
@@ -70,8 +74,9 @@ class AveragedParams:
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     @property
     def a_minus_c(self) -> float:
@@ -86,7 +91,8 @@ class AveragedParams:
 
 
 def _check_regular(s: float, b: float) -> None:
-    if s == 0.0 and b != 0.0:
+    # sin^4 is the highest power the derivatives divide by.
+    if s * s * s * s == 0.0 and b != 0.0:
         raise SingularConfigurationError("sin(phi) = 0 with a nonzero azimuthal barrier")
 
 
@@ -120,24 +126,6 @@ def d2v(phi: float, ap: AveragedParams) -> float:
     return barrier + ap.a_minus_c * (c * c - s * s) + c
 
 
-def _dv_samples(phi: np.ndarray, ap: AveragedParams) -> np.ndarray:
-    s = np.sin(phi)
-    c = np.cos(phi)
-    barrier = -ap.B * c / (s * s * s) if ap.B != 0.0 else 0.0
-    return barrier + ap.a_minus_c * s * c + s
-
-
-def _d2v_samples(phi: np.ndarray, ap: AveragedParams) -> np.ndarray:
-    s = np.sin(phi)
-    c = np.cos(phi)
-    if ap.B != 0.0:
-        s2 = s * s
-        barrier = 3.0 * ap.B * c * c / (s2 * s2) + ap.B / s2
-    else:
-        barrier = 0.0
-    return barrier + ap.a_minus_c * (c * c - s * s) + c
-
-
 @dataclass(frozen=True)
 class Equilibrium:
     """Critical point of V with its stability classification."""
@@ -148,53 +136,15 @@ class Equilibrium:
     second_derivative: float
 
 
-def degeneracy_tolerance(ap: AveragedParams) -> float:
-    # d2V grows with the parameters; scale the tolerance accordingly.
-    return 1e-8 * max(1.0, abs(ap.a_minus_c), ap.B)
-
-
 def _classify(phi: float, ap: AveragedParams, second: float) -> Equilibrium:
-    tol = degeneracy_tolerance(ap)
-    if abs(second) <= tol:
+    # d2V grows with the parameters; scale the degeneracy tolerance accordingly.
+    if abs(second) <= 1e-8 * max(1.0, abs(ap.a_minus_c), ap.B):
         kind: EquilibriumKind = "degenerate"
     elif second > 0.0:
         kind = "stable"
     else:
         kind = "unstable"
     return Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second)
-
-
-def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
-    """Bisection of a bracketed sign change down to interval width BISECT_WIDTH."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    while b - a > BISECT_WIDTH:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def _bracketed_roots(
-    f: Callable[[float], float], grid: np.ndarray, values: np.ndarray
-) -> list[float]:
-    roots = []
-    for i in range(len(grid) - 1):
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            roots.append(float(grid[i]))
-        elif (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect(f, float(grid[i]), float(grid[i + 1]), float(fa), float(fb)))
-    if len(values) and values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
 
 
 def _dedup(values: list[float], tol: float = DEDUP_TOL) -> list[float]:
@@ -205,34 +155,92 @@ def _dedup(values: list[float], tol: float = DEDUP_TOL) -> list[float]:
     return out
 
 
+def _fold(a: float) -> tuple[float, float]:
+    """(w*, B*) where gamma crosses A - C = a > 1, with w* = 1 - |c*|.
+
+    In x = -1/c the fold cubic reads x^3 + 3 x = 4 a, so x = 2 sinh(asinh(2 a) / 3).
+    One Newton step in r = x - 1 on r^3 + 3 r^2 + 6 r = 4 (a - 1) keeps r accurate
+    for a close to 1.  Then w* = r / (1 + r) and B* = (r (r + 2) / (r + 1))^3 / 4.
+    """
+    r = 2.0 * math.sinh(math.asinh(2.0 * a) / 3.0) - 1.0
+    r -= (r * (r * (r + 3.0) + 6.0) - 4.0 * (a - 1.0)) / (3.0 * (r * (r + 2.0) + 2.0))
+    b_star = (r * (r + 2.0) / (r + 1.0)) ** 3 / 4.0
+    if not (math.isfinite(b_star) and b_star > 0.0):
+        raise ValueError(f"A - C = {a} is out of range")
+    return r / (1.0 + r), b_star
+
+
+def _domain(a: float, b: float) -> tuple[DomainLabel, float]:
+    """Domain label at (A - C, B) = (a, b > 0), and w* (0 when there is no fold)."""
+    if a <= 1.0:
+        return "I", 0.0
+    w_star, b_star = _fold(a)
+    gap = (b - b_star) / b_star
+    if abs(gap) <= BOUNDARY_REL:
+        return "boundary", w_star
+    return ("II" if gap < 0.0 else "I"), w_star
+
+
+def _root(a: float, b: float, sign: float, lo: float, hi: float) -> float:
+    """The one root w = 1 - |cos phi| in [lo, hi] of sin^3(phi) dV, by bisection.
+
+    sign is the sign of cos phi.  sin^2 phi = w (2 - w) and a cos phi + 1 =
+    (1 + sign a) - sign a w keep their relative accuracy next to the poles,
+    where w is tiny, and the bracket is split at its geometric mean while it
+    spans more than a factor of two, so a root there (w ~ sqrt(B)) takes the
+    same 60-odd steps to the last bit as any other.
+    """
+
+    def f(w):
+        s2 = w * (2.0 - w)
+        return s2 * s2 * ((1.0 + sign * a) - sign * a * w) - sign * b * (1.0 - w)
+
+    f_lo = f(lo)
+    if (f_lo < 0.0) == (f(hi) < 0.0):
+        raise InconsistentCountError(f"no equilibrium with 1 - |cos phi| in [{lo}, {hi}]")
+    while True:
+        floor = max(lo, sys.float_info.min)
+        mid = math.sqrt(floor) * math.sqrt(hi) if hi > 2.0 * floor else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) < 0.0) == (f_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
 def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     """All equilibria of V on [0, pi], sorted by phi.
 
-    For B > 0 the poles are excluded by the barrier and roots of dV are
-    bracketed on a uniform grid and bisected; tangential (degenerate) roots
-    do not change sign, so they are recovered separately as roots of d2V at
-    which dV also vanishes.  For B = 0 the poles are genuine equilibria and
-    the interior ones solve (A - C) cos phi + 1 = 0 in closed form.
+    For B > 0 the domain label fixes the number, kinds and brackets of the
+    roots of sin^3(phi) dV (see the module docstring); on gamma the merged
+    pair is one "degenerate" equilibrium at c*.  A bracket without a sign
+    change, or a d2V whose sign disagrees with the kind, raises
+    :class:`InconsistentCountError`.  For B = 0 the poles are equilibria and
+    the interior ones solve (A - C) cos phi + 1 = 0.
     """
     if ap.B == 0.0:
         return _find_equilibria_planar(ap)
 
-    lo = PHI_MARGIN
-    hi = math.pi - PHI_MARGIN
-    grid = np.linspace(lo, hi, GRID_INTERVALS + 1)
-    f = lambda x: dv(x, ap)
-    fs = _dv_samples(grid, ap)
-    roots = _bracketed_roots(f, grid, fs)
+    a, b = ap.a_minus_c, ap.B
+    label, w_star = _domain(a, b)
+    found = [(_root(a, b, 1.0, 0.0, 1.0), 1.0, "stable")]
+    if label == "II":
+        found.append((_root(a, b, -1.0, w_star, 1.0), -1.0, "unstable"))
+        found.append((_root(a, b, -1.0, 0.0, w_star), -1.0, "stable"))
+    elif label == "boundary":
+        found.append((w_star, -1.0, "degenerate"))
 
-    # Tangential roots: dV touches zero where also d2V = 0.
-    g = lambda x: d2v(x, ap)
-    gs = _d2v_samples(grid, ap)
-    dv_tol = DEGENERATE_DV_TOL * max(1.0, abs(ap.a_minus_c), ap.B)
-    for xc in _bracketed_roots(g, grid, gs):
-        if abs(dv(xc, ap)) <= dv_tol:
-            roots.append(xc)
-
-    return [_classify(x, ap, d2v(x, ap)) for x in _dedup(roots)]
+    eqs = []
+    for w, sign, kind in found:
+        half = 2.0 * math.asin(math.sqrt(0.5 * w))  # 1 - |cos(half)| = w
+        # pi - half, rounded once: sin(math.pi) is the part of pi that math.pi drops
+        phi = half if sign > 0.0 else math.pi - (half - math.sin(math.pi))
+        second = d2v(phi, ap)
+        if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
+            raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
+        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second))
+    return eqs
 
 
 def _find_equilibria_planar(ap: AveragedParams) -> list[Equilibrium]:
@@ -276,27 +284,15 @@ def gamma_curve(phi_values) -> list[GammaPoint]:
 
 
 def classify_domain(ap: AveragedParams) -> DomainLabel:
-    """Parameter-plane domain by direct equilibrium count (B > 0 only).
+    """Parameter-plane domain in closed form (B > 0 only).
 
-    "I" for a single equilibrium, "II" for three, "boundary" when a
-    degenerate equilibrium is present.  Because dV runs from -inf to +inf
-    across (0, pi), any other nondegenerate count signals a root-finder
-    failure and raises :class:`InconsistentCountError`.
+    "I" (one equilibrium) when A - C <= 1 or B is above gamma's
+    B* = -(1 - c*^2)^3 / (4 c*^3), with c* from the fold cubic; "II" (three)
+    below it; "boundary" within a relative distance BOUNDARY_REL of it.
     """
     if not (ap.B > 0.0):
         raise ValueError("domain classification is defined for B > 0")
-    eqs = find_equilibria(ap)
-    if any(eq.kind == "degenerate" for eq in eqs):
-        return "boundary"
-    count = len(eqs)
-    if count == 1:
-        return "I"
-    if count == 3:
-        return "II"
-    raise InconsistentCountError(
-        f"found {count} nondegenerate equilibria for (A-C, B) = "
-        f"({ap.a_minus_c}, {ap.B}); expected 1 or 3"
-    )
+    return _domain(ap.a_minus_c, ap.B)[0]
 
 
 def gamma_curve_to_csv(points: list[GammaPoint]) -> str:

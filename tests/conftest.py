@@ -50,3 +50,53 @@ def brute_force_roots(f, lo: float, hi: float, n: int, width: float = 1e-13) -> 
                 a, fa = mid, fm
         roots.append(0.5 * (a + b))
     return roots
+
+
+def sin3_dv(phi, a: float, b: float):
+    """sin^3(phi) dV/dphi = sin^4 phi (a cos phi + 1) - b cos phi, finite at the poles."""
+    s = np.sin(phi)
+    c = np.cos(phi)
+    return s ** 4 * (a * c + 1.0) - b * c
+
+
+def pole_aware_roots(a: float, b: float, focus=(), n: int = 20000) -> np.ndarray:
+    """Transversal roots of sin^3(phi) dV in (0, pi), sorted.
+
+    A dense uniform scan, refined geometrically towards both poles and
+    around each angle in ``focus`` (down to 1e-15 away), then plain
+    vectorised bisection of every bracketed sign change.
+    """
+    tiny = np.geomspace(1e-15, 0.1, 600)
+    parts = [np.linspace(0.0, np.pi, n + 1), tiny, np.pi - tiny]
+    for phi in focus:
+        parts += [phi - tiny, [phi], phi + tiny]
+    xs = np.unique(np.concatenate(parts))
+    xs = xs[(xs > 0.0) & (xs < np.pi)]
+    vs = sin3_dv(xs, a, b)
+    idx = np.nonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0.0)[0]
+    lo, hi, f_lo = xs[idx], xs[idx + 1], vs[idx]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        f_mid = sin3_dv(mid, a, b)
+        same = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo = np.where(same, mid, lo), np.where(same, f_mid, f_lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def fold_b(a: float) -> float:
+    """B on the critical curve at A - C = a > 1, by bisection of the fold cubic.
+
+    4 a c^3 + 3 c^2 + 1 rises from 4 - 4a < 0 at c = -1 to a positive value
+    at c = -1/(2a); its root c* there gives B* = -(1 - c*^2)^3 / (4 c*^3).
+    """
+    lo, hi = -1.0, -0.5 / a
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if 4.0 * a * mid ** 3 + 3.0 * mid * mid + 1.0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return -((1.0 - mid * mid) ** 3) / (4.0 * mid ** 3)

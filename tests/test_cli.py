@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,19 @@ def test_domain_rejects_planar_edge(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["domain", "--a-minus-c", "nan", "--b", "1"],
+        ["equilibria", "--a-minus-c", "1", "--b", "inf"],
+    ],
+)
+def test_non_finite_parameters_are_input_errors(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+
+
 def test_portrait_writes_files_deterministically(tmp_path, capsys):
     args = ["portrait", "--a-minus-c", "2", "--b", "0", "--nx", "64", "--ny", "64"]
     code, out = run(capsys, args + ["--out", str(tmp_path / "a")])
@@ -142,8 +156,7 @@ def test_compare_zero_excitation_passes(tmp_path, capsys):
     assert doc["passed"] is True
 
 
-def test_compare_vertical_band(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PENDULUM_VIB_THREADS", "2")
+def test_compare_vertical_band(tmp_path, capsys):
     path = write(tmp_path, "v.json", '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [1.0]}}')
     code, out = run(
         capsys,
@@ -164,7 +177,7 @@ def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):
     code, out = run(
         capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"]
     )
-    assert code == 1
+    assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "symmetry violation"
     assert doc["residuals"]["tau_eta"] == pytest.approx(0.5)
@@ -189,6 +202,14 @@ def test_reproduce_writes_the_figure_data(tmp_path, capsys):
     for sub in ("portrait_domain_I", "portrait_domain_II"):
         for name in ("grid.csv", "contours.csv", "portrait.svg"):
             assert (out_dir / sub / name).exists()
+
+
+def test_reproduce_default_output_directory_is_fixed(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, ["reproduce", "--nx", "48", "--ny", "48", "--samples", "50"])
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["reproduction"]
+    assert f"wrote {Path('reproduction', 'domains.csv')}" in out.splitlines()
 
 
 def test_unknown_flags_exit_nonzero(capsys):

@@ -279,12 +279,10 @@ def test_compare_circular_p_alpha_drift_halves():
         assert 1.4 <= a.max_err_phi / b.max_err_phi <= 3.5
 
 
-def test_convergence_sweep_schema_and_parallel_determinism():
+def test_convergence_sweep_schema():
     initial = FullState(2.0, 0.0, 0.0, 0.3)
-    serial = convergence_sweep(VERTICAL, [0.1, 0.05], initial, 2.0, max_workers=1)
-    threaded = convergence_sweep(VERTICAL, [0.1, 0.05], initial, 2.0, max_workers=2)
-    assert set(serial) == {"epsilons", "max_err_phi", "max_err_p_phi", "p_alpha_drift"}
-    assert serial == threaded
+    report = convergence_sweep(VERTICAL, [0.1, 0.05], initial, 2.0)
+    assert set(report) == {"epsilons", "max_err_phi", "max_err_p_phi", "p_alpha_drift"}
 
 
 def test_trajectory_csv_round_trip():

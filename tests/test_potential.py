@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_sign_changes, central_diff, close_rel
+from conftest import (
+    brute_force_sign_changes,
+    central_diff,
+    close_rel,
+    fold_b,
+    pole_aware_roots,
+    sin3_dv,
+)
 
 from pendulum_vib.potential import (
     AveragedParams,
@@ -32,6 +39,9 @@ def test_v_bar_examples():
 def test_v_bar_singular_at_pole_with_barrier():
     with pytest.raises(SingularConfigurationError):
         v_bar(0.0, AveragedParams.from_a_minus_c(0.0, 0.5))
+    # sin(phi)^4 underflows to zero: the barrier is singular to working precision
+    with pytest.raises(SingularConfigurationError):
+        d2v(1e-90, AveragedParams.from_a_minus_c(0.0, 0.5))
 
 
 def test_dv_examples():
@@ -156,6 +166,12 @@ def test_classify_domain_requires_positive_barrier():
         classify_domain(KAPITSA)
 
 
+def test_classify_domain_rejects_a_fold_beyond_float_range():
+    # the closed form of the fold overflows there, so gamma's B* cannot be formed
+    with pytest.raises(ValueError):
+        classify_domain(AveragedParams.from_a_minus_c(1e308, 1.0))
+
+
 def test_equilibrium_count_is_one_or_three():
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -209,6 +225,71 @@ def test_planar_limit_of_the_three_equilibria():
     assert previous[1] < 1e-9
 
 
+def check_against_pole_aware_scan(amc, b, focus=()):
+    """Label, count, kinds and residuals of the equilibria against the oracle scan."""
+    ap = AveragedParams.from_a_minus_c(amc, b)
+    roots = pole_aware_roots(amc, b, focus)
+    eqs = find_equilibria(ap)
+    label = classify_domain(ap)
+    assert (label, len(eqs)) == ({1: "I", 3: "II"}[len(roots)], len(roots)), (amc, b)
+    # dV runs from -inf to +inf, so minima and maxima alternate from a minimum
+    assert [eq.kind for eq in eqs] == ["stable", "unstable", "stable"][: len(eqs)]
+    for eq, root in zip(eqs, roots):
+        s, c = math.sin(eq.phi), math.cos(eq.phi)
+        terms = max(s ** 4, abs(amc) * s ** 4 * abs(c), b * abs(c))
+        assert abs(sin3_dv(eq.phi, amc, b)) <= 1e-6 * terms, (amc, b, eq.phi)
+        assert abs(eq.phi - root) <= 1e-6 * min(root, math.pi - root) + 1e-15
+    return label
+
+
+def test_equilibria_next_to_the_poles():
+    for amc, b in ((2.0, 1e-24), (3.5, 1e-30)):
+        assert check_against_pole_aware_scan(amc, b) == "II"
+    assert check_against_pole_aware_scan(0.5, 1e-28) == "I"
+    # the outer minima sit about (B / |1 -+ (A-C)|)^(1/4) from the poles
+    phis = [eq.phi for eq in find_equilibria(AveragedParams.from_a_minus_c(3.5, 1e-30))]
+    assert phis[0] == pytest.approx((1e-30 / 4.5) ** 0.25, rel=1e-6)
+    assert math.pi - phis[2] == pytest.approx((1e-30 / 2.5) ** 0.25, rel=1e-6)
+
+
+def test_just_inside_domain_two_near_gamma():
+    b_star = fold_b(2.0)
+    assert classify_domain(AveragedParams.from_a_minus_c(2.0, b_star * (1.0 - 1e-7))) == "II"
+    assert classify_domain(AveragedParams.from_a_minus_c(2.0, b_star * (1.0 + 1e-7))) == "I"
+    assert check_against_pole_aware_scan(2.0, b_star * (1.0 - 1e-7)) == "II"
+
+
+def test_fold_next_to_the_planar_threshold():
+    # For A - C = 1 + h with small h, gamma's B* = 16 h^3 / 27 (1 + O(h)).
+    h = 2.0 ** -40
+    b_star = 16.0 * h ** 3 / 27.0
+    below = AveragedParams.from_a_minus_c(1.0 + h, b_star * (1.0 - 1e-6))
+    assert classify_domain(below) == "II"
+    assert [eq.kind for eq in find_equilibria(below)] == ["stable", "unstable", "stable"]
+    assert classify_domain(AveragedParams.from_a_minus_c(1.0 + h, b_star * (1.0 + 1e-6))) == "I"
+
+
+def test_wide_parameter_sweep_matches_the_pole_aware_scan():
+    rng = np.random.default_rng(21)
+    labels = set()
+    for _ in range(300):
+        b = float(10.0 ** rng.uniform(-30.0, 6.0))
+        amc = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0))
+        labels.add(check_against_pole_aware_scan(amc, b))
+    assert labels == {"I", "II"}
+
+
+def test_near_gamma_sweep_matches_the_pole_aware_scan():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        # A - C from about 1.002 to 2e6; on the curve the merged root sits at phi
+        phi = float(rng.uniform(0.5 * math.pi + 0.005, math.pi - 0.05))
+        gp = gamma_point(phi)
+        delta = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -2.0))
+        label = check_against_pole_aware_scan(gp.a_minus_c, gp.b * (1.0 + delta), focus=(phi,))
+        assert label == ("I" if delta > 0.0 else "II")
+
+
 def test_gamma_csv_round_trip():
     points = gamma_curve([2.0, 2.5, 3.0])
     text = gamma_curve_to_csv(points)
@@ -233,5 +314,10 @@ def test_averaged_params_validation():
         AveragedParams(A=-0.1, B=0.0, C=0.0)
     with pytest.raises(ValueError):
         AveragedParams(A=0.0, B=-1.0, C=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AveragedParams(A=bad, B=0.0, C=0.0)
+        with pytest.raises(ValueError):
+            AveragedParams.from_a_minus_c(1.0, bad)
     ap = AveragedParams.from_a_minus_c(-1.5, 0.2)
     assert ap.A == 0.0 and ap.C == 1.5 and ap.a_minus_c == -1.5
