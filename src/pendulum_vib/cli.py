@@ -152,11 +152,16 @@ def cmd_equilibria(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    if cfg.samples < 2:
+def _gamma_csv(samples: int) -> str:
+    """The critical curve at ``samples`` values of phi in (pi/2, pi], as CSV."""
+    if samples < 2:
         raise ValueError("--samples must be at least 2")
-    phis = np.linspace(0.5 * math.pi + 1e-3, math.pi, cfg.samples)
-    _emit_text(gamma_curve_to_csv(gamma_curve(phis)), cfg.out)
+    phis = np.linspace(0.5 * math.pi + 1e-3, math.pi, samples)
+    return gamma_curve_to_csv(gamma_curve(phis))
+
+
+def cmd_curve(cfg: RunConfig) -> int:
+    _emit_text(_gamma_csv(cfg.samples), cfg.out)
     return EXIT_OK
 
 
@@ -227,13 +232,11 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
+    gamma_text = _gamma_csv(cfg.samples)
     out_dir = Path(cfg.out) if cfg.out else Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    phis = np.linspace(0.5 * math.pi + 1e-3, math.pi, cfg.samples)
-    (out_dir / "gamma.csv").write_text(
-        gamma_curve_to_csv(gamma_curve(phis)), encoding="utf-8"
-    )
+    (out_dir / "gamma.csv").write_text(gamma_text, encoding="utf-8")
     print(f"wrote {out_dir / 'gamma.csv'}")
 
     lines = ["a_minus_c,b,domain"]

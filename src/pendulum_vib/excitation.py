@@ -47,8 +47,11 @@ class HarmonicSeries:
     sine_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cosine_coeffs", tuple(float(a) for a in self.cosine_coeffs))
-        object.__setattr__(self, "sine_coeffs", tuple(float(b) for b in self.sine_coeffs))
+        for name in ("cosine_coeffs", "sine_coeffs"):
+            coeffs = tuple(float(x) for x in getattr(self, name))
+            if not all(math.isfinite(x) for x in coeffs):
+                raise ValueError(f"{name} must be finite, got {coeffs}")
+            object.__setattr__(self, name, coeffs)
 
     def value(self, s: float) -> float:
         out = 0.0
@@ -94,10 +97,10 @@ class Excitation:
     xi: HarmonicSeries = _ZERO_SERIES
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        for name in ("epsilon", "omega"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def fast_period(self) -> float:

@@ -123,12 +123,18 @@ def test_domain_rejects_planar_edge(capsys):
     [
         ["domain", "--a-minus-c", "nan", "--b", "1"],
         ["equilibria", "--a-minus-c", "1", "--b", "inf"],
+        ["compare", "--excitation", "{exc}", "--eps-sweep", "0.1,0.05", "--t-end", "inf"],
+        ["compare", "--excitation", "{exc}", "--eps-sweep", "0.1,0.05",
+         "--initial", "nan,0,0,0.3"],
     ],
 )
-def test_non_finite_parameters_are_input_errors(capsys, argv):
-    code, out = run(capsys, argv)
+def test_non_finite_parameters_are_input_errors(tmp_path, capsys, argv):
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code = main([a.format(exc=path) for a in argv])
+    captured = capsys.readouterr()
     assert code == 1
-    assert out == ""
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_portrait_writes_files_deterministically(tmp_path, capsys):
@@ -210,6 +216,14 @@ def test_reproduce_default_output_directory_is_fixed(tmp_path, capsys, monkeypat
     assert code == 0
     assert [p.name for p in tmp_path.iterdir()] == ["reproduction"]
     assert f"wrote {Path('reproduction', 'domains.csv')}" in out.splitlines()
+
+
+def test_reproduce_rejects_too_few_samples(tmp_path, capsys):
+    out_dir = tmp_path / "repro"
+    code, out = run(capsys, ["reproduce", "--out", str(out_dir), "--samples", "0"])
+    assert code == 1
+    assert out == ""
+    assert not out_dir.exists()
 
 
 def test_unknown_flags_exit_nonzero(capsys):

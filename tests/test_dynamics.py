@@ -5,6 +5,7 @@ import pytest
 
 from conftest import central_diff, close_rel
 
+from pendulum_vib import dynamics
 from pendulum_vib.dynamics import (
     FullState,
     IntegrationBlowUpError,
@@ -19,7 +20,6 @@ from pendulum_vib.dynamics import (
     integrate,
     make_reduced_rhs,
     reduced_rhs,
-    sample_at,
     trajectory_to_csv,
 )
 from pendulum_vib.excitation import (
@@ -228,13 +228,31 @@ def test_reduced_energy_conservation():
     assert np.max(np.abs(energies - energies[0])) < 1e-9
 
 
-def test_sample_at_reproduces_grid_points_and_interiors():
-    rhs = make_reduced_rhs(AveragedParams.from_a_minus_c(0.0, 0.0))
-    traj = integrate(rhs, [0.3, 0.0], (0.0, 2.0), 1e-2)
-    assert np.array_equal(sample_at(rhs, traj, float(traj.t[50])), traj.y[50])
-    mid = sample_at(rhs, traj, 0.505)
-    fine = integrate(rhs, [0.3, 0.0], (0.0, 0.505), 1e-3)
-    assert np.max(np.abs(mid - fine.y[-1])) < 1e-9
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+def test_compare_gap_matches_a_finer_reduced_flow(monkeypatch, eps):
+    # criterion-6 setting; the reduced flow at h / 8 stands in for the exact one
+    e = Excitation(epsilon=eps, omega=1.0, xi=SIN)
+    initial = FullState(2.0, 0.0, 0.0, 0.3)
+    runs = []
+
+    def recording_integrate(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(dynamics, "integrate", recording_integrate)
+    report = compare_full_averaged(e, initial, 10.0)
+    full, red = runs
+    assert np.array_equal(full.t, red.t)
+
+    h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    ref = integrate(make_reduced_rhs(averaged_params(velocity_moments(e), 0.3, UNIT)),
+                    [2.0, 0.0], (0.0, 10.0), h / 8)
+    # every 8th fine time is bit-identical to a full-grid time; the final
+    # shorter step is left out
+    n = len(full.t) - 1
+    assert np.array_equal(ref.t[:8 * n:8], full.t[:n])
+    gap = np.max(np.abs(full.y[:n, 0] - ref.y[:8 * n:8, 0]))
+    assert report.max_err_phi == pytest.approx(gap, rel=1e-4)
 
 
 def test_compare_zero_excitation_flows_coincide():
@@ -309,3 +327,7 @@ def test_physical_params_validation():
         PhysicalParams(m=0.0)
     with pytest.raises(ValueError):
         PhysicalParams(g=-9.8)
+    for name in ("m", "l", "g"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                PhysicalParams(**{name: bad})

@@ -175,6 +175,15 @@ def test_excitation_validation():
         Excitation(epsilon=0.0, omega=1.0)
     with pytest.raises(ValueError):
         Excitation(epsilon=0.1, omega=-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite"):
+            Excitation(epsilon=bad, omega=1.0)
+        with pytest.raises(ValueError, match="^omega must be positive and finite"):
+            Excitation(epsilon=0.1, omega=bad)
+        with pytest.raises(ValueError, match="^cosine_coeffs must be finite"):
+            HarmonicSeries(cosine_coeffs=(1.0, bad))
+        with pytest.raises(ValueError, match="^sine_coeffs must be finite"):
+            HarmonicSeries(sine_coeffs=(bad,))
 
 
 def test_excitation_from_dict_full_document():
