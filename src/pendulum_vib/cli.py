@@ -42,6 +42,9 @@ EXIT_SCIENCE = 2
 CONVERGENCE_BAND = (1.4, 3.5)
 # Errors below this are integrator/rounding noise; ratio checks do not apply.
 ERROR_FLOOR = 1e-8
+# Largest accepted --nx/--ny (a 4096^2 grid writes ~0.3 GB of CSV) and --samples.
+MAX_GRID = 4096
+MAX_SAMPLES = 10**6
 
 
 @dataclass
@@ -76,6 +79,12 @@ class RunConfig:
                 setattr(cfg, attr, getattr(args, name))
         if cfg.tol <= 0.0:
             raise ValueError("--tol must be positive")
+        for name in ("nx", "ny"):
+            n = getattr(cfg, name)
+            if not (2 <= n <= MAX_GRID):
+                raise ValueError(f"--{name} must be between 2 and {MAX_GRID}, got {n}")
+        if not (2 <= cfg.samples <= MAX_SAMPLES):
+            raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}, got {cfg.samples}")
         if getattr(args, "eps_sweep", None):
             sweep = _parse_float_list(args.eps_sweep, what="--eps-sweep")
             if any(x <= 0.0 for x in sweep):
@@ -98,8 +107,13 @@ def _parse_float_list(text: str, expect: int | None = None, what: str = "list") 
     return values
 
 
+def _json_text(doc) -> str:
+    # RFC 8259 has no NaN or Infinity; a document holding one is refused.
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit_json(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _json_text(doc)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -154,8 +168,6 @@ def cmd_equilibria(cfg: RunConfig) -> int:
 
 def _gamma_csv(samples: int) -> str:
     """The critical curve at ``samples`` values of phi in (pi/2, pi], as CSV."""
-    if samples < 2:
-        raise ValueError("--samples must be at least 2")
     phis = np.linspace(0.5 * math.pi + 1e-3, math.pi, samples)
     return gamma_curve_to_csv(gamma_curve(phis))
 
@@ -223,8 +235,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     ratios_phi, phi_ok = _ratio_verdict(report["max_err_phi"])
     ratios_drift, drift_ok = _ratio_verdict(report["p_alpha_drift"])
     doc = dict(report)
-    doc["ratios_phi"] = [None if math.isnan(r) else r for r in ratios_phi]
-    doc["ratios_p_alpha"] = [None if math.isnan(r) else r for r in ratios_drift]
+    # NaN (both errors at the floor) and inf (the finer error exactly 0) have
+    # no JSON number; the verdict already records what they mean
+    doc["ratios_phi"] = [r if math.isfinite(r) else None for r in ratios_phi]
+    doc["ratios_p_alpha"] = [r if math.isfinite(r) else None for r in ratios_drift]
     doc["band"] = list(CONVERGENCE_BAND)
     doc["passed"] = bool(phi_ok and drift_ok)
     _emit_json(doc, cfg.out)
@@ -331,7 +345,7 @@ def main(argv=None) -> int:
             },
             "tol": rep.tol,
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(doc))
         return EXIT_SCIENCE
     except InconsistentCountError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ potential of :mod:`pendulum_vib.potential`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 STEPS_PER_FAST_PERIOD = 64
+# Ten times the longest integration the acceptance suite runs; a longer one is
+# almost certainly a mistyped span, and would only fill memory.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,21 +72,13 @@ class PhysicalParams:
 UNIT_PARAMS = PhysicalParams(1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class FullState:
+class FullState(NamedTuple):
     """Canonical state (phi, alpha, p_phi, p_alpha) of the full system."""
 
     phi: float
     alpha: float
     p_phi: float
     p_alpha: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi, self.alpha, self.p_phi, self.p_alpha])
-
-    @classmethod
-    def from_array(cls, y) -> "FullState":
-        return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
 
 def _pivot_projections(
@@ -121,19 +117,29 @@ def full_hamiltonian(state: FullState, t: float, e: Excitation, p: PhysicalParam
 
 
 def full_rhs(
-    state: FullState, t: float, e: Excitation, p: PhysicalParams
+    state: Sequence[float], t: float, e: Excitation, p: PhysicalParams
 ) -> tuple[float, float, float, float]:
-    """Hamilton's equations of the full system: (dphi, dalpha, dp_phi, dp_alpha)."""
-    vel = eval_velocity(e, t)
+    """Hamilton's equations of the full system: (dphi, dalpha, dp_phi, dp_alpha).
+
+    ``state`` is a :class:`FullState` or any sequence in the same order.
+    """
+    return _full_rhs_at(state, eval_velocity(e, t), p)
+
+
+def _full_rhs_at(
+    state: Sequence[float], vel: tuple[float, float, float], p: PhysicalParams
+) -> tuple[float, float, float, float]:
+    # full_rhs given the pivot velocity at the state's time.
+    phi, alpha, p_phi, p_alpha = state
     td, ed, xd = vel
-    s = math.sin(state.phi)
-    c = math.cos(state.phi)
-    sa = math.sin(state.alpha)
-    ca = math.cos(state.alpha)
+    s = math.sin(phi)
+    c = math.cos(phi)
+    sa = math.sin(alpha)
+    ca = math.cos(alpha)
     u_phi, u_alpha = _pivot_projections(s, c, sa, ca, vel)
     ml = p.m * p.l
     ml2 = p.m * p.l * p.l
-    d_phi = state.p_phi - ml * u_phi
+    d_phi = p_phi - ml * u_phi
 
     du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
     horiz = -sa * td + ca * ed
@@ -142,13 +148,13 @@ def full_rhs(
     du_alpha_dalpha = -s * ca * td - s * sa * ed
 
     if s == 0.0:
-        if state.p_alpha != 0.0 or horiz != 0.0:
+        if p_alpha != 0.0 or horiz != 0.0:
             raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
         dphi = d_phi / ml2
         dp_phi = (d_phi / p.l) * du_phi_dphi - p.m * p.g * p.l * s
         return (dphi, 0.0, dp_phi, 0.0)
 
-    w = (state.p_alpha - ml * u_alpha) / s
+    w = (p_alpha - ml * u_alpha) / s
     dphi = d_phi / ml2
     dalpha = w / (ml2 * s)
     dp_phi = (
@@ -210,16 +216,34 @@ def reduced_rhs(phi: float, p_phi: float, ap: AveragedParams) -> tuple[float, fl
     return (p_phi, -dv(phi, ap))
 
 
-def make_full_rhs(e: Excitation, p: PhysicalParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(full_rhs(FullState.from_array(y), t, e, p))
+Rhs = Callable[[float, Sequence[float]], Sequence[float]]
+
+
+def make_full_rhs(e: Excitation, p: PhysicalParams) -> Rhs:
+    """:func:`full_rhs` as an ``rhs(t, y)`` for :func:`integrate`.
+
+    The pivot velocity depends on ``t`` alone, so a call at the same ``t`` as
+    the previous one reuses it: RK4's two midpoint stages share a time, and a
+    step's last stage often shares one with the next step's first.
+    """
+    last_t = None
+    vel = None
+
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float, float]:
+        nonlocal last_t, vel
+        if t != last_t:
+            last_t = t
+            vel = eval_velocity(e, t)
+        return _full_rhs_at(y, vel, p)
 
     return rhs
 
 
-def make_reduced_rhs(ap: AveragedParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(reduced_rhs(float(y[0]), float(y[1]), ap))
+def make_reduced_rhs(ap: AveragedParams) -> Rhs:
+    """:func:`reduced_rhs` as an ``rhs(t, y)`` for :func:`integrate`, y = (phi, p_phi)."""
+
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, float]:
+        return reduced_rhs(y[0], y[1], ap)
 
     return rhs
 
@@ -240,53 +264,73 @@ class Trajectory:
     y: np.ndarray
 
 
-def rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(rhs: Rhs, t: float, y: Sequence[float], h: float) -> list[float]:
+    """One classical RK4 step of size h from (t, y).
+
+    ``rhs(t, y)`` takes and returns a sequence of floats; the stages and the
+    result are plain Python floats, combined in the same order as the vector
+    form ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``.
+    """
+    hh = 0.5 * h
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
+    k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
+    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
-def integrate(rhs, y0, t_span: tuple[float, float], step: float) -> Trajectory:
+def integrate(
+    rhs: Rhs, y0: Sequence[float], t_span: tuple[float, float], step: float
+) -> Trajectory:
     """Classical fixed-step RK4 over t_span, recording every step.
 
-    A final shorter step lands exactly on the end time when the span is not
-    an integer number of steps.  Deterministic for identical inputs; rejects
-    a non-finite ``y0`` or ``t_span`` with ValueError and aborts with
-    :class:`IntegrationBlowUpError` when the state goes non-finite.
+    ``rhs(t, y)`` takes and returns a sequence of floats: see
+    :func:`make_full_rhs`, which evaluates the pivot velocity once per
+    distinct stage time, and :func:`make_reduced_rhs`.  A final shorter step
+    lands exactly on the end time when the span is not an integer number of
+    steps.  Deterministic for identical inputs; rejects a non-finite ``y0`` or
+    ``t_span``, or a span of more than MAX_STEPS steps, with ValueError, and
+    aborts with :class:`IntegrationBlowUpError` when the state goes non-finite.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y = np.array(y0, dtype=float)
+    y = [float(v) for v in y0]
     if not (step > 0.0):
         raise ValueError("step must be positive")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
     if not (t1 > t0):
         raise ValueError("t_span must have positive length")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"initial state must be finite, got {y.tolist()}")
-    n_full = int(math.floor((t1 - t0) / step * (1.0 + 1e-12)))
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"initial state must be finite, got {y}")
+    n_steps = (t1 - t0) / step
+    if not (n_steps <= MAX_STEPS):
+        raise ValueError(
+            f"integrating ({t0}, {t1}) at step {step} takes {n_steps:.6g} steps, "
+            f"more than the limit of {MAX_STEPS}"
+        )
+    n_full = int(math.floor(n_steps * (1.0 + 1e-12)))
     remainder = t1 - (t0 + n_full * step)
 
-    ts = [t0]
-    ys = [y]
+    # flat C doubles: 8 bytes a recorded value, where a list per step takes ~6x that
+    ts = array("d", [t0])
+    ys = array("d", y)
     t = t0
     for k in range(n_full):
         y = rk4_step(rhs, t, y, step)
         t = t0 + (k + 1) * step
-        if not np.all(np.isfinite(y)):
+        if not all(map(math.isfinite, y)):
             raise IntegrationBlowUpError(t)
         ts.append(t)
-        ys.append(y)
+        ys.extend(y)
     if remainder > step * 1e-9:
         y = rk4_step(rhs, t, y, remainder)
         t = t1
-        if not np.all(np.isfinite(y)):
+        if not all(map(math.isfinite, y)):
             raise IntegrationBlowUpError(t)
         ts.append(t)
-        ys.append(y)
-    return Trajectory(t=np.array(ts), y=np.array(ys))
+        ys.extend(y)
+    return Trajectory(t=np.array(ts), y=np.array(ys).reshape(len(ts), len(y)))
 
 
 class SymmetryViolationError(ValueError):
@@ -326,7 +370,7 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
 
     ap = averaged_params(mm, initial.p_alpha, UNIT_PARAMS)
     step = e.fast_period / STEPS_PER_FAST_PERIOD
-    full = integrate(make_full_rhs(e, UNIT_PARAMS), initial.as_array(), (0.0, t_end), step)
+    full = integrate(make_full_rhs(e, UNIT_PARAMS), initial, (0.0, t_end), step)
     red = integrate(make_reduced_rhs(ap), [initial.phi, initial.p_phi], (0.0, t_end), step)
     return ComparisonReport(
         epsilon=e.epsilon,

@@ -230,7 +230,7 @@ def test_criterion_6_averaging_convergence():
     report(
         6,
         elapsed,
-        30.0,
+        5.0,
         f"phi errors {['%.3e' % e for e in errs]} ratios {['%.2f' % r for r in ratios]} "
         f"drift {['%.1e' % d for d in drifts]}",
     )

@@ -1,10 +1,12 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from pendulum_vib.cli import main
+from pendulum_vib import cli
+from pendulum_vib.cli import _ratio_verdict, main
 
 VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
 IN_PHASE_DOC = '{"epsilon": 0.1, "omega": 1.0, "tau": {"cos": [1.0]}, "eta": {"cos": [1.0]}}'
@@ -187,6 +189,61 @@ def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["error"] == "symmetry violation"
     assert doc["residuals"]["tau_eta"] == pytest.approx(0.5)
+
+
+def test_compare_refuses_an_overlong_integration(tmp_path, capsys):
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    t0 = time.perf_counter()
+    code = main(["compare", "--excitation", path, "--eps-sweep", "0.1,0.05", "--t-end", "1e9"])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "steps" in captured.err
+    assert elapsed < 1.0
+
+
+def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch):
+    # a finer error of exactly 0 gives an infinite ratio, which fails the band
+    assert _ratio_verdict([1.0, 0.0]) == ([math.inf], False)
+
+    def sweep(e, epsilons, initial, t_end):
+        errs = [1.0, 0.0]
+        return {"epsilons": epsilons, "max_err_phi": errs, "max_err_p_phi": errs,
+                "p_alpha_drift": [0.0, 0.0]}
+
+    monkeypatch.setattr(cli, "convergence_sweep", sweep)
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code, out = run(capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"])
+    assert code == 2
+
+    def no_constants(name):
+        raise AssertionError(f"non-RFC JSON constant {name}")
+
+    doc = json.loads(out, parse_constant=no_constants)
+    assert doc["ratios_phi"] == [None]
+    assert doc["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["portrait", "--a-minus-c", "2", "--b", "0", "--nx", "4097"],
+        ["portrait", "--a-minus-c", "2", "--b", "0", "--ny", "4097"],
+        ["reproduce", "--nx", "4097"],
+        ["reproduce", "--nx", "1"],
+        ["reproduce", "--samples", "1000001"],
+        ["curve", "--samples", "1000001"],
+    ],
+)
+def test_size_options_are_bounded(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code = main(argv + ["--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_compare_requires_decreasing_sweep(tmp_path, capsys):

@@ -18,6 +18,7 @@ from pendulum_vib.dynamics import (
     full_hamiltonian,
     full_rhs,
     integrate,
+    make_full_rhs,
     make_reduced_rhs,
     reduced_rhs,
     trajectory_to_csv,
@@ -26,6 +27,7 @@ from pendulum_vib.excitation import (
     Excitation,
     HarmonicSeries,
     MomentMatrix,
+    eval_velocity,
     velocity_moments,
 )
 from pendulum_vib.potential import AveragedParams, SingularConfigurationError, v_bar
@@ -212,12 +214,44 @@ def test_integrate_validates_inputs():
         integrate(rhs, [1.0], (1.0, 1.0), 0.1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_integrate_reports_blow_up_time():
-    rhs = lambda t, y: y * y
+    rhs = lambda t, y: [v * v for v in y]
     with pytest.raises(IntegrationBlowUpError) as err:
         integrate(rhs, [1.0], (0.0, 50.0), 1.0)
     assert 0.0 < err.value.time <= 50.0
+
+
+def test_integrate_refuses_too_many_steps():
+    with pytest.raises(ValueError, match=r"takes 1\.5e\+06 steps, more than the limit of 1000000"):
+        integrate(lambda t, y: y, [1.0], (0.0, 1.5), 1e-6)
+    with pytest.raises(ValueError, match="more than the limit"):
+        integrate(lambda t, y: y, [1.0], (-1e308, 1e308), 1.0)
+
+
+def test_make_full_rhs_matches_full_rhs_bit_for_bit():
+    # the pivot velocity is reused between stages at the same time; the
+    # result must be what full_rhs gives at every stage
+    for e in (VERTICAL, CIRCULAR):
+        span, h = (0.0, 3.0), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        fast = integrate(make_full_rhs(e, UNIT), FullState(2.0, 0.5, 0.1, 0.3), span, h)
+        plain = integrate(lambda t, y: full_rhs(FullState(*y), t, e, UNIT),
+                          FullState(2.0, 0.5, 0.1, 0.3), span, h)
+        assert np.array_equal(fast.t, plain.t)
+        assert np.array_equal(fast.y, plain.y)
+
+
+def test_make_full_rhs_evaluates_the_velocity_under_three_times_a_step(monkeypatch):
+    calls = []
+
+    def counting(e, t):
+        calls.append(t)
+        return eval_velocity(e, t)
+
+    monkeypatch.setattr(dynamics, "eval_velocity", counting)
+    h = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    traj = integrate(make_full_rhs(VERTICAL, UNIT), FullState(2.0, 0.0, 0.0, 0.3), (0.0, 10.0), h)
+    steps = len(traj.t) - 1
+    assert len(calls) < 3 * steps
 
 
 def test_reduced_energy_conservation():
@@ -253,6 +287,17 @@ def test_compare_gap_matches_a_finer_reduced_flow(monkeypatch, eps):
     assert np.array_equal(ref.t[:8 * n:8], full.t[:n])
     gap = np.max(np.abs(full.y[:n, 0] - ref.y[:8 * n:8, 0]))
     assert report.max_err_phi == pytest.approx(gap, rel=1e-4)
+
+
+def test_compare_readme_sweep_is_pinned():
+    # the README default sweep; any change to the integrator's arithmetic
+    # moves these last digits
+    initial = FullState(2.0, 0.0, 0.0, 0.3)
+    errs = [
+        compare_full_averaged(Excitation(epsilon=eps, omega=1.0, xi=SIN), initial, 10.0).max_err_phi
+        for eps in (0.1, 0.05, 0.025)
+    ]
+    assert errs == [0.14062310670028966, 0.05629476893964136, 0.026580604698659638]
 
 
 def test_compare_zero_excitation_flows_coincide():
@@ -305,8 +350,6 @@ def test_convergence_sweep_schema():
 
 def test_trajectory_csv_round_trip():
     e = Excitation(epsilon=0.1, omega=1.0, xi=SIN)
-    from pendulum_vib.dynamics import make_full_rhs
-
     traj = integrate(make_full_rhs(e, UNIT), [2.0, 0.0, 0.0, 0.3], (0.0, 0.5), 0.01)
     text = trajectory_to_csv(traj)
     lines = text.strip().splitlines()
