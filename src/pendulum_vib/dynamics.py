@@ -289,9 +289,10 @@ def integrate(
     :func:`make_full_rhs`, which evaluates the pivot velocity once per
     distinct stage time, and :func:`make_reduced_rhs`.  A final shorter step
     lands exactly on the end time when the span is not an integer number of
-    steps.  Deterministic for identical inputs; rejects a non-finite ``y0`` or
-    ``t_span``, or a span of more than MAX_STEPS steps, with ValueError, and
-    aborts with :class:`IntegrationBlowUpError` when the state goes non-finite.
+    steps or is shorter than one step.  Deterministic for identical inputs;
+    rejects a non-finite ``y0`` or ``t_span``, or a span of more than
+    MAX_STEPS steps, with ValueError, and aborts with
+    :class:`IntegrationBlowUpError` when the state goes non-finite.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
@@ -323,7 +324,7 @@ def integrate(
             raise IntegrationBlowUpError(t)
         ts.append(t)
         ys.extend(y)
-    if remainder > step * 1e-9:
+    if remainder > step * 1e-9 or n_full == 0:
         y = rk4_step(rhs, t, y, remainder)
         t = t1
         if not all(map(math.isfinite, y)):

@@ -73,7 +73,8 @@ def build_grid(
     the full [0, pi] otherwise.  By default p_max covers the sampled energy
     span, so every auto-selected level intersects the window.  Levels are the
     saddle energies, if any, plus AUTO_LEVEL_COUNT values evenly spaced
-    strictly between the extremes of V over the window.
+    strictly between the extremes of V over the window.  ValueError when the
+    p axis is not finite and strictly increasing or an energy is not finite.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx, ny >= 2")
@@ -90,10 +91,14 @@ def build_grid(
         p_max = math.sqrt(2.0 * span) if span > 0.0 else 1.0
     if not (p_max > 0.0):
         raise ValueError("p_max must be positive")
-    p = np.linspace(-p_max, p_max, ny)
-    p = 0.5 * (p - p[::-1])  # exact mirror symmetry p[j] == -p[ny-1-j]
-
-    values = v[:, None] + 0.5 * p[None, :] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        p = np.linspace(-p_max, p_max, ny)
+        p = 0.5 * (p - p[::-1])  # exact mirror symmetry p[j] == -p[ny-1-j]
+        values = v[:, None] + 0.5 * p[None, :] ** 2
+    if not (np.isfinite(p).all() and (np.diff(p) > 0.0).all()):
+        raise ValueError(f"p_max={p_max!r} gives no finite, increasing p axis of {ny} points")
+    if not np.isfinite(values).all():
+        raise ValueError("the sampled energies are not all finite")
 
     eqs = tuple(find_equilibria(ap))
     separatrix = tuple(sorted({v_bar(eq.phi, ap) for eq in eqs if eq.kind == "unstable"}))
@@ -119,42 +124,37 @@ class LevelContours:
 # Cell corners, counter-clockwise from the low corner, with bit values:
 #   A = (i, j) -> 1,  B = (i+1, j) -> 2,  C = (i+1, j+1) -> 4,  D = (i, j+1) -> 8
 # and edges AB, BC, CD, DA between them.  The table maps the "corner above
-# level" bitmask to pairs of crossed edges; None marks the two ambiguous
-# masks, resolved by whether the cell average is above the level.
+# level" bitmask to up to two pairs of crossed edges (-1 pads a missing pair).
+# The two saddle masks 5 and 10 hold the split for a cell average at or below
+# the level; a cell whose average is above it takes the other mask's split.
 _AB, _BC, _CD, _DA = 0, 1, 2, 3
-_SEGMENT_TABLE: dict[int, list[tuple[int, int]] | None] = {
-    1: [(_AB, _DA)],
-    2: [(_AB, _BC)],
-    3: [(_BC, _DA)],
-    4: [(_BC, _CD)],
-    5: None,
-    6: [(_AB, _CD)],
-    7: [(_CD, _DA)],
-    8: [(_CD, _DA)],
-    9: [(_AB, _CD)],
-    10: None,
-    11: [(_BC, _CD)],
-    12: [(_BC, _DA)],
-    13: [(_AB, _BC)],
-    14: [(_AB, _DA)],
-}
-
-
-def _edge_key(i: int, j: int, edge: int) -> tuple[str, int, int]:
-    # Canonical grid-edge identity shared between neighbouring cells, so
-    # chaining is exact and needs no floating-point endpoint matching.
-    if edge == _AB:
-        return ("p", i, j)  # edge along phi at constant p index j
-    if edge == _CD:
-        return ("p", i, j + 1)
-    if edge == _DA:
-        return ("f", i, j)  # edge along p at constant phi index i
-    return ("f", i + 1, j)
+_NONE = (-1, -1)
+_SEGMENT_TABLE = np.array(
+    [
+        (_NONE, _NONE),
+        ((_AB, _DA), _NONE),
+        ((_AB, _BC), _NONE),
+        ((_BC, _DA), _NONE),
+        ((_BC, _CD), _NONE),
+        ((_AB, _DA), (_BC, _CD)),
+        ((_AB, _CD), _NONE),
+        ((_CD, _DA), _NONE),
+        ((_CD, _DA), _NONE),
+        ((_AB, _CD), _NONE),
+        ((_AB, _BC), (_CD, _DA)),
+        ((_BC, _CD), _NONE),
+        ((_BC, _DA), _NONE),
+        ((_AB, _BC), _NONE),
+        ((_AB, _DA), _NONE),
+        (_NONE, _NONE),
+    ]
+)
 
 
 def _marching_squares(
     phi: np.ndarray, p: np.ndarray, values: np.ndarray, level: float
 ) -> list[np.ndarray]:
+    nx, ny = values.shape
     inside = values > level
     a = inside[:-1, :-1]
     b = inside[1:, :-1]
@@ -166,86 +166,85 @@ def _marching_squares(
         + (c.astype(np.int8) << 2)
         + (d.astype(np.int8) << 3)
     )
-    active = np.argwhere((mask != 0) & (mask != 15))
+    ci, cj = np.nonzero((mask != 0) & (mask != 15))  # row-major, like a cell loop
+    case = mask[ci, cj]
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    si, sj = ci[saddle], cj[saddle]
+    centre_inside = (
+        values[si, sj] + values[si + 1, sj] + values[si + 1, sj + 1] + values[si, sj + 1]
+    ) > 4.0 * level
+    case[saddle[centre_inside]] ^= 15  # 5 <-> 10
 
-    points: dict[tuple[str, int, int], tuple[float, float]] = {}
-
-    def crossing(key: tuple[str, int, int]) -> tuple[float, float]:
-        pt = points.get(key)
-        if pt is not None:
-            return pt
-        kind, i, j = key
-        if kind == "p":
-            v0, v1 = values[i, j], values[i + 1, j]
-            t = (level - v0) / (v1 - v0)
-            pt = (float(phi[i] + t * (phi[i + 1] - phi[i])), float(p[j]))
-        else:
-            v0, v1 = values[i, j], values[i, j + 1]
-            t = (level - v0) / (v1 - v0)
-            pt = (float(phi[i]), float(p[j] + t * (p[j + 1] - p[j])))
-        points[key] = pt
-        return pt
-
-    segments: list[tuple[tuple[str, int, int], tuple[str, int, int]]] = []
-    for i, j in active:
-        case = int(mask[i, j])
-        pairs = _SEGMENT_TABLE[case]
-        if pairs is None:
-            centre_inside = (values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]) > 4.0 * level
-            if case == 5:
-                pairs = [(_AB, _BC), (_CD, _DA)] if centre_inside else [(_AB, _DA), (_BC, _CD)]
-            else:  # case 10
-                pairs = [(_AB, _DA), (_BC, _CD)] if centre_inside else [(_AB, _BC), (_CD, _DA)]
-        for e0, e1 in pairs:
-            k0 = _edge_key(int(i), int(j), e0)
-            k1 = _edge_key(int(i), int(j), e1)
-            crossing(k0)
-            crossing(k1)
-            segments.append((k0, k1))
-
-    return _chain_segments(segments, points)
+    # Each grid edge gets one integer id, shared by the two cells on it, so
+    # chaining is exact and needs no floating-point endpoint matching.  Edges
+    # along p at constant phi index i ("f") come first, then edges along phi
+    # at constant p index j ("p"); within a kind the id runs i-major.
+    f_id = ci * ny + cj
+    p_id = nx * ny + f_id
+    cell_edges = np.stack([p_id, f_id + ny, p_id + 1, f_id], axis=1)  # AB, BC, CD, DA
+    slots = _SEGMENT_TABLE[case].reshape(-1, 2)  # cell-major, then pair order
+    cell = np.repeat(np.arange(len(case)), 2)
+    keep = slots[:, 0] >= 0
+    edge_ids = cell_edges[cell[keep][:, None], slots[keep]]
+    nodes, ends = np.unique(edge_ids, return_inverse=True)
+    points = _crossings(phi, p, values, level, nodes)
+    return [points[chain] for chain in _chain_segments(ends.reshape(-1, 2), len(nodes))]
 
 
-def _chain_segments(segments, points) -> list[np.ndarray]:
-    adjacency: dict[tuple, list[int]] = {}
-    for idx, (k0, k1) in enumerate(segments):
-        adjacency.setdefault(k0, []).append(idx)
-        adjacency.setdefault(k1, []).append(idx)
+def _crossings(
+    phi: np.ndarray, p: np.ndarray, values: np.ndarray, level: float, edge_ids: np.ndarray
+) -> np.ndarray:
+    """(phi, p) where the level crosses each edge, linear along the edge."""
+    nx, ny = values.shape
+    along_phi = edge_ids >= nx * ny
+    i, j = np.divmod(np.where(along_phi, edge_ids - nx * ny, edge_ids), ny)
+    points = np.empty((len(edge_ids), 2))
+    ip, jp = i[along_phi], j[along_phi]
+    v0 = values[ip, jp]
+    t = (level - v0) / (values[ip + 1, jp] - v0)
+    points[along_phi, 0] = phi[ip] + t * (phi[ip + 1] - phi[ip])
+    points[along_phi, 1] = p[jp]
+    along_p = ~along_phi
+    i_f, j_f = i[along_p], j[along_p]
+    v0 = values[i_f, j_f]
+    t = (level - v0) / (values[i_f, j_f + 1] - v0)
+    points[along_p, 0] = phi[i_f]
+    points[along_p, 1] = p[j_f] + t * (p[j_f + 1] - p[j_f])
+    return points
 
-    used = [False] * len(segments)
 
-    def walk(start_key) -> list[tuple]:
-        chain = [start_key]
-        key = start_key
-        while True:
-            nxt = None
-            for idx in adjacency[key]:
-                if not used[idx]:
-                    nxt = idx
-                    break
-            if nxt is None:
-                return chain
-            used[nxt] = True
-            k0, k1 = segments[nxt]
-            key = k1 if k0 == key else k0
-            chain.append(key)
+def _chain_segments(ends: np.ndarray, n_nodes: int) -> list[list[int]]:
+    """Node chains of the segment graph; ``ends[s]`` are segment s's two nodes.
 
-    polylines: list[np.ndarray] = []
-    # Open chains start at nodes of odd degree; walk those first, then cycles.
-    starts = sorted(k for k, segs in adjacency.items() if len(segs) % 2 == 1)
-    for start in starts:
-        if all(used[idx] for idx in adjacency[start]):
-            continue
-        chain = walk(start)
-        polylines.append(np.array([points[k] for k in chain]))
-    for idx in range(len(segments)):
-        if used[idx]:
-            continue
-        used[idx] = True
-        k0, k1 = segments[idx]
-        chain = [k0] + walk(k1)
-        polylines.append(np.array([points[k] for k in chain]))
-    return polylines
+    Every node is a grid edge, which at most two cells share, so it joins one
+    or two segments.  Open chains start at the one-segment nodes in node
+    order; each cycle that remains starts at the first node of its lowest
+    segment.
+    """
+    flat = ends.ravel()
+    degree = np.bincount(flat, minlength=n_nodes)
+    by_node = np.argsort(flat, kind="stable") // 2  # segments grouped by node, ascending
+    start = np.cumsum(degree) - degree
+    first = by_node[start]
+    second = np.where(degree == 2, by_node[np.minimum(start + 1, len(flat) - 1)], -1)
+
+    seg_a, seg_b = ends[:, 0].tolist(), ends[:, 1].tolist()
+    first, second = first.tolist(), second.tolist()
+    used = bytearray(len(ends))
+
+    def walk(node: int, seg: int) -> list[int]:
+        chain = [node]
+        while seg >= 0 and not used[seg]:
+            used[seg] = 1
+            node = seg_b[seg] if seg_a[seg] == node else seg_a[seg]
+            chain.append(node)
+            seg = second[node] if first[node] == seg else first[node]
+        return chain
+
+    chains = [walk(node, first[node]) for node in np.flatnonzero(degree == 1).tolist()
+              if not used[first[node]]]
+    chains += [walk(seg_a[seg], seg) for seg in range(len(used)) if not used[seg]]
+    return chains
 
 
 def extract_contours(grid: PortraitGrid) -> list[LevelContours]:
@@ -333,7 +332,10 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours]) -> str:
     for lc in contours:
         style = _SEPARATRIX_STYLE if lc.is_separatrix else _CONTOUR_STYLE
         for poly in lc.polylines:
-            coords = " L ".join(f"{_fmt(to_x(pt[0]))} {_fmt(to_y(pt[1]))}" for pt in poly)
+            # to_x and to_y over the whole polyline, in the same operation order
+            xs = x0 + (poly[:, 0] - phi_lo) / (phi_hi - phi_lo) * (x1 - x0)
+            ys = y1 - (poly[:, 1] - p_lo) / (p_hi - p_lo) * (y1 - y0)
+            coords = " L ".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
             parts.append(f'<path {style} d="M {coords}"/>')
 
     for eq in grid.equilibria:
@@ -359,13 +361,24 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours]) -> str:
 
 
 def grid_to_csv(grid: PortraitGrid) -> str:
-    """CSV of the sampled energies: header row of p values, first column phi."""
-    header = "phi," + ",".join(repr(float(x)) for x in grid.p)
-    lines = [header]
-    for i in range(grid.nx):
-        row = repr(float(grid.phi[i])) + "," + ",".join(repr(float(v)) for v in grid.values[i])
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    """CSV of the sampled energies: header row of p values, first column phi.
+
+    Each row is formatted for its first half only and mirrored, so the grid
+    must be exactly (bit for bit) symmetric in p, as build_grid makes it;
+    ValueError otherwise.
+    """
+    values = np.asarray(grid.values, dtype=np.float64)
+    if not np.array_equal(values.view(np.int64), values[:, ::-1].view(np.int64)):
+        raise ValueError("grid values are not exactly mirror-symmetric in p")
+    ny = values.shape[1]
+    mirrored = ny // 2
+    lines = ["phi," + ",".join(map(repr, grid.p.tolist()))]
+    for phi, row in zip(grid.phi.tolist(), values[:, : ny - mirrored]):
+        cells = [repr(phi), *map(repr, row.tolist())]
+        cells += cells[mirrored:0:-1]
+        lines.append(",".join(cells))
+    lines.append("")  # the final newline, without a second copy of a ~5 MB string
+    return "\n".join(lines)
 
 
 def contours_to_csv(contours: list[LevelContours]) -> str:
@@ -373,6 +386,9 @@ def contours_to_csv(contours: list[LevelContours]) -> str:
     lines = ["level,polyline_id,phi,p_phi"]
     for lc in contours:
         for pid, poly in enumerate(lc.polylines):
-            for pt in poly:
-                lines.append(f"{lc.level!r},{pid},{float(pt[0])!r},{float(pt[1])!r}")
+            prefix = f"{lc.level!r},{pid},"
+            # one string per polyline and flat column lists: keeping a small
+            # object per vertex alive raised peak RSS ~1 MB over repeated runs
+            phis, ps = poly[:, 0].tolist(), poly[:, 1].tolist()
+            lines.append("\n".join([f"{prefix}{x!r},{y!r}" for x, y in zip(phis, ps)]))
     return "\n".join(lines) + "\n"

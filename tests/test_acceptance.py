@@ -331,6 +331,6 @@ def test_criterion_9_portrait_properties():
     report(
         9,
         elapsed,
-        5.0,
+        1.0,
         f"separatrix level {grid.separatrix_levels[0]:.12f}, {cells:.2f} cells from saddle",
     )

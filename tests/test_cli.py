@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -150,6 +151,73 @@ def test_portrait_writes_files_deterministically(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     svg = (tmp_path / "a" / "portrait.svg").read_text()
     assert 'class="separatrix"' in svg
+
+
+# sha256 of stdout and of each written file; any change to a byte is a change
+# to the numbers or the layout and must be deliberate.
+PORTRAIT_PINS = [
+    (
+        ["--a-minus-c", "0", "--b", "0.1"],
+        {
+            "stdout": "9b7bf17230606c73f636e3746068571497562b316de6cf61d66306d7444be63d",
+            "grid.csv": "f96dd5554371ce6a22bab4dc94cc08c27f3a8d14a995a290bf165ce9bcfc2566",
+            "contours.csv": "b3f2613cb515ae5fbf64239362dcd93b97152a53f2fabfad0467410eb9ca49af",
+            "portrait.svg": "a4ac7848baee8be145062a4725ea8e91f9ff65900b572eb963ad912d1c6c79c4",
+        },
+    ),
+    (
+        ["--a-minus-c", "3.5", "--b", "0.01"],
+        {
+            "stdout": "127329acd33fd395c399bca28f1e5fb37be6915d25012c98c3ee3e9fa2906a9a",
+            "grid.csv": "f9513b98ba694a4883ec9ebabf5ce801d9486d593eccb63323ebd160c7fd35d0",
+            "contours.csv": "277ebb6069905948c729dd4ea2c01108511a0164bb7835033b197cec016919a6",
+            "portrait.svg": "ac86adf6c11a4916e45dd23f6cda04bc3818827294cbcdcdab8da11f828032cb",
+        },
+    ),
+    (  # planar: the window is the full [0, pi]
+        ["--a-minus-c", "2", "--b", "0"],
+        {
+            "stdout": "36090645df6517cbd83847417022557bdacea5a62361b46ef6b46a3ebd23d5a1",
+            "grid.csv": "21e4c53143764029b9c3fe706518ee5bcccc38164dacde39c4ec87454888c639",
+            "contours.csv": "99fa1fab249c1324b677ccb0168b4d484f05dfb3cb109a6f5912a42d205b1cb0",
+            "portrait.svg": "0290d264a5e027f420ebdbd4c1e85b7f5bb1f6ba71eedcbc030a21114d812cd3",
+        },
+    ),
+    (  # odd ny: a middle p = 0 column
+        ["--a-minus-c", "3.5", "--b", "0.01", "--nx", "200", "--ny", "129", "--p-max", "2"],
+        {
+            "stdout": "127329acd33fd395c399bca28f1e5fb37be6915d25012c98c3ee3e9fa2906a9a",
+            "grid.csv": "db9ac497cde751fb6df1c4e44fa103a366f3126bb9bc1426495c6cae8b9a98af",
+            "contours.csv": "03b2d72b010062636e00f71a59e2d7c29c0cf06a3b301e2261f785390bc3b253",
+            "portrait.svg": "d18ea77bba78752b7abc5360e3f931436513661f0b459398909c3d2a4b9792de",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("args, pins", PORTRAIT_PINS)
+def test_portrait_bytes_are_pinned(tmp_path, capsys, args, pins):
+    code, out = run(capsys, ["portrait", *args, "--out", str(tmp_path)])
+    assert code == 0
+    digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for name in ("grid.csv", "contours.csv", "portrait.svg"):
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == pins
+
+
+@pytest.mark.parametrize("p_max", ["inf", "1e308", "1e-320", "1e200"])
+def test_portrait_refuses_a_p_window_it_cannot_sample(tmp_path, capsys, p_max):
+    # inf and 1e308 overflow to a NaN p axis; at the default 512 points,
+    # 1e-320 gives subnormal p values that are not increasing; 1e200 gives a
+    # good p axis whose p^2/2 overflows
+    out_dir = tmp_path / "out"
+    code = main(["portrait", "--a-minus-c", "0.5", "--b", "0.3", "--nx", "16",
+                 "--p-max", p_max, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_compare_zero_excitation_passes(tmp_path, capsys):

@@ -198,6 +198,14 @@ def test_integrate_lands_exactly_on_end_time():
     assert traj.y[-1, 0] == pytest.approx(0.95, abs=1e-12)
 
 
+def test_integrate_takes_a_short_step_over_a_span_shorter_than_one():
+    # a span below step * 1e-9 is one short step, not zero steps ending at t0
+    traj = integrate(lambda t, y: [1.0 for _ in y], [0.0], (0.0, 1e-12), 0.1)
+    assert len(traj.t) == 2
+    assert traj.t[-1] == 1e-12
+    assert traj.y[-1, 0] == 1e-12
+
+
 def test_integrate_small_angle_period():
     # near the bottom the reduced flow is a unit-frequency oscillator
     rhs = make_reduced_rhs(AveragedParams.from_a_minus_c(0.0, 0.0))

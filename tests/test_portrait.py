@@ -33,6 +33,62 @@ def synthetic_bowl(n=256, centre=1.5, p_max=1.3):
     )
 
 
+def reference_marching_squares(phi, p, values, level):
+    """Cell-by-cell marching squares with tuple edge keys, the loop reference."""
+    nx, ny = values.shape
+    splits = {1: "AD", 2: "AB", 3: "BD", 4: "BC", 6: "AC", 7: "CD", 8: "CD", 9: "AC",
+              11: "BC", 12: "BD", 13: "AB", 14: "AD"}
+    # A, B, C, D stand for the cell edges AB, BC, CD and DA
+    edge = {"A": lambda i, j: ("p", i, j), "B": lambda i, j: ("f", i + 1, j),
+            "C": lambda i, j: ("p", i, j + 1), "D": lambda i, j: ("f", i, j)}
+    segments = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = (values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1])
+            case = sum(1 << k for k, v in enumerate(corners) if v > level)
+            if case in (5, 10):
+                centre_inside = (corners[0] + corners[1] + corners[2] + corners[3]) > 4.0 * level
+                pairs = ["AB", "CD"] if (case == 5) == centre_inside else ["AD", "BC"]
+            else:
+                pairs = [splits[case]] if case in splits else []
+            segments += [(edge[e0](i, j), edge[e1](i, j)) for e0, e1 in pairs]
+
+    def crossing(key):
+        kind, i, j = key
+        if kind == "p":
+            v0 = values[i, j]
+            t = (level - v0) / (values[i + 1, j] - v0)
+            return (phi[i] + t * (phi[i + 1] - phi[i]), p[j])
+        v0 = values[i, j]
+        t = (level - v0) / (values[i, j + 1] - v0)
+        return (phi[i], p[j] + t * (p[j + 1] - p[j]))
+
+    adjacency = {}
+    for idx, seg in enumerate(segments):
+        for key in seg:
+            adjacency.setdefault(key, []).append(idx)
+    used = [False] * len(segments)
+
+    def walk(key):
+        chain = [key]
+        while True:
+            free = [idx for idx in adjacency[key] if not used[idx]]
+            if not free:
+                return chain
+            used[free[0]] = True
+            k0, k1 = segments[free[0]]
+            key = k1 if k0 == key else k0
+            chain.append(key)
+
+    chains = [walk(k) for k in sorted(adjacency)
+              if len(adjacency[k]) % 2 == 1 and not all(used[i] for i in adjacency[k])]
+    for idx, (k0, k1) in enumerate(segments):
+        if not used[idx]:
+            used[idx] = True
+            chains.append([k0] + walk(k1))
+    return [np.array([crossing(k) for k in chain]) for chain in chains]
+
+
 def test_grid_ranges_and_pole_inset():
     g = build_grid(DOMAIN_I, nx=64, ny=64)
     assert g.phi_range == (0.02, math.pi - 0.02)
@@ -82,6 +138,25 @@ def test_minimal_grid_builds():
     assert all(lc.polylines == () for lc in extract_contours(g))
     with pytest.raises(ValueError):
         build_grid(DOMAIN_I, nx=1, ny=8)
+
+
+def test_contours_match_the_loop_reference_bit_for_bit():
+    # noisy grids hit every case, both saddle resolutions and values equal to
+    # the level; rounded ones make many corners tie
+    rng = np.random.default_rng(5)
+    grids = [build_grid(DOMAIN_II, nx=40, ny=33), build_grid(PLANAR_II, nx=31, ny=40)]
+    for n in range(12):
+        values = rng.normal(size=(int(rng.integers(2, 30)), int(rng.integers(2, 30))))
+        values = np.round(values, 1) if n % 2 else values
+        phi = np.sort(rng.uniform(0.0, 3.0, values.shape[0]))
+        p = np.sort(rng.uniform(-2.0, 2.0, values.shape[1]))
+        grids.append(PortraitGrid(phi, p, values, (0.0, 0.1, -0.3), (), ()))
+    for g in grids:
+        for lc in extract_contours(g):
+            expected = reference_marching_squares(g.phi, g.p, g.values, lc.level)
+            assert len(lc.polylines) == len(expected)
+            for poly, ref in zip(lc.polylines, expected):
+                assert np.array_equal(poly, ref)
 
 
 def test_contours_of_constant_grid_are_empty():
@@ -208,6 +283,29 @@ def test_grid_csv_layout():
     row = lines[2].split(",")
     assert float(row[0]) == float(g.phi[1])
     assert [float(x) for x in row[1:]] == [float(v) for v in g.values[1]]
+
+
+def test_grid_csv_mirrors_each_row():
+    for ny in (6, 7):
+        g = build_grid(DOMAIN_II, nx=5, ny=ny)
+        lines = grid_to_csv(g).splitlines()
+        assert lines[0] == "phi," + ",".join(repr(float(x)) for x in g.p)
+        for phi, row, line in zip(g.phi, g.values, lines[1:]):
+            assert line == ",".join(repr(float(x)) for x in (phi, *row))
+
+
+def test_grid_csv_refuses_a_grid_that_is_not_mirror_symmetric():
+    g = synthetic_bowl(n=8)
+    skewed = g.values.copy()
+    skewed[3, 1] += 1e-12
+    signed_zero = g.values.copy()
+    signed_zero[0, 0], signed_zero[0, -1] = 0.0, -0.0  # equal, but repr differs
+    for values in (skewed, signed_zero):
+        grid = PortraitGrid(
+            phi=g.phi, p=g.p, values=values, levels=(), separatrix_levels=(), equilibria=()
+        )
+        with pytest.raises(ValueError, match="mirror"):
+            grid_to_csv(grid)
 
 
 def test_contours_csv_layout():
