@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 bad input or I/O trouble, 2 a scientific check
 failed (symmetry violation, convergence band, impossible equilibrium count).
 All outputs are deterministic functions of the inputs; written JSON re-reads
-and re-emits byte-identically.
+and re-emits byte-identically.  The scalar subcommands (moments, equilibria,
+curve, domain) run without numpy: portrait and dynamics, which need it, are
+imported only by the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -12,23 +14,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
-from .dynamics import (
-    FullState,
-    PhysicalParams,
-    SymmetryViolationError,
-    averaged_params,
-    convergence_sweep,
-)
-from .excitation import check_symmetry, load_excitation, velocity_moments
-from .portrait import build_grid, contours_to_csv, extract_contours, grid_to_csv, render_svg
+from .excitation import SymmetryViolationError, check_symmetry, load_excitation, velocity_moments
 from .potential import (
     AveragedParams,
     InconsistentCountError,
+    PhysicalParams,
+    averaged_params,
     classify_domain,
     equilibrium_report,
     gamma_curve,
@@ -166,10 +160,22 @@ def cmd_equilibria(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num >= 2`` evenly spaced floats from start to stop, end points included.
+
+    numpy's formula, ``i * step + start`` with the last value set to ``stop``,
+    so unless the step underflows to 0 the values equal
+    ``np.linspace(start, stop, num)`` bit for bit.
+    """
+    step = (stop - start) / (num - 1)
+    values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def _gamma_csv(samples: int) -> str:
     """The critical curve at ``samples`` values of phi in (pi/2, pi], as CSV."""
-    phis = np.linspace(0.5 * math.pi + 1e-3, math.pi, samples)
-    return gamma_curve_to_csv(gamma_curve(phis))
+    return gamma_curve_to_csv(gamma_curve(_linspace(0.5 * math.pi + 1e-3, math.pi, samples)))
 
 
 def cmd_curve(cfg: RunConfig) -> int:
@@ -185,9 +191,19 @@ def cmd_domain(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _write_portrait(ap: AveragedParams, out_dir: Path, nx: int, ny: int, p_max) -> None:
-    grid = build_grid(ap, nx=nx, ny=ny, p_max=p_max)
-    contours = extract_contours(grid)
+def _build_portrait(a_minus_c: float, b: float, cfg: RunConfig):
+    """The validated energy grid and its level sets; nothing is written."""
+    from .portrait import build_grid, extract_contours
+
+    ap = AveragedParams.from_a_minus_c(a_minus_c, b)
+    grid = build_grid(ap, nx=cfg.nx, ny=cfg.ny, p_max=cfg.p_max)
+    return grid, extract_contours(grid)
+
+
+def _write_portrait(portrait, out_dir: Path) -> None:
+    from .portrait import contours_to_csv, grid_to_csv, render_svg
+
+    grid, contours = portrait
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "grid.csv").write_text(grid_to_csv(grid), encoding="utf-8")
     (out_dir / "contours.csv").write_text(contours_to_csv(contours), encoding="utf-8")
@@ -197,9 +213,8 @@ def _write_portrait(ap: AveragedParams, out_dir: Path, nx: int, ny: int, p_max) 
 
 
 def cmd_portrait(cfg: RunConfig) -> int:
-    ap = AveragedParams.from_a_minus_c(cfg.a_minus_c, cfg.b)
-    out_dir = Path(cfg.out) if cfg.out else Path(".")
-    _write_portrait(ap, out_dir, cfg.nx, cfg.ny, cfg.p_max)
+    portrait = _build_portrait(cfg.a_minus_c, cfg.b, cfg)
+    _write_portrait(portrait, Path(cfg.out) if cfg.out else Path("."))
     return EXIT_OK
 
 
@@ -230,8 +245,18 @@ def cmd_compare(cfg: RunConfig) -> int:
     if not cfg.eps_sweep:
         raise ValueError("--eps-sweep is required")
     e = load_excitation(cfg.excitation_path)
-    initial = FullState(*cfg.initial)
-    report = convergence_sweep(e, cfg.eps_sweep, initial, cfg.t_end)
+    # a span shorter than one fast period of the largest epsilon cannot show
+    # the averaging error: its errors can all sit below ERROR_FLOOR, where no
+    # ratio is checked, and the sweep would pass having shown nothing
+    period = replace(e, epsilon=cfg.eps_sweep[0]).fast_period
+    if cfg.t_end < period:
+        raise ValueError(
+            f"--t-end {cfg.t_end!r} is shorter than one fast period ({period!r}) "
+            f"of the largest epsilon {cfg.eps_sweep[0]!r}"
+        )
+    from .dynamics import FullState, convergence_sweep
+
+    report = convergence_sweep(e, cfg.eps_sweep, FullState(*cfg.initial), cfg.t_end)
     ratios_phi, phi_ok = _ratio_verdict(report["max_err_phi"])
     ratios_drift, drift_ok = _ratio_verdict(report["p_alpha_drift"])
     doc = dict(report)
@@ -246,24 +271,27 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
+    # everything that can fail on the input runs before the directory is made
     gamma_text = _gamma_csv(cfg.samples)
+    lines = ["a_minus_c,b,domain"]
+    for amc in _linspace(-1.0, 4.0, 41):
+        for b in _linspace(0.05, 1.5, 30):
+            label = classify_domain(AveragedParams.from_a_minus_c(amc, b))
+            lines.append(f"{amc!r},{b!r},{label}")
+    portraits = {
+        name: _build_portrait(amc, b, cfg)
+        for name, amc, b in (("domain_I", 0.0, 0.1), ("domain_II", 3.5, 0.01))
+    }
+
     out_dir = Path(cfg.out) if cfg.out else Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
-
     (out_dir / "gamma.csv").write_text(gamma_text, encoding="utf-8")
     print(f"wrote {out_dir / 'gamma.csv'}")
-
-    lines = ["a_minus_c,b,domain"]
-    for amc in np.linspace(-1.0, 4.0, 41):
-        for b in np.linspace(0.05, 1.5, 30):
-            label = classify_domain(AveragedParams.from_a_minus_c(float(amc), float(b)))
-            lines.append(f"{float(amc)!r},{float(b)!r},{label}")
     (out_dir / "domains.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'domains.csv'}")
-
-    for name, amc, b in (("domain_I", 0.0, 0.1), ("domain_II", 3.5, 0.01)):
+    for name, portrait in portraits.items():
         sub = out_dir / f"portrait_{name}"
-        _write_portrait(AveragedParams.from_a_minus_c(amc, b), sub, cfg.nx, cfg.ny, cfg.p_max)
+        _write_portrait(portrait, sub)
         print(f"wrote {sub}")
     return EXIT_OK
 

@@ -20,12 +20,18 @@ import numpy as np
 from .excitation import (
     Excitation,
     MomentMatrix,
-    SymmetryReport,
+    SymmetryViolationError,
     check_symmetry,
     eval_velocity,
     velocity_moments,
 )
-from .potential import AveragedParams, SingularConfigurationError, dv
+from .potential import (
+    AveragedParams,
+    PhysicalParams,
+    SingularConfigurationError,
+    averaged_params,
+    dv,
+)
 
 __all__ = [
     "PhysicalParams",
@@ -45,28 +51,12 @@ __all__ = [
     "integrate",
     "compare_full_averaged",
     "convergence_sweep",
-    "trajectory_to_csv",
 ]
 
 STEPS_PER_FAST_PERIOD = 64
 # Ten times the longest integration the acceptance suite runs; a longer one is
 # almost certainly a mistyped span, and would only fill memory.
 MAX_STEPS = 10**6
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Bob mass, rod length, gravity; all strictly positive and finite."""
-
-    m: float = 1.0
-    l: float = 1.0
-    g: float = 1.0
-
-    def __post_init__(self):
-        for name in ("m", "l", "g"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 UNIT_PARAMS = PhysicalParams(1.0, 1.0, 1.0)
@@ -197,20 +187,6 @@ def averaged_hamiltonian(state: FullState, mm: MomentMatrix, p: PhysicalParams) 
     )
 
 
-def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> AveragedParams:
-    """Nondimensionalise the moments and azimuthal momentum to (A, B, C).
-
-    A = <xi'^2> / (g l), C = <eta'^2> / (g l), B = p_alpha^2 / (m^2 l^3 g);
-    the matching time unit is sqrt(l / g).
-    """
-    gl = p.g * p.l
-    return AveragedParams(
-        A=mm.xi_xi / gl,
-        B=p_alpha * p_alpha / (p.m * p.m * p.l ** 3 * p.g),
-        C=mm.eta_eta / gl,
-    )
-
-
 def reduced_rhs(phi: float, p_phi: float, ap: AveragedParams) -> tuple[float, float]:
     """Reduced flow in dimensionless units: (dphi, dp_phi) = (p_phi, -dV/dphi)."""
     return (p_phi, -dv(phi, ap))
@@ -334,17 +310,6 @@ def integrate(
     return Trajectory(t=np.array(ts), y=np.array(ys).reshape(len(ts), len(y)))
 
 
-class SymmetryViolationError(ValueError):
-    """Excitation fails the rotational-symmetry conditions required here."""
-
-    def __init__(self, report: SymmetryReport):
-        super().__init__(
-            "excitation violates the symmetry conditions: residuals "
-            f"{report.residuals()} exceed tol {report.tol}"
-        )
-        self.report = report
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Worst-case gaps between the full and averaged descriptions."""
@@ -400,14 +365,3 @@ def convergence_sweep(
         "max_err_p_phi": [r.max_err_p_phi for r in reports],
         "p_alpha_drift": [r.p_alpha_drift for r in reports],
     }
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV rendering of a full-system trajectory."""
-    if traj.y.ndim != 2 or traj.y.shape[1] != 4:
-        raise ValueError("trajectory CSV expects 4-component full states")
-    lines = ["t,phi,alpha,p_phi,p_alpha"]
-    for t, y in zip(traj.t, traj.y):
-        row = [float(t)] + [float(v) for v in y]
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -14,17 +14,15 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "HarmonicSeries",
     "Excitation",
     "MomentMatrix",
     "SymmetryReport",
+    "SymmetryViolationError",
     "eval_displacement",
     "eval_velocity",
     "velocity_moments",
-    "velocity_moments_quadrature",
     "check_symmetry",
     "excitation_from_dict",
     "excitation_to_dict",
@@ -32,7 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_SYMMETRY_TOL = 1e-9
-QUADRATURE_INTERVALS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,15 +64,6 @@ class HarmonicSeries:
             out -= k * a * math.sin(k * s)
         for k, b in enumerate(self.sine_coeffs, start=1):
             out += k * b * math.cos(k * s)
-        return out
-
-    def derivative_samples(self, s: np.ndarray) -> np.ndarray:
-        """Vectorised ``derivative`` over an array of phases."""
-        out = np.zeros_like(s, dtype=float)
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out -= k * a * np.sin(k * s)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out += k * b * np.cos(k * s)
         return out
 
 
@@ -128,52 +116,52 @@ def eval_velocity(e: Excitation, t: float) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MomentMatrix:
     """Time-averaged products of pivot velocities, axis order (tau, eta, xi).
 
     Symmetric and positive semidefinite: it is the Gram matrix of the three
-    velocity signals under the mean-over-one-period inner product.
+    velocity signals under the mean-over-one-period inner product.  ``m`` is
+    stored as three rows of three floats.
     """
 
-    m: np.ndarray
+    m: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        arr = np.array(self.m, dtype=float)
-        if arr.shape != (3, 3):
-            raise ValueError(f"moment matrix must be 3x3, got shape {arr.shape}")
-        if not np.array_equal(arr, arr.T):
+        rows = tuple(tuple(float(x) for x in row) for row in self.m)
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise ValueError(f"moment matrix must be 3x3, got rows of {[len(r) for r in rows]}")
+        if any(rows[i][j] != rows[j][i] for i in range(3) for j in range(3)):
             raise ValueError("moment matrix must be exactly symmetric")
-        arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
+        object.__setattr__(self, "m", rows)
 
     @property
     def tau_tau(self) -> float:
-        return float(self.m[0, 0])
+        return self.m[0][0]
 
     @property
     def eta_eta(self) -> float:
-        return float(self.m[1, 1])
+        return self.m[1][1]
 
     @property
     def xi_xi(self) -> float:
-        return float(self.m[2, 2])
+        return self.m[2][2]
 
     @property
     def tau_eta(self) -> float:
-        return float(self.m[0, 1])
+        return self.m[0][1]
 
     @property
     def tau_xi(self) -> float:
-        return float(self.m[0, 2])
+        return self.m[0][2]
 
     @property
     def eta_xi(self) -> float:
-        return float(self.m[1, 2])
+        return self.m[1][2]
 
     @classmethod
     def zero(cls) -> "MomentMatrix":
-        return cls(np.zeros((3, 3)))
+        return cls(((0.0,) * 3,) * 3)
 
 
 def _series_cross_moment(f: HarmonicSeries, g: HarmonicSeries) -> float:
@@ -191,38 +179,10 @@ def velocity_moments(e: Excitation) -> MomentMatrix:
     """Closed-form moment matrix: entry (f, g) = mean of f'(t) g'(t) over a period."""
     axes = e.axes
     w2 = e.omega * e.omega
-    m = np.zeros((3, 3))
+    m = [[0.0] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            v = w2 * _series_cross_moment(axes[i], axes[j])
-            m[i, j] = v
-            m[j, i] = v
-    return MomentMatrix(m)
-
-
-def velocity_moments_quadrature(e: Excitation, n: int = QUADRATURE_INTERVALS) -> MomentMatrix:
-    """Composite-Simpson cross-check of :func:`velocity_moments`.
-
-    Integrates the velocity products over one period of the fast phase with
-    ``n`` uniform intervals (n must be even).  Kept independent of the closed
-    form so the two can audit each other.
-    """
-    if n % 2 != 0 or n < 2:
-        raise ValueError("Simpson quadrature needs an even, positive interval count")
-    s = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    h = 2.0 * math.pi / n
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= h / 3.0
-    d = [ax.derivative_samples(s) for ax in e.axes]
-    w2 = e.omega * e.omega
-    m = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            v = w2 * float(np.sum(w * d[i] * d[j])) / (2.0 * math.pi)
-            m[i, j] = v
-            m[j, i] = v
+            m[i][j] = m[j][i] = w2 * _series_cross_moment(axes[i], axes[j])
     return MomentMatrix(m)
 
 
@@ -243,6 +203,17 @@ class SymmetryReport:
 
     def residuals(self) -> tuple[float, float, float, float]:
         return (self.diag_residual, self.tau_eta, self.tau_xi, self.eta_xi)
+
+
+class SymmetryViolationError(ValueError):
+    """Excitation fails the rotational-symmetry conditions required here."""
+
+    def __init__(self, report: SymmetryReport):
+        super().__init__(
+            "excitation violates the symmetry conditions: residuals "
+            f"{report.residuals()} exceed tol {report.tol}"
+        )
+        self.report = report
 
 
 def check_symmetry(mm: MomentMatrix, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetryReport:

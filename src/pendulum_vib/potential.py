@@ -23,10 +23,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
+
+if TYPE_CHECKING:
+    from .excitation import MomentMatrix
 
 __all__ = [
+    "PhysicalParams",
     "AveragedParams",
+    "averaged_params",
     "Equilibrium",
     "GammaPoint",
     "DomainLabel",
@@ -88,6 +93,35 @@ class AveragedParams:
         if a_minus_c >= 0.0:
             return cls(A=a_minus_c, B=b, C=0.0)
         return cls(A=0.0, B=b, C=-a_minus_c)
+
+
+@dataclass(frozen=True)
+class PhysicalParams:
+    """Bob mass, rod length, gravity; all strictly positive and finite."""
+
+    m: float = 1.0
+    l: float = 1.0
+    g: float = 1.0
+
+    def __post_init__(self):
+        for name in ("m", "l", "g"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> AveragedParams:
+    """Nondimensionalise the moments and azimuthal momentum to (A, B, C).
+
+    A = <xi'^2> / (g l), C = <eta'^2> / (g l), B = p_alpha^2 / (m^2 l^3 g);
+    the matching time unit is sqrt(l / g).
+    """
+    gl = p.g * p.l
+    return AveragedParams(
+        A=mm.xi_xi / gl,
+        B=p_alpha * p_alpha / (p.m * p.m * p.l ** 3 * p.g),
+        C=mm.eta_eta / gl,
+    )
 
 
 def _check_regular(s: float, b: float) -> None:

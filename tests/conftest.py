@@ -5,7 +5,11 @@ These deliberately re-derive results with the dumbest method available
 independent of the library code paths they audit.
 """
 
+import math
+
 import numpy as np
+
+QUADRATURE_INTERVALS = 4096
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:
@@ -82,6 +86,34 @@ def pole_aware_roots(a: float, b: float, focus=(), n: int = 20000) -> np.ndarray
         lo, f_lo = np.where(same, mid, lo), np.where(same, f_mid, f_lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def series_derivative_samples(series, s: np.ndarray) -> np.ndarray:
+    """The derivative of a HarmonicSeries at an array of phases, term by term."""
+    out = np.zeros_like(s, dtype=float)
+    for k, a in enumerate(series.cosine_coeffs, start=1):
+        out -= k * a * np.sin(k * s)
+    for k, b in enumerate(series.sine_coeffs, start=1):
+        out += k * b * np.cos(k * s)
+    return out
+
+
+def velocity_moments_quadrature(e, n: int = QUADRATURE_INTERVALS) -> np.ndarray:
+    """The 3x3 velocity moment matrix of an Excitation by composite Simpson.
+
+    Integrates the velocity products over one period of the fast phase with
+    ``n`` uniform intervals (n even), independent of the closed form.
+    """
+    assert n % 2 == 0 and n >= 2
+    s = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    h = 2.0 * math.pi / n
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= h / 3.0
+    d = [series_derivative_samples(ax, s) for ax in (e.tau, e.eta, e.xi)]
+    m = np.array([[np.sum(w * di * dj) for dj in d] for di in d])
+    return e.omega * e.omega * m / (2.0 * math.pi)
 
 
 def fold_b(a: float) -> float:

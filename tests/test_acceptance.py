@@ -11,7 +11,12 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_sign_changes, central_diff, close_rel
+from conftest import (
+    brute_force_sign_changes,
+    central_diff,
+    close_rel,
+    series_derivative_samples,
+)
 
 from pendulum_vib.dynamics import (
     FullState,
@@ -69,22 +74,12 @@ def test_criterion_2_gamma_residuals():
     report(2, elapsed, 0.1, f"max |dV'|, |dV''| residual over 1000 points = {worst:.2e}")
 
 
-def _series_derivative_samples(series: HarmonicSeries, s: np.ndarray) -> np.ndarray:
-    # independent of the library implementation
-    out = np.zeros_like(s)
-    for k, a in enumerate(series.cosine_coeffs, start=1):
-        out -= k * a * np.sin(k * s)
-    for k, b in enumerate(series.sine_coeffs, start=1):
-        out += k * b * np.cos(k * s)
-    return out
-
-
 def _frozen_hamiltonian_samples(state: FullState, ts: np.ndarray, e: Excitation) -> np.ndarray:
     # full Hamiltonian (m = l = g = 1) at frozen state, re-derived for the oracle
     s_phase = e.omega * ts / e.epsilon
-    td = e.omega * _series_derivative_samples(e.tau, s_phase)
-    ed = e.omega * _series_derivative_samples(e.eta, s_phase)
-    xd = e.omega * _series_derivative_samples(e.xi, s_phase)
+    td = e.omega * series_derivative_samples(e.tau, s_phase)
+    ed = e.omega * series_derivative_samples(e.eta, s_phase)
+    xd = e.omega * series_derivative_samples(e.xi, s_phase)
     sp, cp = math.sin(state.phi), math.cos(state.phi)
     sa, ca = math.sin(state.alpha), math.cos(state.alpha)
     u_phi = cp * ca * td + cp * sa * ed + sp * xd

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pendulum_vib import cli
+import pendulum_vib
+from pendulum_vib import cli, dynamics
 from pendulum_vib.cli import _ratio_verdict, main
 
 VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
@@ -205,6 +210,36 @@ def test_portrait_bytes_are_pinned(tmp_path, capsys, args, pins):
     assert digests == pins
 
 
+CIRCULAR_DOC = '{"epsilon": 0.1, "omega": 1.7, "tau": {"cos": [0.8]}, "eta": {"sin": [0.8]}}'
+
+# sha256 of stdout of the scalar subcommands
+SCALAR_PINS = [
+    (["curve", "--samples", "500"],
+     "b9efb8d74dd76c478e510a49bee82edaa10c690235023193d98b6353eb177e67"),
+    (["moments", "--excitation", "{vertical}", "--p-alpha", "0.3", "--phys", "2,0.5,4"],
+     "cae956234acbd31e5f6477f0cc1cd37291f2967e297e10100f7736a82f6c7291"),
+    (["moments", "--excitation", "{circular}", "--p-alpha", "0.3", "--phys", "2,0.5,4"],
+     "f660f6e66d241ac57d5e95ce336e4b20ec85338c1863ea0502b809a9ea2a8953"),
+    (["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
+     "fb9944faffb704c52904a5f43dcbb80d63e7a1ac078983a78cac676e4429f487"),
+    (["equilibria", "--a-minus-c", "0", "--b", "0.1"],
+     "287d561354d9801a78070f7e508c24520de499e018ce735445ce890e19490da1"),
+    (["domain", "--a-minus-c", "3.5", "--b", "0.01"],
+     "6cf994e3313c3514a590f2febc5505b54b90cd8e7721348cfc0360f056fa3434"),
+    (["domain", "--a-minus-c", "0", "--b", "0.1"],
+     "3a72ec38a64aa26f761d2fbe7b441459d23e3290ee84b78532a5b85c3390a29b"),
+]
+
+
+@pytest.mark.parametrize("argv, pin", SCALAR_PINS)
+def test_scalar_stdout_is_pinned(tmp_path, capsys, argv, pin):
+    paths = {"vertical": write(tmp_path, "v.json", VERTICAL_DOC),
+             "circular": write(tmp_path, "c.json", CIRCULAR_DOC)}
+    code, out = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 @pytest.mark.parametrize("p_max", ["inf", "1e308", "1e-320", "1e200"])
 def test_portrait_refuses_a_p_window_it_cannot_sample(tmp_path, capsys, p_max):
     # inf and 1e308 overflow to a NaN p axis; at the default 512 points,
@@ -259,6 +294,19 @@ def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):
     assert doc["residuals"]["tau_eta"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("t_end", ["1e-12", "0.3"])
+def test_compare_refuses_a_span_shorter_than_one_fast_period(tmp_path, capsys, t_end):
+    # the fast period of the largest epsilon is 2 pi 0.1 / 2 = 0.314...; over
+    # a shorter span every error can sit below ERROR_FLOOR, where no ratio is
+    # checked, and the sweep would pass having shown nothing
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code = main(["compare", "--excitation", path, "--eps-sweep", "0.1,0.05", "--t-end", t_end])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "fast period" in captured.err
+
+
 def test_compare_refuses_an_overlong_integration(tmp_path, capsys):
     path = write(tmp_path, "v.json", VERTICAL_DOC)
     t0 = time.perf_counter()
@@ -280,7 +328,7 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
         return {"epsilons": epsilons, "max_err_phi": errs, "max_err_p_phi": errs,
                 "p_alpha_drift": [0.0, 0.0]}
 
-    monkeypatch.setattr(cli, "convergence_sweep", sweep)
+    monkeypatch.setattr(dynamics, "convergence_sweep", sweep)
     path = write(tmp_path, "v.json", VERTICAL_DOC)
     code, out = run(capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"])
     assert code == 2
@@ -349,6 +397,81 @@ def test_reproduce_rejects_too_few_samples(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert not out_dir.exists()
+
+
+def test_reproduce_leaves_no_directory_when_a_portrait_fails(tmp_path, capsys):
+    out_dir = tmp_path / "rp"
+    code = main(["reproduce", "--out", str(out_dir), "--nx", "16", "--ny", "16",
+                 "--samples", "10", "--p-max", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+def test_linspace_equals_numpy_bit_for_bit():
+    cases = [
+        (0.5 * math.pi + 1e-3, math.pi, 500),  # the curve and reproduce defaults
+        (0.5 * math.pi + 1e-3, math.pi, 10**6),
+        (-1.0, 4.0, 41),  # the reproduce domain sweep
+        (0.05, 1.5, 30),
+        (0.0, 1.0, 2),
+        (2.5, -7.25, 2),
+    ]
+    rng = np.random.default_rng(4242)
+    for _ in range(3000):
+        start, stop = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-8, 9, 2)
+        cases.append((float(start), float(stop), int(rng.integers(2, 400))))
+    assert sum(stop < start for start, stop, _ in cases) > 1000
+    for start, stop, num in cases:
+        assert cli._linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+# every name the package exported before its names were loaded lazily, less
+# velocity_moments_quadrature (now the test oracle in conftest) and the
+# deleted trajectory_to_csv
+PACKAGE_EXPORTS = (
+    "Excitation HarmonicSeries MomentMatrix SymmetryReport check_symmetry eval_displacement "
+    "eval_velocity excitation_from_dict excitation_to_dict load_excitation velocity_moments "
+    "AveragedParams DomainLabel Equilibrium GammaPoint InconsistentCountError "
+    "SingularConfigurationError classify_domain d2v dv find_equilibria gamma_curve "
+    "gamma_point v_bar ComparisonReport FullState IntegrationBlowUpError PhysicalParams "
+    "SymmetryViolationError Trajectory averaged_hamiltonian averaged_params "
+    "compare_full_averaged convergence_sweep full_hamiltonian full_rhs integrate "
+    "reduced_rhs LevelContours PortraitGrid build_grid contours_to_csv extract_contours "
+    "grid_to_csv render_svg __version__"
+).split()
+
+
+def test_package_names_resolve_on_first_access():
+    for name in PACKAGE_EXPORTS:
+        assert getattr(pendulum_vib, name) is not None, name
+    assert sorted(pendulum_vib.__all__) == sorted(set(PACKAGE_EXPORTS) - {"__version__"})
+    for name in ("trajectory_to_csv", "velocity_moments_quadrature", "make_full_rhs"):
+        assert getattr(pendulum_vib, name, None) is None
+
+
+def test_scalar_subcommands_do_not_import_numpy(tmp_path):
+    src = str(Path(pendulum_vib.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    exc = write(tmp_path, "v.json", VERTICAL_DOC)
+    for argv in (
+        ["domain", "--a-minus-c", "2", "--b", "0.1"],
+        ["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
+        ["curve", "--samples", "20"],
+        ["moments", "--excitation", exc],
+    ):
+        # -X importtime lists on stderr every module the run imports
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pendulum_vib.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "pendulum_vib.potential" in imported
+        assert not {m for m in imported if m.split(".")[0] == "numpy"}, argv
 
 
 def test_unknown_flags_exit_nonzero(capsys):

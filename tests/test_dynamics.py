@@ -21,7 +21,6 @@ from pendulum_vib.dynamics import (
     make_full_rhs,
     make_reduced_rhs,
     reduced_rhs,
-    trajectory_to_csv,
 )
 from pendulum_vib.excitation import (
     Excitation,
@@ -354,23 +353,6 @@ def test_convergence_sweep_schema():
     initial = FullState(2.0, 0.0, 0.0, 0.3)
     report = convergence_sweep(VERTICAL, [0.1, 0.05], initial, 2.0)
     assert set(report) == {"epsilons", "max_err_phi", "max_err_p_phi", "p_alpha_drift"}
-
-
-def test_trajectory_csv_round_trip():
-    e = Excitation(epsilon=0.1, omega=1.0, xi=SIN)
-    traj = integrate(make_full_rhs(e, UNIT), [2.0, 0.0, 0.0, 0.3], (0.0, 0.5), 0.01)
-    text = trajectory_to_csv(traj)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,phi,alpha,p_phi,p_alpha"
-    parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed[:, 0], traj.t)
-    assert np.array_equal(parsed[:, 1:], traj.y)
-
-
-def test_trajectory_csv_requires_full_states():
-    traj = integrate(lambda t, y: np.zeros_like(y), [1.0, 2.0], (0.0, 1.0), 0.5)
-    with pytest.raises(ValueError):
-        trajectory_to_csv(traj)
 
 
 def test_physical_params_validation():

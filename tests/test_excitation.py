@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import velocity_moments_quadrature
+
 from pendulum_vib.excitation import (
     Excitation,
     HarmonicSeries,
@@ -15,7 +17,6 @@ from pendulum_vib.excitation import (
     excitation_to_dict,
     load_excitation,
     velocity_moments,
-    velocity_moments_quadrature,
 )
 
 SIN = HarmonicSeries(sine_coeffs=(1.0,))
@@ -96,8 +97,8 @@ def test_closed_form_agrees_with_simpson():
     rng = np.random.default_rng(23)
     for _ in range(50):
         e = random_excitation(rng)
-        a = velocity_moments(e).m
-        b = velocity_moments_quadrature(e).m
+        a = np.array(velocity_moments(e).m)
+        b = velocity_moments_quadrature(e)
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -114,8 +115,8 @@ def test_moments_scale_as_omega_squared():
     rng = np.random.default_rng(6)
     for _ in range(20):
         e = random_excitation(rng)
-        base = velocity_moments(Excitation(e.epsilon, 1.0, e.tau, e.eta, e.xi)).m
-        scaled = velocity_moments(e).m
+        base = np.array(velocity_moments(Excitation(e.epsilon, 1.0, e.tau, e.eta, e.xi)).m)
+        scaled = np.array(velocity_moments(e).m)
         assert np.max(np.abs(scaled - e.omega ** 2 * base)) <= 1e-12 * max(1.0, np.max(np.abs(scaled)))
 
 
@@ -134,6 +135,15 @@ def test_moment_matrix_requires_symmetry():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         MomentMatrix(bad)
+
+
+def test_moment_matrix_is_three_rows_of_three_floats():
+    mm = MomentMatrix(np.eye(3))
+    assert mm.m == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    assert all(type(x) is float for row in mm.m for x in row)
+    for bad in (np.zeros((2, 3)), np.zeros((3, 2)), [[0.0] * 3] * 4):
+        with pytest.raises(ValueError, match="3x3"):
+            MomentMatrix(bad)
 
 
 def test_symmetry_zero_matrix_passes():
