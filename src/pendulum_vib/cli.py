@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input or I/O trouble, 2 a scientific check
-failed (symmetry violation, convergence band, impossible equilibrium count).
+Exit codes: 0 success, 1 bad input or I/O trouble (a trajectory that reaches
+non-finite values included), 2 a scientific check failed (symmetry violation,
+convergence band, impossible equilibrium count).
 All outputs are deterministic functions of the inputs; written JSON re-reads
 and re-emits byte-identically.  The scalar subcommands (moments, equilibria,
 curve, domain) run without numpy: portrait and dynamics, which need it, are
@@ -71,8 +72,8 @@ class RunConfig:
             attr = "excitation_path" if name == "excitation" else name
             if getattr(args, name, None) is not None:
                 setattr(cfg, attr, getattr(args, name))
-        if cfg.tol <= 0.0:
-            raise ValueError("--tol must be positive")
+        if not (0.0 < cfg.tol < math.inf):
+            raise ValueError("--tol must be positive and finite")
         for name in ("nx", "ny"):
             n = getattr(cfg, name)
             if not (2 <= n <= MAX_GRID):
@@ -379,6 +380,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCIENCE
     except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RuntimeError as exc:
+        # dynamics, which needs numpy, is already loaded if compare raised this
+        from .dynamics import IntegrationBlowUpError
+
+        if not isinstance(exc, IntegrationBlowUpError):
+            raise
+        # the input is beyond the range of states the integrator can carry
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

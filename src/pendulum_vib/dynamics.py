@@ -6,6 +6,9 @@ enter Hamilton's equations.  Averaging over one period of the fast phase
 (state frozen) yields the averaged Hamiltonian, which under the symmetry
 conditions reduces to one degree of freedom: phi moving in the effective
 potential of :mod:`pendulum_vib.potential`.
+
+Both flows are in units m = l = g = 1, with time in units of sqrt(l / g);
+physical values enter only through :func:`averaged_params`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .potential import (
 )
 
 __all__ = [
-    "PhysicalParams",
     "FullState",
     "Trajectory",
     "ComparisonReport",
@@ -59,9 +61,6 @@ STEPS_PER_FAST_PERIOD = 64
 MAX_STEPS = 10**6
 
 
-UNIT_PARAMS = PhysicalParams(1.0, 1.0, 1.0)
-
-
 class FullState(NamedTuple):
     """Canonical state (phi, alpha, p_phi, p_alpha) of the full system."""
 
@@ -81,7 +80,7 @@ def _pivot_projections(
     return u_phi, u_alpha
 
 
-def full_hamiltonian(state: FullState, t: float, e: Excitation, p: PhysicalParams) -> float:
+def full_hamiltonian(state: FullState, t: float, e: Excitation) -> float:
     """Hamiltonian of the full time-dependent system.
 
     With zero excitation this is the standard spherical pendulum; additive
@@ -93,31 +92,27 @@ def full_hamiltonian(state: FullState, t: float, e: Excitation, p: PhysicalParam
     sa = math.sin(state.alpha)
     ca = math.cos(state.alpha)
     u_phi, u_alpha = _pivot_projections(s, c, sa, ca, vel)
-    ml = p.m * p.l
-    ml2 = p.m * p.l * p.l
-    d_phi = state.p_phi - ml * u_phi
+    d_phi = state.p_phi - u_phi
     if s == 0.0:
         if state.p_alpha != 0.0:
             raise SingularConfigurationError("sin(phi) = 0 with p_alpha != 0")
         # u_alpha carries a factor sin(phi); the azimuthal term has a finite limit.
-        w = -ml * (-sa * vel[0] + ca * vel[1])
+        w = -(-sa * vel[0] + ca * vel[1])
     else:
-        w = (state.p_alpha - ml * u_alpha) / s
-    return (d_phi * d_phi + w * w) / (2.0 * ml2) - p.m * p.g * p.l * c
+        w = (state.p_alpha - u_alpha) / s
+    return (d_phi * d_phi + w * w) / 2.0 - c
 
 
-def full_rhs(
-    state: Sequence[float], t: float, e: Excitation, p: PhysicalParams
-) -> tuple[float, float, float, float]:
+def full_rhs(state: Sequence[float], t: float, e: Excitation) -> tuple[float, float, float, float]:
     """Hamilton's equations of the full system: (dphi, dalpha, dp_phi, dp_alpha).
 
     ``state`` is a :class:`FullState` or any sequence in the same order.
     """
-    return _full_rhs_at(state, eval_velocity(e, t), p)
+    return _full_rhs_at(state, eval_velocity(e, t))
 
 
 def _full_rhs_at(
-    state: Sequence[float], vel: tuple[float, float, float], p: PhysicalParams
+    state: Sequence[float], vel: tuple[float, float, float]
 ) -> tuple[float, float, float, float]:
     # full_rhs given the pivot velocity at the state's time.
     phi, alpha, p_phi, p_alpha = state
@@ -127,9 +122,7 @@ def _full_rhs_at(
     sa = math.sin(alpha)
     ca = math.cos(alpha)
     u_phi, u_alpha = _pivot_projections(s, c, sa, ca, vel)
-    ml = p.m * p.l
-    ml2 = p.m * p.l * p.l
-    d_phi = p_phi - ml * u_phi
+    d_phi = p_phi - u_phi
 
     du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
     horiz = -sa * td + ca * ed
@@ -140,24 +133,16 @@ def _full_rhs_at(
     if s == 0.0:
         if p_alpha != 0.0 or horiz != 0.0:
             raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
-        dphi = d_phi / ml2
-        dp_phi = (d_phi / p.l) * du_phi_dphi - p.m * p.g * p.l * s
-        return (dphi, 0.0, dp_phi, 0.0)
+        return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
 
-    w = (p_alpha - ml * u_alpha) / s
-    dphi = d_phi / ml2
-    dalpha = w / (ml2 * s)
-    dp_phi = (
-        (d_phi / p.l) * du_phi_dphi
-        + (w / (p.l * s)) * du_alpha_dphi
-        + w * w * c / (ml2 * s)
-        - p.m * p.g * p.l * s
-    )
-    dp_alpha = (d_phi / p.l) * du_phi_dalpha + (w / (p.l * s)) * du_alpha_dalpha
-    return (dphi, dalpha, dp_phi, dp_alpha)
+    w = (p_alpha - u_alpha) / s
+    dalpha = w / s
+    dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
+    dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
+    return (d_phi, dalpha, dp_phi, dp_alpha)
 
 
-def averaged_hamiltonian(state: FullState, mm: MomentMatrix, p: PhysicalParams) -> float:
+def averaged_hamiltonian(state: FullState, mm: MomentMatrix) -> float:
     """Hamiltonian averaged over one period of the fast phase, state frozen.
 
     Retains the azimuth-dependent terms; they vanish only under the symmetry
@@ -167,23 +152,21 @@ def averaged_hamiltonian(state: FullState, mm: MomentMatrix, p: PhysicalParams) 
     c = math.cos(state.phi)
     sa = math.sin(state.alpha)
     ca = math.cos(state.alpha)
-    ml2 = p.m * p.l * p.l
     if s == 0.0:
         if state.p_alpha != 0.0:
             raise SingularConfigurationError("sin(phi) = 0 with p_alpha != 0")
-        kin = state.p_phi * state.p_phi / (2.0 * ml2)
+        kin = state.p_phi * state.p_phi / 2.0
     else:
-        kin = (state.p_phi * state.p_phi + state.p_alpha * state.p_alpha / (s * s)) / (2.0 * ml2)
-    m = p.m
+        kin = (state.p_phi * state.p_phi + state.p_alpha * state.p_alpha / (s * s)) / 2.0
     return (
         kin
-        + 0.5 * m * (c * c * ca * ca + sa * sa) * mm.tau_tau
-        + 0.5 * m * (c * c * sa * sa + ca * ca) * mm.eta_eta
-        + 0.5 * m * s * s * mm.xi_xi
-        + m * (c * c * ca * sa - ca * sa) * mm.tau_eta
-        + m * c * ca * s * mm.tau_xi
-        + m * c * sa * s * mm.eta_xi
-        - m * p.g * p.l * c
+        + 0.5 * (c * c * ca * ca + sa * sa) * mm.tau_tau
+        + 0.5 * (c * c * sa * sa + ca * ca) * mm.eta_eta
+        + 0.5 * s * s * mm.xi_xi
+        + (c * c * ca * sa - ca * sa) * mm.tau_eta
+        + c * ca * s * mm.tau_xi
+        + c * sa * s * mm.eta_xi
+        - c
     )
 
 
@@ -195,7 +178,7 @@ def reduced_rhs(phi: float, p_phi: float, ap: AveragedParams) -> tuple[float, fl
 Rhs = Callable[[float, Sequence[float]], Sequence[float]]
 
 
-def make_full_rhs(e: Excitation, p: PhysicalParams) -> Rhs:
+def make_full_rhs(e: Excitation) -> Rhs:
     """:func:`full_rhs` as an ``rhs(t, y)`` for :func:`integrate`.
 
     The pivot velocity depends on ``t`` alone, so a call at the same ``t`` as
@@ -210,7 +193,7 @@ def make_full_rhs(e: Excitation, p: PhysicalParams) -> Rhs:
         if t != last_t:
             last_t = t
             vel = eval_velocity(e, t)
-        return _full_rhs_at(y, vel, p)
+        return _full_rhs_at(y, vel)
 
     return rhs
 
@@ -268,7 +251,8 @@ def integrate(
     steps or is shorter than one step.  Deterministic for identical inputs;
     rejects a non-finite ``y0`` or ``t_span``, or a span of more than
     MAX_STEPS steps, with ValueError, and aborts with
-    :class:`IntegrationBlowUpError` when the state goes non-finite.
+    :class:`IntegrationBlowUpError` when the state, or a stage of a step,
+    goes non-finite.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
@@ -288,26 +272,31 @@ def integrate(
         )
     n_full = int(math.floor(n_steps * (1.0 + 1e-12)))
     remainder = t1 - (t0 + n_full * step)
+    n_total = n_full + (remainder > step * 1e-9 or n_full == 0)
 
     # flat C doubles: 8 bytes a recorded value, where a list per step takes ~6x that
     ts = array("d", [t0])
     ys = array("d", y)
     t = t0
-    for k in range(n_full):
-        y = rk4_step(rhs, t, y, step)
-        t = t0 + (k + 1) * step
-        if not all(map(math.isfinite, y)):
-            raise IntegrationBlowUpError(t)
-        ts.append(t)
+    for k in range(n_total):
+        t_next, h = (t0 + (k + 1) * step, step) if k < n_full else (t1, remainder)
+        try:
+            y = _finite(rk4_step(rhs, t, y, h), t_next)
+        except ValueError:
+            # math.sin and math.cos refuse an infinite argument: replay the step
+            # with its stages checked, to report a stage that overflowed as such
+            rk4_step(lambda s, z: rhs(s, _finite(z, t_next)), t, y, h)
+            raise
+        ts.append(t_next)
         ys.extend(y)
-    if remainder > step * 1e-9 or n_full == 0:
-        y = rk4_step(rhs, t, y, remainder)
-        t = t1
-        if not all(map(math.isfinite, y)):
-            raise IntegrationBlowUpError(t)
-        ts.append(t)
-        ys.extend(y)
+        t = t_next
     return Trajectory(t=np.array(ts), y=np.array(ys).reshape(len(ts), len(y)))
+
+
+def _finite(y: Sequence[float], t: float) -> Sequence[float]:
+    if not all(map(math.isfinite, y)):
+        raise IntegrationBlowUpError(t)
+    return y
 
 
 @dataclass(frozen=True)
@@ -325,25 +314,33 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
     """Integrate the full and reduced systems from the same slow state.
 
     Requires a symmetric excitation (the reduced system assumes it).  Both
-    flows run in dimensionless units m = l = g = 1 on one time grid, the full
-    flow's step of 1/STEPS_PER_FAST_PERIOD fast periods, so the max-difference
-    norms compare states at identical times with no resampling.
+    flows are in units m = l = g = 1 (time unit sqrt(l / g)), so (A, B, C)
+    come from :func:`averaged_params` at unit physical values.  They are
+    stepped as one product system (phi, alpha, p_phi, p_alpha, phi_r, p_r)
+    at the full flow's step of 1/STEPS_PER_FAST_PERIOD fast periods; RK4
+    acts on each component separately, so each flow's trajectory is what it
+    would be alone, and the max-difference norms compare states at
+    identical times with no resampling.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
     if not report.passed:
         raise SymmetryViolationError(report)
 
-    ap = averaged_params(mm, initial.p_alpha, UNIT_PARAMS)
-    step = e.fast_period / STEPS_PER_FAST_PERIOD
-    full = integrate(make_full_rhs(e, UNIT_PARAMS), initial, (0.0, t_end), step)
-    red = integrate(make_reduced_rhs(ap), [initial.phi, initial.p_phi], (0.0, t_end), step)
+    full = make_full_rhs(e)
+    red = make_reduced_rhs(averaged_params(mm, initial.p_alpha, PhysicalParams()))
+
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
+        return (*full(t, y[:4]), *red(t, y[4:]))
+
+    y0 = (*initial, initial.phi, initial.p_phi)
+    y = integrate(rhs, y0, (0.0, t_end), e.fast_period / STEPS_PER_FAST_PERIOD).y
     return ComparisonReport(
         epsilon=e.epsilon,
         t_end=t_end,
-        max_err_phi=float(np.max(np.abs(full.y[:, 0] - red.y[:, 0]))),
-        max_err_p_phi=float(np.max(np.abs(full.y[:, 2] - red.y[:, 1]))),
-        p_alpha_drift=float(np.max(np.abs(full.y[:, 3] - initial.p_alpha))),
+        max_err_phi=float(np.max(np.abs(y[:, 0] - y[:, 4]))),
+        max_err_p_phi=float(np.max(np.abs(y[:, 2] - y[:, 5]))),
+        p_alpha_drift=float(np.max(np.abs(y[:, 3] - initial.p_alpha))),
     )
 
 

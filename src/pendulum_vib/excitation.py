@@ -218,8 +218,8 @@ class SymmetryViolationError(ValueError):
 
 def check_symmetry(mm: MomentMatrix, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetryReport:
     """Test the rotational-symmetry conditions on a moment matrix."""
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     diag = abs(mm.tau_tau - mm.eta_eta)
     te = abs(mm.tau_eta)
     tx = abs(mm.tau_xi)

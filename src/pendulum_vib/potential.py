@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Callable, Literal
 
 if TYPE_CHECKING:
     from .excitation import MomentMatrix
@@ -51,6 +51,8 @@ __all__ = [
 DEDUP_TOL = 1e-9
 # Relative distance |B - B*| / B* to gamma within which a point is "boundary".
 BOUNDARY_REL = 1e-12
+# the bisection variables, as named in error messages
+_W, _U = "1 - |cos phi|", "|cos phi|"
 
 DomainLabel = Literal["I", "II", "boundary"]
 EquilibriumKind = Literal["stable", "unstable", "degenerate"]
@@ -190,48 +192,70 @@ def _dedup(values: list[float], tol: float = DEDUP_TOL) -> list[float]:
 
 
 def _fold(a: float) -> tuple[float, float]:
-    """(w*, B*) where gamma crosses A - C = a > 1, with w* = 1 - |c*|.
+    """(r, B*) where gamma crosses A - C = a > 1, with r = -1/c* - 1.
 
     In x = -1/c the fold cubic reads x^3 + 3 x = 4 a, so x = 2 sinh(asinh(2 a) / 3).
     One Newton step in r = x - 1 on r^3 + 3 r^2 + 6 r = 4 (a - 1) keeps r accurate
-    for a close to 1.  Then w* = r / (1 + r) and B* = (r (r + 2) / (r + 1))^3 / 4.
+    for a close to 1.  Then |c*| = 1 / (1 + r), 1 - |c*| = r / (1 + r) and
+    B* = (r (r + 2) / (r + 1))^3 / 4.
     """
     r = 2.0 * math.sinh(math.asinh(2.0 * a) / 3.0) - 1.0
     r -= (r * (r * (r + 3.0) + 6.0) - 4.0 * (a - 1.0)) / (3.0 * (r * (r + 2.0) + 2.0))
     b_star = (r * (r + 2.0) / (r + 1.0)) ** 3 / 4.0
     if not (math.isfinite(b_star) and b_star > 0.0):
         raise ValueError(f"A - C = {a} is out of range")
-    return r / (1.0 + r), b_star
+    return r, b_star
 
 
 def _domain(a: float, b: float) -> tuple[DomainLabel, float]:
-    """Domain label at (A - C, B) = (a, b > 0), and w* (0 when there is no fold)."""
+    """Domain label at (A - C, B) = (a, b > 0), and the fold's r (0 when there is none)."""
     if a <= 1.0:
         return "I", 0.0
-    w_star, b_star = _fold(a)
+    r, b_star = _fold(a)
     gap = (b - b_star) / b_star
     if abs(gap) <= BOUNDARY_REL:
-        return "boundary", w_star
-    return ("II" if gap < 0.0 else "I"), w_star
+        return "boundary", r
+    return ("II" if gap < 0.0 else "I"), r
 
 
-def _root(a: float, b: float, sign: float, lo: float, hi: float) -> float:
-    """The one root w = 1 - |cos phi| in [lo, hi] of sin^3(phi) dV, by bisection.
+def _in_w(a: float, b: float, sign: float) -> Callable[[float], float]:
+    """sin^3(phi) dV as a function of w = 1 - |cos phi|; sign is that of cos phi.
 
-    sign is the sign of cos phi.  sin^2 phi = w (2 - w) and a cos phi + 1 =
-    (1 + sign a) - sign a w keep their relative accuracy next to the poles,
-    where w is tiny, and the bracket is split at its geometric mean while it
-    spans more than a factor of two, so a root there (w ~ sqrt(B)) takes the
-    same 60-odd steps to the last bit as any other.
+    sin^2 phi = w (2 - w) and a cos phi + 1 = (1 + sign a) - sign a w keep
+    their relative accuracy next to the poles, where w is tiny.
     """
 
     def f(w):
         s2 = w * (2.0 - w)
         return s2 * s2 * ((1.0 + sign * a) - sign * a * w) - sign * b * (1.0 - w)
 
+    return f
+
+
+def _in_u(a: float, b: float) -> Callable[[float], float]:
+    """sin^3(phi) dV as a function of u = |cos phi| for cos phi < 0.
+
+    a cos phi + 1 = 1 - a u keeps its relative accuracy next to the equator,
+    where 1 - u rounds to 1 once u is below the float spacing there.
+    """
+
+    def f(u):
+        s2 = (1.0 - u) * (1.0 + u)
+        return s2 * s2 * (1.0 - a * u) + b * u
+
+    return f
+
+
+def _root(f: Callable[[float], float], lo: float, hi: float, var: str) -> float:
+    """The one root in [lo, hi] of f, by bisection.
+
+    The bracket is split at its geometric mean while it spans more than a
+    factor of two, so a root next to lo = 0 (w ~ sqrt(B) next to a pole)
+    takes the same 60-odd steps to the last bit as any other.
+    """
     f_lo = f(lo)
     if (f_lo < 0.0) == (f(hi) < 0.0):
-        raise InconsistentCountError(f"no equilibrium with 1 - |cos phi| in [{lo}, {hi}]")
+        raise InconsistentCountError(f"no equilibrium with {var} in [{lo}, {hi}]")
     while True:
         floor = max(lo, sys.float_info.min)
         mid = math.sqrt(floor) * math.sqrt(hi) if hi > 2.0 * floor else 0.5 * (lo + hi)
@@ -257,11 +281,25 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
         return _find_equilibria_planar(ap)
 
     a, b = ap.a_minus_c, ap.B
-    label, w_star = _domain(a, b)
-    found = [(_root(a, b, 1.0, 0.0, 1.0), 1.0, "stable")]
+    label, r = _domain(a, b)
+    w_star = r / (1.0 + r)
+    found = [(_root(_in_w(a, b, 1.0), 0.0, 1.0, _W), 1.0, "stable")]
     if label == "II":
-        found.append((_root(a, b, -1.0, w_star, 1.0), -1.0, "unstable"))
-        found.append((_root(a, b, -1.0, 0.0, w_star), -1.0, "stable"))
+        in_w = _in_w(a, b, -1.0)
+        if r <= 1.0:  # w* <= 1/2
+            found.append((_root(in_w, w_star, 1.0, _W), -1.0, "unstable"))
+            found.append((_root(in_w, 0.0, w_star, _W), -1.0, "stable"))
+        else:
+            # w* > 1/2 rounds to 1 once |c*| = 1 / (1 + r) is below the float
+            # spacing there: bracket the equator side in u = |cos phi| instead
+            in_u = _in_u(a, b)
+            u_star = 1.0 / (1.0 + r)
+            found.append((1.0 - _root(in_u, 0.0, u_star, _U), -1.0, "unstable"))
+            if in_w(0.5) < 0.0:  # sin^3(phi) dV is b > 0 at the pole
+                w_min = _root(in_w, 0.0, 0.5, _W)
+            else:
+                w_min = 1.0 - _root(in_u, u_star, 0.5, _U)
+            found.append((w_min, -1.0, "stable"))
     elif label == "boundary":
         found.append((w_star, -1.0, "degenerate"))
 

@@ -20,7 +20,6 @@ from conftest import (
 
 from pendulum_vib.dynamics import (
     FullState,
-    PhysicalParams,
     compare_full_averaged,
     full_hamiltonian,
     full_rhs,
@@ -40,8 +39,6 @@ from pendulum_vib.potential import (
     gamma_point,
     v_bar,
 )
-
-UNIT = PhysicalParams()
 
 CONVERGENCE_BAND = (1.4, 3.5)
 DRIFT_FLOOR = 1e-12
@@ -126,14 +123,14 @@ def test_criterion_3_averaged_hamiltonian_is_the_time_average():
         ts = np.linspace(0.0, period, n + 1)
         samples = _frozen_hamiltonian_samples(s, ts, e)
         mean = float(np.sum(w * samples)) * (period / n / 3.0) / period
-        hbar = averaged_hamiltonian(s, velocity_moments(e), UNIT)
+        hbar = averaged_hamiltonian(s, velocity_moments(e))
         worst = max(worst, abs(mean - hbar))
     elapsed = time.perf_counter() - t0
 
     # tie the oracle to the library's full Hamiltonian at spot times
     e, s = cases[0]
     for t in (0.0, 0.3 * e.fast_period, 0.77 * e.fast_period):
-        direct = full_hamiltonian(s, t, e, UNIT)
+        direct = full_hamiltonian(s, t, e)
         oracle = float(_frozen_hamiltonian_samples(s, np.array([t]), e)[0])
         assert abs(direct - oracle) < 1e-12
 
@@ -277,10 +274,10 @@ def test_criterion_8_derivative_consistency():
         )
         s = FullState(phi, float(rng.uniform(0, 2 * math.pi)), float(rng.normal()), float(rng.normal()))
         t = float(rng.uniform(0.0, 5.0))
-        grad = full_rhs(s, t, e, UNIT)
+        grad = full_rhs(s, t, e)
 
         def H(phi=s.phi, alpha=s.alpha, p_phi=s.p_phi, p_alpha=s.p_alpha):
-            return full_hamiltonian(FullState(phi, alpha, p_phi, p_alpha), t, e, UNIT)
+            return full_hamiltonian(FullState(phi, alpha, p_phi, p_alpha), t, e)
 
         assert close_rel(grad[0], central_diff(lambda x: H(p_phi=x), s.p_phi, h))
         assert close_rel(grad[1], central_diff(lambda x: H(p_alpha=x), s.p_alpha, h))

@@ -15,6 +15,8 @@ from pendulum_vib import cli, dynamics
 from pendulum_vib.cli import _ratio_verdict, main
 
 VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
+# the README's vertical convergence sweep
+README_VERTICAL_DOC = '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [1.0]}}'
 IN_PHASE_DOC = '{"epsilon": 0.1, "omega": 1.0, "tau": {"cos": [1.0]}, "eta": {"cos": [1.0]}}'
 EMPTY_DOC = '{"epsilon": 0.1, "omega": 1.0}'
 # zero dynamics; small epsilon keeps the full integrator step small
@@ -121,6 +123,18 @@ def test_domain_labels(capsys):
     assert code == 0 and json.loads(out)["domain"] == "boundary"
 
 
+def test_equilibria_agree_with_domain_at_a_huge_a_minus_c(capsys):
+    # 1 - |cos phi| at the fold rounds to 1 here; the equator-side roots are
+    # bracketed in |cos phi|
+    code, out = run(capsys, ["domain", "--a-minus-c", "1e49", "--b", "1"])
+    assert code == 0 and json.loads(out)["domain"] == "II"
+    code, out = run(capsys, ["equilibria", "--a-minus-c", "1e49", "--b", "1"])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["domain"] == "II"
+    assert [eq["kind"] for eq in doc["equilibria"]] == ["stable", "unstable", "stable"]
+
+
 def test_domain_rejects_planar_edge(capsys):
     code, _ = run(capsys, ["domain", "--a-minus-c", "1", "--b", "0"])
     assert code == 1
@@ -134,6 +148,9 @@ def test_domain_rejects_planar_edge(capsys):
         ["compare", "--excitation", "{exc}", "--eps-sweep", "0.1,0.05", "--t-end", "inf"],
         ["compare", "--excitation", "{exc}", "--eps-sweep", "0.1,0.05",
          "--initial", "nan,0,0,0.3"],
+        # finite, but the trajectory overflows
+        ["compare", "--excitation", "{exc}", "--eps-sweep", "0.1,0.05", "--t-end", "1",
+         "--initial", "2,0,0,1e150"],
     ],
 )
 def test_non_finite_parameters_are_input_errors(tmp_path, capsys, argv):
@@ -143,6 +160,20 @@ def test_non_finite_parameters_are_input_errors(tmp_path, capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if "1e150" in argv[-1]:
+        assert captured.err.startswith("error: non-finite state")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_moments_rejects_a_tolerance_that_is_not_positive_and_finite(tmp_path, capsys, tol):
+    # a NaN or infinite tolerance used to pass the check and then fail in the
+    # JSON writer with a message about float values
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code = main(["moments", "--excitation", path, "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --tol must be positive and finite\n"
 
 
 def test_portrait_writes_files_deterministically(tmp_path, capsys):
@@ -268,7 +299,7 @@ def test_compare_zero_excitation_passes(tmp_path, capsys):
 
 
 def test_compare_vertical_band(tmp_path, capsys):
-    path = write(tmp_path, "v.json", '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [1.0]}}')
+    path = write(tmp_path, "v.json", README_VERTICAL_DOC)
     code, out = run(
         capsys,
         ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025", "--t-end", "10"],
@@ -281,6 +312,26 @@ def test_compare_vertical_band(tmp_path, capsys):
     # alpha-independent excitation conserves p_alpha exactly
     assert all(d == 0.0 for d in doc["p_alpha_drift"])
     assert doc["ratios_p_alpha"] == [None, None]
+
+
+# sha256 of compare's stdout over the README sweep; any change to the flows'
+# arithmetic moves the last digits of the errors
+COMPARE_PINS = [
+    (README_VERTICAL_DOC, "93da65f6470518b9f80efa7dbe3dab227654b7b16094f610d6a8d8ac61116480"),
+    (VERTICAL_DOC, "6c90be127e86f9b4f5b1b6dc23e2cbf90bb98c4f681e72f8cf9d594df200ffab"),
+    (CIRCULAR_DOC, "7a13a1362c75deca2dd9af3b493042e72ac41af26234d492b4248df67dfc231d"),
+]
+
+
+@pytest.mark.parametrize("doc, pin", COMPARE_PINS)
+def test_compare_stdout_is_pinned(tmp_path, capsys, doc, pin):
+    path = write(tmp_path, "exc.json", doc)
+    code, out = run(
+        capsys,
+        ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025", "--t-end", "10"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):

@@ -9,7 +9,6 @@ from pendulum_vib import dynamics
 from pendulum_vib.dynamics import (
     FullState,
     IntegrationBlowUpError,
-    PhysicalParams,
     SymmetryViolationError,
     averaged_hamiltonian,
     averaged_params,
@@ -29,9 +28,13 @@ from pendulum_vib.excitation import (
     eval_velocity,
     velocity_moments,
 )
-from pendulum_vib.potential import AveragedParams, SingularConfigurationError, v_bar
+from pendulum_vib.potential import (
+    AveragedParams,
+    PhysicalParams,
+    SingularConfigurationError,
+    v_bar,
+)
 
-UNIT = PhysicalParams()
 ZERO_EXC = Excitation(epsilon=0.1, omega=1.0)
 SIN = HarmonicSeries(sine_coeffs=(1.0,))
 COS = HarmonicSeries(cosine_coeffs=(1.0,))
@@ -64,19 +67,19 @@ def random_state(rng):
 
 
 def test_full_hamiltonian_rest_values():
-    assert full_hamiltonian(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, ZERO_EXC, UNIT) == pytest.approx(0.0, abs=1e-15)
-    assert full_hamiltonian(FullState(0.0, 0.0, 0.0, 0.0), 0.0, ZERO_EXC, UNIT) == -1.0
+    assert full_hamiltonian(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, ZERO_EXC) == pytest.approx(0.0, abs=1e-15)
+    assert full_hamiltonian(FullState(0.0, 0.0, 0.0, 0.0), 0.0, ZERO_EXC) == -1.0
 
 
 def test_full_hamiltonian_vertical_kick():
     e = Excitation(epsilon=0.1, omega=10.0, xi=SIN)
-    h = full_hamiltonian(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, e, UNIT)
+    h = full_hamiltonian(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, e)
     assert h == pytest.approx(50.0, abs=1e-12)
 
 
 def test_full_hamiltonian_singular_pole():
     with pytest.raises(SingularConfigurationError):
-        full_hamiltonian(FullState(0.0, 0.0, 0.0, 0.5), 0.0, ZERO_EXC, UNIT)
+        full_hamiltonian(FullState(0.0, 0.0, 0.0, 0.5), 0.0, ZERO_EXC)
 
 
 def test_zero_excitation_full_equals_averaged():
@@ -84,14 +87,14 @@ def test_zero_excitation_full_equals_averaged():
     zero_mm = MomentMatrix.zero()
     for _ in range(50):
         s = random_state(rng)
-        h_full = full_hamiltonian(s, float(rng.uniform(0, 10)), ZERO_EXC, UNIT)
-        h_avg = averaged_hamiltonian(s, zero_mm, UNIT)
+        h_full = full_hamiltonian(s, float(rng.uniform(0, 10)), ZERO_EXC)
+        h_avg = averaged_hamiltonian(s, zero_mm)
         assert close_rel(h_full, h_avg, rtol=1e-14)
 
 
 def test_full_rhs_planar_examples():
-    assert full_rhs(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, ZERO_EXC, UNIT) == (0.0, 0.0, -1.0, 0.0)
-    dphi, dalpha, dp_phi, dp_alpha = full_rhs(FullState(math.pi / 2, 0.0, 0.3, 0.0), 0.0, ZERO_EXC, UNIT)
+    assert full_rhs(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, ZERO_EXC) == (0.0, 0.0, -1.0, 0.0)
+    dphi, dalpha, dp_phi, dp_alpha = full_rhs(FullState(math.pi / 2, 0.0, 0.3, 0.0), 0.0, ZERO_EXC)
     assert dphi == 0.3
     assert dp_alpha == 0.0
 
@@ -103,10 +106,10 @@ def test_full_rhs_matches_hamiltonian_gradient():
         e = random_excitation(rng)
         s = random_state(rng)
         t = float(rng.uniform(0.0, 5.0))
-        dphi, dalpha, dp_phi, dp_alpha = full_rhs(s, t, e, UNIT)
+        dphi, dalpha, dp_phi, dp_alpha = full_rhs(s, t, e)
 
         def H(phi=s.phi, alpha=s.alpha, p_phi=s.p_phi, p_alpha=s.p_alpha):
-            return full_hamiltonian(FullState(phi, alpha, p_phi, p_alpha), t, e, UNIT)
+            return full_hamiltonian(FullState(phi, alpha, p_phi, p_alpha), t, e)
 
         assert close_rel(dphi, central_diff(lambda x: H(p_phi=x), s.p_phi, h))
         assert close_rel(dalpha, central_diff(lambda x: H(p_alpha=x), s.p_alpha, h))
@@ -116,7 +119,7 @@ def test_full_rhs_matches_hamiltonian_gradient():
 
 def test_averaged_hamiltonian_zero_moments():
     s = FullState(math.pi / 3, 0.0, 0.0, 0.0)
-    assert averaged_hamiltonian(s, MomentMatrix.zero(), UNIT) == pytest.approx(-0.5, abs=1e-15)
+    assert averaged_hamiltonian(s, MomentMatrix.zero()) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_averaged_hamiltonian_vertical_only():
@@ -124,7 +127,7 @@ def test_averaged_hamiltonian_vertical_only():
     assert mm.xi_xi == 2.0
     for alpha in (0.0, 1.0, 4.5):
         s = FullState(math.pi / 2, alpha, 0.0, 0.0)
-        assert averaged_hamiltonian(s, mm, UNIT) == pytest.approx(1.0, abs=1e-14)
+        assert averaged_hamiltonian(s, mm) == pytest.approx(1.0, abs=1e-14)
 
 
 def simpson_time_average(f, period, n=4096):
@@ -141,8 +144,8 @@ def test_averaged_hamiltonian_is_the_fast_time_average():
     for _ in range(20):
         e = random_excitation(rng)
         s = random_state(rng)
-        avg = simpson_time_average(lambda t: full_hamiltonian(s, float(t), e, UNIT), e.fast_period)
-        assert abs(avg - averaged_hamiltonian(s, velocity_moments(e), UNIT)) <= 1e-10
+        avg = simpson_time_average(lambda t: full_hamiltonian(s, float(t), e), e.fast_period)
+        assert abs(avg - averaged_hamiltonian(s, velocity_moments(e))) <= 1e-10
 
 
 def test_averaged_params_nondimensionalisation():
@@ -228,6 +231,17 @@ def test_integrate_reports_blow_up_time():
     assert 0.0 < err.value.time <= 50.0
 
 
+def test_integrate_reports_a_stage_overflow_as_a_blow_up():
+    # the second stage is infinite, and math.cos refuses it with ValueError
+    rhs = lambda t, y: [1e308 * (1.0 + math.cos(y[0]))]
+    with pytest.raises(IntegrationBlowUpError) as err:
+        integrate(rhs, [0.0], (0.0, 1.0), 0.5)
+    assert err.value.time == 0.5
+    # a ValueError with finite stages is the rhs's own and passes through
+    with pytest.raises(ValueError, match="math domain error"):
+        integrate(lambda t, y: [math.sqrt(y[0])], [-1.0], (0.0, 1.0), 0.5)
+
+
 def test_integrate_refuses_too_many_steps():
     with pytest.raises(ValueError, match=r"takes 1\.5e\+06 steps, more than the limit of 1000000"):
         integrate(lambda t, y: y, [1.0], (0.0, 1.5), 1e-6)
@@ -240,8 +254,8 @@ def test_make_full_rhs_matches_full_rhs_bit_for_bit():
     # result must be what full_rhs gives at every stage
     for e in (VERTICAL, CIRCULAR):
         span, h = (0.0, 3.0), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-        fast = integrate(make_full_rhs(e, UNIT), FullState(2.0, 0.5, 0.1, 0.3), span, h)
-        plain = integrate(lambda t, y: full_rhs(FullState(*y), t, e, UNIT),
+        fast = integrate(make_full_rhs(e), FullState(2.0, 0.5, 0.1, 0.3), span, h)
+        plain = integrate(lambda t, y: full_rhs(FullState(*y), t, e),
                           FullState(2.0, 0.5, 0.1, 0.3), span, h)
         assert np.array_equal(fast.t, plain.t)
         assert np.array_equal(fast.y, plain.y)
@@ -256,7 +270,7 @@ def test_make_full_rhs_evaluates_the_velocity_under_three_times_a_step(monkeypat
 
     monkeypatch.setattr(dynamics, "eval_velocity", counting)
     h = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    traj = integrate(make_full_rhs(VERTICAL, UNIT), FullState(2.0, 0.0, 0.0, 0.3), (0.0, 10.0), h)
+    traj = integrate(make_full_rhs(VERTICAL), FullState(2.0, 0.0, 0.0, 0.3), (0.0, 10.0), h)
     steps = len(traj.t) - 1
     assert len(calls) < 3 * steps
 
@@ -269,11 +283,8 @@ def test_reduced_energy_conservation():
     assert np.max(np.abs(energies - energies[0])) < 1e-9
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
-def test_compare_gap_matches_a_finer_reduced_flow(monkeypatch, eps):
-    # criterion-6 setting; the reduced flow at h / 8 stands in for the exact one
-    e = Excitation(epsilon=eps, omega=1.0, xi=SIN)
-    initial = FullState(2.0, 0.0, 0.0, 0.3)
+def recorded_compare(monkeypatch, e, initial, t_end):
+    """compare_full_averaged's report and every trajectory it integrated."""
     runs = []
 
     def recording_integrate(*args):
@@ -281,18 +292,40 @@ def test_compare_gap_matches_a_finer_reduced_flow(monkeypatch, eps):
         return runs[-1]
 
     monkeypatch.setattr(dynamics, "integrate", recording_integrate)
-    report = compare_full_averaged(e, initial, 10.0)
-    full, red = runs
-    assert np.array_equal(full.t, red.t)
+    return compare_full_averaged(e, initial, t_end), runs
+
+
+def test_compare_steps_both_flows_as_one_product_system(monkeypatch):
+    # one integrate call per epsilon; RK4 acts on each component separately,
+    # so each flow's columns are bit-identical to integrating it alone
+    initial = FullState(2.0, 0.0, 0.0, 0.3)
+    for e in (VERTICAL, CIRCULAR):
+        _, runs = recorded_compare(monkeypatch, e, initial, 3.0)
+        (both,) = runs
+        assert both.y.shape[1] == 6
+        span, h = (0.0, 3.0), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        full = integrate(make_full_rhs(e), initial, span, h)
+        ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
+        red = integrate(make_reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
+        assert np.array_equal(both.t, full.t) and np.array_equal(both.t, red.t)
+        assert np.array_equal(both.y[:, :4], full.y)
+        assert np.array_equal(both.y[:, 4:], red.y)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+def test_compare_gap_matches_a_finer_reduced_flow(monkeypatch, eps):
+    # criterion-6 setting; the reduced flow at h / 8 stands in for the exact one
+    e = Excitation(epsilon=eps, omega=1.0, xi=SIN)
+    report, (both,) = recorded_compare(monkeypatch, e, FullState(2.0, 0.0, 0.0, 0.3), 10.0)
 
     h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    ref = integrate(make_reduced_rhs(averaged_params(velocity_moments(e), 0.3, UNIT)),
+    ref = integrate(make_reduced_rhs(averaged_params(velocity_moments(e), 0.3, PhysicalParams())),
                     [2.0, 0.0], (0.0, 10.0), h / 8)
     # every 8th fine time is bit-identical to a full-grid time; the final
     # shorter step is left out
-    n = len(full.t) - 1
-    assert np.array_equal(ref.t[:8 * n:8], full.t[:n])
-    gap = np.max(np.abs(full.y[:n, 0] - ref.y[:8 * n:8, 0]))
+    n = len(both.t) - 1
+    assert np.array_equal(ref.t[:8 * n:8], both.t[:n])
+    gap = np.max(np.abs(both.y[:n, 0] - ref.y[:8 * n:8, 0]))
     assert report.max_err_phi == pytest.approx(gap, rel=1e-4)
 
 

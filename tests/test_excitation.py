@@ -180,6 +180,13 @@ def test_vertical_excitation_passes_at_zero_tolerance():
     assert check_symmetry(velocity_moments(e), tol=0.0).passed
 
 
+def test_symmetry_refuses_a_nan_tolerance():
+    # every comparison with NaN is false, so a NaN tol would fail any matrix
+    for tol in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="^tol must be nonnegative"):
+            check_symmetry(MomentMatrix.zero(), tol=tol)
+
+
 def test_excitation_validation():
     with pytest.raises(ValueError):
         Excitation(epsilon=0.0, omega=1.0)

@@ -252,6 +252,28 @@ def test_equilibria_next_to_the_poles():
     assert math.pi - phis[2] == pytest.approx((1e-30 / 2.5) ** 0.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("amc, b", [
+    (1e49, 1.0), (1e49, 1e41), (1e200, 1e160), (1e200, 1e192), (1e300, 1e260), (1e300, 1e292),
+])
+def test_three_equilibria_at_a_huge_a_minus_c(amc, b):
+    # |c*| ~ (4 (A - C))^(-1/3) is below the float spacing next to 1, so
+    # 1 - |c*| rounds to 1; the saddle at cos phi ~ -1 / (A - C) sits nearer
+    # pi/2 than any float phi, where sin^3(phi) dV is ~ (A - C) |cos phi| and
+    # cannot be small, so each phi is checked against the scan and against a
+    # sign change one float step either side of it
+    ap = AveragedParams.from_a_minus_c(amc, b)
+    roots = pole_aware_roots(amc, b)
+    eqs = find_equilibria(ap)
+    assert classify_domain(ap) == "II"
+    assert len(roots) == 3
+    assert [eq.kind for eq in eqs] == ["stable", "unstable", "stable"]
+    for eq, root in zip(eqs, roots):
+        assert abs(eq.phi - root) <= 1e-6 * min(root, math.pi - root) + 1e-15, (eq.phi, root)
+        below = sin3_dv(math.nextafter(eq.phi, 0.0), amc, b)
+        above = sin3_dv(math.nextafter(eq.phi, math.pi), amc, b)
+        assert np.sign(below) != np.sign(above), eq.phi
+
+
 def test_just_inside_domain_two_near_gamma():
     b_star = fold_b(2.0)
     assert classify_domain(AveragedParams.from_a_minus_c(2.0, b_star * (1.0 - 1e-7))) == "II"
