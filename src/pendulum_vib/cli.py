@@ -12,6 +12,7 @@ imported only by the subcommands that use them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -297,7 +298,14 @@ def cmd_reproduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs several times what parsing one argv and running a
+    scalar subcommand do; parsing leaves it unchanged, so every call of
+    :func:`main` in a process shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="pendulum-vib",
         description="Averaged dynamics of a spherical pendulum with a fast-vibrating pivot.",

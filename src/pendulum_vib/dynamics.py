@@ -70,34 +70,26 @@ class FullState(NamedTuple):
     p_alpha: float
 
 
-def _pivot_projections(
-    s: float, c: float, sa: float, ca: float, vel: tuple[float, float, float]
-) -> tuple[float, float]:
-    # Pivot velocity resolved along the two angular directions.
-    td, ed, xd = vel
-    u_phi = c * ca * td + c * sa * ed + s * xd
-    u_alpha = -s * sa * td + s * ca * ed
-    return u_phi, u_alpha
-
-
 def full_hamiltonian(state: FullState, t: float, e: Excitation) -> float:
     """Hamiltonian of the full time-dependent system.
 
     With zero excitation this is the standard spherical pendulum; additive
     functions of time alone are dropped.
     """
-    vel = eval_velocity(e, t)
+    td, ed, xd = eval_velocity(e, t)
     s = math.sin(state.phi)
     c = math.cos(state.phi)
     sa = math.sin(state.alpha)
     ca = math.cos(state.alpha)
-    u_phi, u_alpha = _pivot_projections(s, c, sa, ca, vel)
+    # the pivot velocity resolved along the two angular directions
+    u_phi = c * ca * td + c * sa * ed + s * xd
+    u_alpha = -s * sa * td + s * ca * ed
     d_phi = state.p_phi - u_phi
     if s == 0.0:
         if state.p_alpha != 0.0:
             raise SingularConfigurationError("sin(phi) = 0 with p_alpha != 0")
         # u_alpha carries a factor sin(phi); the azimuthal term has a finite limit.
-        w = -(-sa * vel[0] + ca * vel[1])
+        w = -(-sa * td + ca * ed)
     else:
         w = (state.p_alpha - u_alpha) / s
     return (d_phi * d_phi + w * w) / 2.0 - c
@@ -107,39 +99,9 @@ def full_rhs(state: Sequence[float], t: float, e: Excitation) -> tuple[float, fl
     """Hamilton's equations of the full system: (dphi, dalpha, dp_phi, dp_alpha).
 
     ``state`` is a :class:`FullState` or any sequence in the same order.
+    The equations are those of :func:`make_full_rhs`.
     """
-    return _full_rhs_at(state, eval_velocity(e, t))
-
-
-def _full_rhs_at(
-    state: Sequence[float], vel: tuple[float, float, float]
-) -> tuple[float, float, float, float]:
-    # full_rhs given the pivot velocity at the state's time.
-    phi, alpha, p_phi, p_alpha = state
-    td, ed, xd = vel
-    s = math.sin(phi)
-    c = math.cos(phi)
-    sa = math.sin(alpha)
-    ca = math.cos(alpha)
-    u_phi, u_alpha = _pivot_projections(s, c, sa, ca, vel)
-    d_phi = p_phi - u_phi
-
-    du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
-    horiz = -sa * td + ca * ed
-    du_alpha_dphi = c * horiz
-    du_phi_dalpha = c * horiz
-    du_alpha_dalpha = -s * ca * td - s * sa * ed
-
-    if s == 0.0:
-        if p_alpha != 0.0 or horiz != 0.0:
-            raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
-        return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
-
-    w = (p_alpha - u_alpha) / s
-    dalpha = w / s
-    dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
-    dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
-    return (d_phi, dalpha, dp_phi, dp_alpha)
+    return make_full_rhs(e)(t, state)
 
 
 def averaged_hamiltonian(state: FullState, mm: MomentMatrix) -> float:
@@ -181,9 +143,14 @@ Rhs = Callable[[float, Sequence[float]], Sequence[float]]
 def make_full_rhs(e: Excitation) -> Rhs:
     """:func:`full_rhs` as an ``rhs(t, y)`` for :func:`integrate`.
 
-    The pivot velocity depends on ``t`` alone, so a call at the same ``t`` as
-    the previous one reuses it: RK4's two midpoint stages share a time, and a
-    step's last stage often shares one with the next step's first.
+    This closure holds the one copy of the full flow's equations;
+    :func:`full_rhs` calls a fresh one.  The pivot velocity depends on ``t``
+    alone, so a call at the same ``t`` as the previous one reuses it: RK4's
+    two midpoint stages share a time, and a step's last stage often shares
+    one with the next step's first.  Each evaluation costs one sine or cosine
+    per distinct harmonic and family that some axis of ``e`` needs (see
+    :func:`pendulum_vib.excitation.eval_velocity`), with the same bits as the
+    term-by-term series.
     """
     last_t = None
     vel = None
@@ -193,7 +160,33 @@ def make_full_rhs(e: Excitation) -> Rhs:
         if t != last_t:
             last_t = t
             vel = eval_velocity(e, t)
-        return _full_rhs_at(y, vel)
+        phi, alpha, p_phi, p_alpha = y
+        td, ed, xd = vel
+        s = math.sin(phi)
+        c = math.cos(phi)
+        sa = math.sin(alpha)
+        ca = math.cos(alpha)
+        # the pivot velocity resolved along the two angular directions
+        u_phi = c * ca * td + c * sa * ed + s * xd
+        u_alpha = -s * sa * td + s * ca * ed
+        d_phi = p_phi - u_phi
+
+        du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
+        horiz = -sa * td + ca * ed
+        du_alpha_dphi = c * horiz
+        du_phi_dalpha = c * horiz
+        du_alpha_dalpha = -s * ca * td - s * sa * ed
+
+        if s == 0.0:
+            if p_alpha != 0.0 or horiz != 0.0:
+                raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
+            return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
+
+        w = (p_alpha - u_alpha) / s
+        dalpha = w / s
+        dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
+        dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
+        return (d_phi, dalpha, dp_phi, dp_alpha)
 
     return rhs
 
@@ -320,7 +313,9 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
     at the full flow's step of 1/STEPS_PER_FAST_PERIOD fast periods; RK4
     acts on each component separately, so each flow's trajectory is what it
     would be alone, and the max-difference norms compare states at
-    identical times with no resampling.
+    identical times with no resampling.  The product's RHS is the
+    :func:`make_full_rhs` closure on the first four components and
+    :func:`reduced_rhs` on the last two.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
@@ -328,10 +323,10 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
         raise SymmetryViolationError(report)
 
     full = make_full_rhs(e)
-    red = make_reduced_rhs(averaged_params(mm, initial.p_alpha, PhysicalParams()))
+    ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
 
     def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
-        return (*full(t, y[:4]), *red(t, y[4:]))
+        return (*full(t, y[:4]), *reduced_rhs(y[4], y[5], ap))
 
     y0 = (*initial, initial.phi, initial.p_phi)
     y = integrate(rhs, y0, (0.0, t_end), e.fast_period / STEPS_PER_FAST_PERIOD).y

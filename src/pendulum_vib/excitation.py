@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "HarmonicSeries",
@@ -58,16 +58,23 @@ class HarmonicSeries:
             out += b * math.sin(k * s)
         return out
 
-    def derivative(self, s: float) -> float:
-        out = 0.0
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out -= k * a * math.sin(k * s)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out += k * b * math.cos(k * s)
-        return out
-
 
 _ZERO_SERIES = HarmonicSeries()
+
+
+def _velocity_table(axes: tuple[HarmonicSeries, ...]) -> tuple[tuple, tuple]:
+    slots: dict = {}
+    terms = []
+    for series in axes:
+        axis = []
+        for k, a in enumerate(series.cosine_coeffs, start=1):
+            if a != 0.0:
+                axis.append((slots.setdefault((k, math.sin), len(slots)), -(k * a)))
+        for k, b in enumerate(series.sine_coeffs, start=1):
+            if b != 0.0:
+                axis.append((slots.setdefault((k, math.cos), len(slots)), k * b))
+        terms.append(tuple(axis))
+    return tuple(slots), tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,14 @@ class Excitation:
 
     Axis order is (tau, eta, xi): two horizontal directions, then vertical.
     Displacement along an axis at time t is ``epsilon * f(omega * t / epsilon)``.
+
+    ``velocity_table`` is built once, at construction, for
+    :func:`eval_velocity`, and takes no part in equality or ``repr``.  It is
+    ``(slots, axes)``: ``slots`` lists once each ``(k, math.sin)`` or
+    ``(k, math.cos)`` whose value at ``k * s`` some axis needs, and ``axes``
+    holds per axis its nonzero terms, ``(slot, -k * a)`` for a cosine
+    coefficient ``a`` and then ``(slot, k * b)`` for a sine coefficient ``b``,
+    each family in increasing ``k``.
     """
 
     epsilon: float
@@ -83,12 +98,14 @@ class Excitation:
     tau: HarmonicSeries = _ZERO_SERIES
     eta: HarmonicSeries = _ZERO_SERIES
     xi: HarmonicSeries = _ZERO_SERIES
+    velocity_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("epsilon", "omega"):
             value = getattr(self, name)
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        object.__setattr__(self, "velocity_table", _velocity_table(self.axes))
 
     @property
     def fast_period(self) -> float:
@@ -107,13 +124,28 @@ def eval_displacement(e: Excitation, t: float) -> tuple[float, float, float]:
 
 
 def eval_velocity(e: Excitation, t: float) -> tuple[float, float, float]:
-    """Pivot velocity (tau', eta', xi') at time t; epsilon cancels."""
+    """Pivot velocity (tau', eta', xi') at time t; epsilon cancels.
+
+    Each axis is ``omega`` times the sum, from ``+0.0``, of its terms in
+    ``e.velocity_table`` at the phase ``s = omega * t / epsilon``; each
+    ``sin(k s)`` or ``cos(k s)`` is evaluated once, whichever axes share it.
+    At a finite phase this is bit for bit the term-by-term derivative
+    ``out -= k*a*sin(k*s)`` then ``out += k*b*cos(k*s)``: ``x + (-y) == x - y``
+    in IEEE arithmetic, ``k * a`` is the same product, and a sum from ``+0.0``
+    is never ``-0.0``, so the ``±0.0`` terms the table drops change no bit.
+    """
     s = e.omega * t / e.epsilon
-    return (
-        e.omega * e.tau.derivative(s),
-        e.omega * e.eta.derivative(s),
-        e.omega * e.xi.derivative(s),
-    )
+    slots, (tau, eta, xi) = e.velocity_table
+    v = [f(k * s) for k, f in slots]
+    w = e.omega
+    return (w * _term_sum(tau, v), w * _term_sum(eta, v), w * _term_sum(xi, v))
+
+
+def _term_sum(terms: tuple[tuple[int, float], ...], v: list[float]) -> float:
+    out = 0.0
+    for slot, coeff in terms:
+        out += coeff * v[slot]
+    return out
 
 
 @dataclass(frozen=True)

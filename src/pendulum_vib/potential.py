@@ -232,16 +232,16 @@ def _in_w(a: float, b: float, sign: float) -> Callable[[float], float]:
     return f
 
 
-def _in_u(a: float, b: float) -> Callable[[float], float]:
-    """sin^3(phi) dV as a function of u = |cos phi| for cos phi < 0.
+def _in_u(a: float, b: float, sign: float) -> Callable[[float], float]:
+    """sin^3(phi) dV as a function of u = |cos phi|; sign is that of cos phi.
 
-    a cos phi + 1 = 1 - a u keeps its relative accuracy next to the equator,
-    where 1 - u rounds to 1 once u is below the float spacing there.
+    a cos phi + 1 = 1 + sign a u keeps its relative accuracy next to the
+    equator, where 1 - u rounds to 1 once u is below the float spacing there.
     """
 
     def f(u):
         s2 = (1.0 - u) * (1.0 + u)
-        return s2 * s2 * (1.0 - a * u) + b * u
+        return s2 * s2 * (1.0 + sign * a * u) - sign * b * u
 
     return f
 
@@ -283,36 +283,47 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     a, b = ap.a_minus_c, ap.B
     label, r = _domain(a, b)
     w_star = r / (1.0 + r)
-    found = [(_root(_in_w(a, b, 1.0), 0.0, 1.0, _W), 1.0, "stable")]
+    if a < -3.5:
+        # the minimum sits at cos phi < 1 / |A - C| < 2/7, next to the equator,
+        # where (1 + a) - a w cancels: bisect in u = cos phi on [0, 1/2] (the
+        # mirror image of the A - C > 3.5 saddle below), and take phi from u
+        u = _root(_in_u(a, b, 1.0), 0.0, 0.5, _U)
+        found = [(math.acos(u), "stable")]
+    else:
+        found = [(_phi(_root(_in_w(a, b, 1.0), 0.0, 1.0, _W), 1.0), "stable")]
     if label == "II":
         in_w = _in_w(a, b, -1.0)
         if r <= 1.0:  # w* <= 1/2
-            found.append((_root(in_w, w_star, 1.0, _W), -1.0, "unstable"))
-            found.append((_root(in_w, 0.0, w_star, _W), -1.0, "stable"))
+            found.append((_phi(_root(in_w, w_star, 1.0, _W), -1.0), "unstable"))
+            found.append((_phi(_root(in_w, 0.0, w_star, _W), -1.0), "stable"))
         else:
             # w* > 1/2 rounds to 1 once |c*| = 1 / (1 + r) is below the float
             # spacing there: bracket the equator side in u = |cos phi| instead
-            in_u = _in_u(a, b)
+            in_u = _in_u(a, b, -1.0)
             u_star = 1.0 / (1.0 + r)
-            found.append((1.0 - _root(in_u, 0.0, u_star, _U), -1.0, "unstable"))
+            found.append((_phi(1.0 - _root(in_u, 0.0, u_star, _U), -1.0), "unstable"))
             if in_w(0.5) < 0.0:  # sin^3(phi) dV is b > 0 at the pole
                 w_min = _root(in_w, 0.0, 0.5, _W)
             else:
                 w_min = 1.0 - _root(in_u, u_star, 0.5, _U)
-            found.append((w_min, -1.0, "stable"))
+            found.append((_phi(w_min, -1.0), "stable"))
     elif label == "boundary":
-        found.append((w_star, -1.0, "degenerate"))
+        found.append((_phi(w_star, -1.0), "degenerate"))
 
     eqs = []
-    for w, sign, kind in found:
-        half = 2.0 * math.asin(math.sqrt(0.5 * w))  # 1 - |cos(half)| = w
-        # pi - half, rounded once: sin(math.pi) is the part of pi that math.pi drops
-        phi = half if sign > 0.0 else math.pi - (half - math.sin(math.pi))
+    for phi, kind in found:
         second = d2v(phi, ap)
         if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
             raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
         eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second))
     return eqs
+
+
+def _phi(w: float, sign: float) -> float:
+    """The phi in [0, pi] with 1 - |cos phi| = w and cos phi of the given sign."""
+    half = 2.0 * math.asin(math.sqrt(0.5 * w))  # 1 - |cos(half)| = w
+    # pi - half, rounded once: sin(math.pi) is the part of pi that math.pi drops
+    return half if sign > 0.0 else math.pi - (half - math.sin(math.pi))
 
 
 def _find_equilibria_planar(ap: AveragedParams) -> list[Equilibrium]:

@@ -19,6 +19,13 @@ VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
 README_VERTICAL_DOC = '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [1.0]}}'
 IN_PHASE_DOC = '{"epsilon": 0.1, "omega": 1.0, "tau": {"cos": [1.0]}, "eta": {"cos": [1.0]}}'
 EMPTY_DOC = '{"epsilon": 0.1, "omega": 1.0}'
+# shaped like the benchmark's compare excitations: circular harmonic 1 on
+# tau/eta, and vertical harmonics 2 and 3 with zero harmonic-1 coefficients,
+# so sin s and cos s are shared across axes and two terms are zero
+BENCH_LIKE_DOC = (
+    '{"epsilon": 0.1, "omega": 1.0, "tau": {"cos": [0.35]}, "eta": {"sin": [0.35]}, '
+    '"xi": {"cos": [0.0, 0.15], "sin": [0.0, 0.12, 0.06]}}'
+)
 # zero dynamics; small epsilon keeps the full integrator step small
 ZERO_COMPARE_DOC = '{"epsilon": 0.02, "omega": 1.0}'
 
@@ -320,6 +327,7 @@ COMPARE_PINS = [
     (README_VERTICAL_DOC, "93da65f6470518b9f80efa7dbe3dab227654b7b16094f610d6a8d8ac61116480"),
     (VERTICAL_DOC, "6c90be127e86f9b4f5b1b6dc23e2cbf90bb98c4f681e72f8cf9d594df200ffab"),
     (CIRCULAR_DOC, "7a13a1362c75deca2dd9af3b493042e72ac41af26234d492b4248df67dfc231d"),
+    (BENCH_LIKE_DOC, "652ec379ce70c0af9c3254409795dcfad5738a4a4af959acf0c26f38f99df0c4"),
 ]
 
 
@@ -528,3 +536,28 @@ def test_scalar_subcommands_do_not_import_numpy(tmp_path):
 def test_unknown_flags_exit_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["domain", "--a-minus-c", "1"])  # missing --b
+
+
+def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
+    # main shares one parser across calls; two subcommands and then a bad
+    # argv, all in this process, print what each prints in a process of its own
+    src = str(Path(pendulum_vib.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = (
+        ["domain", "--a-minus-c", "2", "--b", "0.1"],
+        ["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
+        ["domain", "--a-minus-c", "1"],  # missing --b
+    )
+    assert cli.build_parser() is cli.build_parser()
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        here = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pendulum_vib.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 2 and "--b" in here.err

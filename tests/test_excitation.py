@@ -74,6 +74,64 @@ def test_velocity_matches_finite_differences():
             assert abs(vi - (b - a) / (2.0 * h)) < 1e-6
 
 
+def series_velocity(e, t):
+    """The pivot velocity term by term in scalar math: per axis, omega times
+    the sum from 0.0 of -k a sin(k s) for each cosine coefficient a, then
+    k b cos(k s) for each sine coefficient b, at s = omega t / epsilon."""
+    s = e.omega * t / e.epsilon
+    out = []
+    for series in e.axes:
+        v = 0.0
+        for k, a in enumerate(series.cosine_coeffs, start=1):
+            v -= k * a * math.sin(k * s)
+        for k, b in enumerate(series.sine_coeffs, start=1):
+            v += k * b * math.cos(k * s)
+        out.append(e.omega * v)
+    return tuple(out)
+
+
+def sparse_series(rng, max_k=4):
+    # a third of the coefficients are +0.0 or -0.0
+    def coeffs():
+        k = int(rng.integers(0, max_k + 1))
+        return tuple(float(rng.choice([0.0, -0.0, rng.uniform(-1, 1)], p=[1 / 6, 1 / 6, 2 / 3]))
+                     for _ in range(k))
+
+    return HarmonicSeries(coeffs(), coeffs())
+
+
+def test_velocity_is_the_term_by_term_sum_bit_for_bit():
+    rng = np.random.default_rng(808)
+    for _ in range(300):
+        e = Excitation(
+            epsilon=float(rng.uniform(0.01, 0.5)),
+            omega=float(rng.uniform(0.5, 3.0)),
+            tau=sparse_series(rng),
+            eta=sparse_series(rng),
+            xi=sparse_series(rng),
+        )
+        for t in (0.0, -0.0, *rng.uniform(-1e3, 1e3, 20).tolist()):
+            got, want = eval_velocity(e, t), series_velocity(e, t)
+            # float.hex tells -0.0 from 0.0, which == does not
+            assert [x.hex() for x in got] == [x.hex() for x in want], (e, t)
+
+
+def test_velocity_table_evaluates_each_shared_harmonic_once():
+    # circular harmonic 1 plus vertical harmonics 2 and 3 with zero
+    # coefficients: 7 sines and cosines term by term, 5 distinct ones
+    e = Excitation(
+        epsilon=0.1,
+        omega=1.0,
+        tau=HarmonicSeries((0.35,)),
+        eta=HarmonicSeries((), (0.35,)),
+        xi=HarmonicSeries((0.0, 0.15), (0.0, 0.12, 0.06)),
+    )
+    slots, axes = e.velocity_table
+    assert slots == ((1, math.sin), (1, math.cos), (2, math.sin), (2, math.cos), (3, math.cos))
+    assert axes == (((0, -0.35),), ((1, 0.35),), ((2, -0.3), (3, 0.24), (4, 0.18)))
+    assert Excitation(0.1, 1.0).velocity_table == ((), ((), (), ()))
+
+
 def test_moments_zero_excitation():
     mm = velocity_moments(Excitation(epsilon=0.1, omega=1.0))
     assert np.array_equal(mm.m, np.zeros((3, 3)))

@@ -274,6 +274,21 @@ def test_three_equilibria_at_a_huge_a_minus_c(amc, b):
         assert np.sign(below) != np.sign(above), eq.phi
 
 
+@pytest.mark.parametrize("amc, b", [(-1e49, 1.0), (-1e200, 1e190), (-1e300, 1.0)])
+def test_lone_minimum_at_a_hugely_negative_a_minus_c(amc, b):
+    # the minimum sits at cos phi ~ 1 / (|A - C| + B), below pi/2 by far less
+    # than the float spacing, so the float nearest it is math.pi / 2, which
+    # lies below pi/2; bisected in w = 1 - cos phi, where (1 + a) - a w
+    # cancels, it landed one float above
+    eqs = find_equilibria(AveragedParams.from_a_minus_c(amc, b))
+    assert [eq.kind for eq in eqs] == ["stable"]
+    phi = eqs[0].phi
+    assert phi == math.pi / 2
+    below = sin3_dv(math.nextafter(phi, 0.0), amc, b)
+    above = sin3_dv(math.nextafter(phi, math.pi), amc, b)
+    assert np.sign(below) != np.sign(above), phi
+
+
 def test_just_inside_domain_two_near_gamma():
     b_star = fold_b(2.0)
     assert classify_domain(AveragedParams.from_a_minus_c(2.0, b_star * (1.0 - 1e-7))) == "II"
