@@ -6,7 +6,9 @@ convergence band, impossible equilibrium count).
 All outputs are deterministic functions of the inputs; written JSON re-reads
 and re-emits byte-identically.  The scalar subcommands (moments, equilibria,
 curve, domain) run without numpy: portrait and dynamics, which need it, are
-imported only by the subcommands that use them.
+imported only by the subcommands that use them.  Likewise excitation is
+imported only by moments and compare, and by :func:`main` on an error that
+may be its symmetry violation.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .excitation import SymmetryViolationError, check_symmetry, load_excitation, velocity_moments
 from .potential import (
     AveragedParams,
     InconsistentCountError,
@@ -43,9 +43,12 @@ MAX_GRID = 4096
 MAX_SAMPLES = 10**6
 
 
-@dataclass
 class RunConfig:
-    """Validated per-invocation options shared by the subcommands."""
+    """Validated per-invocation options shared by the subcommands.
+
+    The class attributes are the defaults; :meth:`from_args` sets on the
+    instance each option given.
+    """
 
     phys: PhysicalParams = PhysicalParams()
     p_alpha: float = 0.0
@@ -57,7 +60,7 @@ class RunConfig:
     nx: int = 512
     ny: int = 512
     p_max: float | None = None
-    eps_sweep: list[float] = field(default_factory=list)
+    eps_sweep: tuple[float, ...] = ()
     t_end: float = 10.0
     initial: tuple[float, float, float, float] = (2.0, 0.0, 0.0, 0.3)
     samples: int = 500
@@ -83,11 +86,14 @@ class RunConfig:
             raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}, got {cfg.samples}")
         if getattr(args, "eps_sweep", None):
             sweep = _parse_float_list(args.eps_sweep, what="--eps-sweep")
+            # one amplitude gives no ratio to check, and the sweep would pass vacuously
+            if len(sweep) < 2:
+                raise ValueError(f"--eps-sweep needs at least two amplitudes, got {len(sweep)}")
             if any(x <= 0.0 for x in sweep):
                 raise ValueError("--eps-sweep entries must be positive")
             if any(b >= a for a, b in zip(sweep, sweep[1:])):
                 raise ValueError("--eps-sweep must be strictly decreasing")
-            cfg.eps_sweep = sweep
+            cfg.eps_sweep = tuple(sweep)
         if getattr(args, "initial", None):
             cfg.initial = tuple(_parse_float_list(args.initial, expect=4, what="--initial"))
         return cfg
@@ -123,6 +129,8 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def cmd_moments(cfg: RunConfig) -> int:
+    from .excitation import check_symmetry, load_excitation, velocity_moments
+
     if cfg.excitation_path is None:
         raise ValueError("--excitation is required")
     e = load_excitation(cfg.excitation_path)
@@ -242,6 +250,8 @@ def _ratio_verdict(errors: list[float]) -> tuple[list[float], bool]:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    from .excitation import Excitation, load_excitation
+
     if cfg.excitation_path is None:
         raise ValueError("--excitation is required")
     if not cfg.eps_sweep:
@@ -250,7 +260,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     # a span shorter than one fast period of the largest epsilon cannot show
     # the averaging error: its errors can all sit below ERROR_FLOOR, where no
     # ratio is checked, and the sweep would pass having shown nothing
-    period = replace(e, epsilon=cfg.eps_sweep[0]).fast_period
+    period = Excitation(cfg.eps_sweep[0], e.omega, e.tau, e.eta, e.xi).fast_period
     if cfg.t_end < period:
         raise ValueError(
             f"--t-end {cfg.t_end!r} is shorter than one fast period ({period!r}) "
@@ -349,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compare", cmd_compare, "full vs averaged convergence experiment")
     p.add_argument("--excitation", required=True)
     p.add_argument("--eps-sweep", dest="eps_sweep", required=True,
-                   help="strictly decreasing amplitudes, e.g. 0.1,0.05,0.025")
+                   help="at least two strictly decreasing amplitudes, e.g. 0.1,0.05,0.025")
     p.add_argument("--t-end", dest="t_end", type=float, help="time horizon (default 10)")
     p.add_argument("--initial", help="phi,alpha,p_phi,p_alpha (default 2,0,0,0.3)")
     p.add_argument("--out")
@@ -370,24 +380,28 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_args(args)
         return args.func(cfg)
-    except SymmetryViolationError as exc:
-        rep = exc.report
-        doc = {
-            "error": "symmetry violation",
-            "residuals": {
-                "diag": rep.diag_residual,
-                "tau_eta": rep.tau_eta,
-                "tau_xi": rep.tau_xi,
-                "eta_xi": rep.eta_xi,
-            },
-            "tol": rep.tol,
-        }
-        sys.stdout.write(_json_text(doc))
-        return EXIT_SCIENCE
     except InconsistentCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCIENCE
     except (OSError, ValueError) as exc:
+        # compare raises SymmetryViolationError, a ValueError; imported here,
+        # excitation costs the scalar subcommands nothing unless they fail
+        from .excitation import SymmetryViolationError
+
+        if isinstance(exc, SymmetryViolationError):
+            rep = exc.report
+            doc = {
+                "error": "symmetry violation",
+                "residuals": {
+                    "diag": rep.diag_residual,
+                    "tau_eta": rep.tau_eta,
+                    "tau_xi": rep.tau_xi,
+                    "eta_xi": rep.eta_xi,
+                },
+                "tol": rep.tol,
+            }
+            sys.stdout.write(_json_text(doc))
+            return EXIT_SCIENCE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .excitation import (
     Excitation,
     MomentMatrix,
@@ -208,12 +208,18 @@ class IntegrationBlowUpError(RuntimeError):
         self.time = time
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """States recorded at every accepted step of a fixed-step integration."""
+class Trajectory(Frozen):
+    """States recorded at every accepted step of a fixed-step integration.
 
-    t: np.ndarray
-    y: np.ndarray
+    Compared by identity: its fields are arrays.
+    """
+
+    __slots__ = ("t", "y")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, t: np.ndarray, y: np.ndarray):
+        self._freeze(t, y)
 
 
 def rk4_step(rhs: Rhs, t: float, y: Sequence[float], h: float) -> list[float]:
@@ -292,15 +298,16 @@ def _finite(y: Sequence[float], t: float) -> Sequence[float]:
     return y
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Frozen):
     """Worst-case gaps between the full and averaged descriptions."""
 
-    epsilon: float
-    t_end: float
-    max_err_phi: float
-    max_err_p_phi: float
-    p_alpha_drift: float
+    __slots__ = ("epsilon", "t_end", "max_err_phi", "max_err_p_phi", "p_alpha_drift")
+
+    def __init__(
+        self, epsilon: float, t_end: float, max_err_phi: float, max_err_p_phi: float,
+        p_alpha_drift: float,
+    ):
+        self._freeze(epsilon, t_end, max_err_phi, max_err_p_phi, p_alpha_drift)
 
 
 def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> ComparisonReport:
@@ -350,7 +357,10 @@ def convergence_sweep(
     Returns the JSON-ready report; entries are ordered like ``epsilons``.
     """
     epsilons = [float(x) for x in epsilons]
-    reports = [compare_full_averaged(replace(e, epsilon=eps), initial, t_end) for eps in epsilons]
+    reports = [
+        compare_full_averaged(Excitation(eps, e.omega, e.tau, e.eta, e.xi), initial, t_end)
+        for eps in epsilons
+    ]
     return {
         "epsilons": epsilons,
         "max_err_phi": [r.max_err_phi for r in reports],

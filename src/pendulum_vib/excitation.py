@@ -6,13 +6,17 @@ zero-average function represented by a finite trigonometric series.
 Velocities are then O(omega) and independent of epsilon, so the
 time-averaged products of pivot velocities (the "moments") depend on the
 series coefficients and omega only.
+
+The records (HarmonicSeries, Excitation, MomentMatrix, SymmetryReport) are
+slotted immutable classes that compare and hash by value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+
+from ._frozen import Frozen
 
 __all__ = [
     "HarmonicSeries",
@@ -32,23 +36,24 @@ __all__ = [
 DEFAULT_SYMMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HarmonicSeries:
+class HarmonicSeries(Frozen):
     """Finite trigonometric series sum_k a_k cos(k s) + b_k sin(k s), k >= 1.
 
     2*pi-periodic with zero average by construction (no constant term).
-    The empty series is the zero function.
+    The empty series is the zero function.  The coefficients are stored as
+    tuples of floats.
     """
 
-    cosine_coeffs: tuple[float, ...] = ()
-    sine_coeffs: tuple[float, ...] = ()
+    __slots__ = ("cosine_coeffs", "sine_coeffs")
 
-    def __post_init__(self):
-        for name in ("cosine_coeffs", "sine_coeffs"):
-            coeffs = tuple(float(x) for x in getattr(self, name))
+    def __init__(self, cosine_coeffs: tuple[float, ...] = (), sine_coeffs: tuple[float, ...] = ()):
+        values = []
+        for name, given in (("cosine_coeffs", cosine_coeffs), ("sine_coeffs", sine_coeffs)):
+            coeffs = tuple(float(x) for x in given)
             if not all(math.isfinite(x) for x in coeffs):
                 raise ValueError(f"{name} must be finite, got {coeffs}")
-            object.__setattr__(self, name, coeffs)
+            values.append(coeffs)
+        self._freeze(*values)
 
     def value(self, s: float) -> float:
         out = 0.0
@@ -77,8 +82,7 @@ def _velocity_table(axes: tuple[HarmonicSeries, ...]) -> tuple[tuple, tuple]:
     return tuple(slots), tuple(terms)
 
 
-@dataclass(frozen=True)
-class Excitation:
+class Excitation(Frozen):
     """Fast periodic pivot motion with amplitude scale epsilon and frequency scale omega.
 
     Axis order is (tau, eta, xi): two horizontal directions, then vertical.
@@ -93,19 +97,21 @@ class Excitation:
     each family in increasing ``k``.
     """
 
-    epsilon: float
-    omega: float
-    tau: HarmonicSeries = _ZERO_SERIES
-    eta: HarmonicSeries = _ZERO_SERIES
-    xi: HarmonicSeries = _ZERO_SERIES
-    velocity_table: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("epsilon", "omega", "tau", "eta", "xi", "velocity_table")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        for name in ("epsilon", "omega"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        epsilon: float,
+        omega: float,
+        tau: HarmonicSeries = _ZERO_SERIES,
+        eta: HarmonicSeries = _ZERO_SERIES,
+        xi: HarmonicSeries = _ZERO_SERIES,
+    ):
+        for name, value in (("epsilon", epsilon), ("omega", omega)):
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        object.__setattr__(self, "velocity_table", _velocity_table(self.axes))
+        self._freeze(epsilon, omega, tau, eta, xi, _velocity_table((tau, eta, xi)))
 
     @property
     def fast_period(self) -> float:
@@ -148,8 +154,7 @@ def _term_sum(terms: tuple[tuple[int, float], ...], v: list[float]) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
+class MomentMatrix(Frozen):
     """Time-averaged products of pivot velocities, axis order (tau, eta, xi).
 
     Symmetric and positive semidefinite: it is the Gram matrix of the three
@@ -157,15 +162,15 @@ class MomentMatrix:
     stored as three rows of three floats.
     """
 
-    m: tuple[tuple[float, float, float], ...]
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(x) for x in row) for row in self.m)
+    def __init__(self, m: tuple[tuple[float, float, float], ...]):
+        rows = tuple(tuple(float(x) for x in row) for row in m)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError(f"moment matrix must be 3x3, got rows of {[len(r) for r in rows]}")
         if any(rows[i][j] != rows[j][i] for i in range(3) for j in range(3)):
             raise ValueError("moment matrix must be exactly symmetric")
-        object.__setattr__(self, "m", rows)
+        self._freeze(rows)
 
     @property
     def tau_tau(self) -> float:
@@ -218,20 +223,20 @@ def velocity_moments(e: Excitation) -> MomentMatrix:
     return MomentMatrix(m)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(Frozen):
     """Residuals of the conditions making the azimuth a cyclic coordinate.
 
     The averaged dynamics is rotation-invariant about the vertical iff the two
     horizontal mean squares agree and all cross moments vanish.
     """
 
-    diag_residual: float
-    tau_eta: float
-    tau_xi: float
-    eta_xi: float
-    tol: float
-    passed: bool
+    __slots__ = ("diag_residual", "tau_eta", "tau_xi", "eta_xi", "tol", "passed")
+
+    def __init__(
+        self, diag_residual: float, tau_eta: float, tau_xi: float, eta_xi: float, tol: float,
+        passed: bool,
+    ):
+        self._freeze(diag_residual, tau_eta, tau_xi, eta_xi, tol, passed)
 
     def residuals(self) -> tuple[float, float, float, float]:
         return (self.diag_residual, self.tau_eta, self.tau_xi, self.eta_xi)

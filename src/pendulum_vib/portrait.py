@@ -8,10 +8,10 @@ marching squares and emitted as CSV and as a deterministic SVG.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .potential import AveragedParams, Equilibrium, find_equilibria, v_bar
 
 __all__ = [
@@ -29,20 +29,28 @@ DEFAULT_RESOLUTION = 512
 AUTO_LEVEL_COUNT = 8
 
 
-@dataclass(frozen=True, eq=False)
-class PortraitGrid:
+class PortraitGrid(Frozen):
     """Sampled reduced energies plus the contour levels to draw.
 
     values[i, j] = p[j]^2 / 2 + V(phi[i]); separatrix_levels are the energies
-    of the unstable equilibria (empty when there is no saddle).
+    of the unstable equilibria (empty when there is no saddle).  Compared by
+    identity: it holds arrays.
     """
 
-    phi: np.ndarray
-    p: np.ndarray
-    values: np.ndarray
-    levels: tuple[float, ...]
-    separatrix_levels: tuple[float, ...]
-    equilibria: tuple[Equilibrium, ...]
+    __slots__ = ("phi", "p", "values", "levels", "separatrix_levels", "equilibria")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        phi: np.ndarray,
+        p: np.ndarray,
+        values: np.ndarray,
+        levels: tuple[float, ...],
+        separatrix_levels: tuple[float, ...],
+        equilibria: tuple[Equilibrium, ...],
+    ):
+        self._freeze(phi, p, values, levels, separatrix_levels, equilibria)
 
     @property
     def nx(self) -> int:
@@ -112,13 +120,18 @@ def build_grid(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LevelContours:
-    """Polylines of one level set; each polyline is an (m, 2) array of (phi, p)."""
+class LevelContours(Frozen):
+    """Polylines of one level set; each polyline is an (m, 2) array of (phi, p).
 
-    level: float
-    polylines: tuple[np.ndarray, ...]
-    is_separatrix: bool
+    Compared by identity: its polylines are arrays.
+    """
+
+    __slots__ = ("level", "polylines", "is_separatrix")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, level: float, polylines: tuple[np.ndarray, ...], is_separatrix: bool):
+        self._freeze(level, polylines, is_separatrix)
 
 
 # Cell corners, counter-clockwise from the low corner, with bit values:

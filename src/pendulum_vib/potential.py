@@ -16,14 +16,18 @@ to its maximum B* at the root c* of the fold cubic 4 a c^3 + 3 c^2 + 1 = 0
 and falls back to 0 at c = -1/a.  So for B < B* (domain II) there is also a
 maximum in (c*, -1/a) and a minimum in (-1, c*); for B > B* or a <= 1
 (domain I) nothing more; on gamma, B = B*, one degenerate equilibrium at c*.
+
+The records (AveragedParams, PhysicalParams, Equilibrium, GammaPoint) are
+slotted immutable classes that compare and hash by value.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
+
+from ._frozen import Frozen
 
 if TYPE_CHECKING:
     from .excitation import MomentMatrix
@@ -66,8 +70,7 @@ class InconsistentCountError(RuntimeError):
     """The equilibria found disagree with what the theory says they must be."""
 
 
-@dataclass(frozen=True)
-class AveragedParams:
+class AveragedParams(Frozen):
     """Dimensionless parameters (A, B, C) of the reduced averaged system.
 
     A and C are means of squared velocities, B a squared momentum, so all
@@ -75,15 +78,13 @@ class AveragedParams:
     only through the difference A - C.
     """
 
-    A: float
-    B: float
-    C: float = 0.0
+    __slots__ = ("A", "B", "C")
 
-    def __post_init__(self):
-        for name in ("A", "B", "C"):
-            value = getattr(self, name)
+    def __init__(self, A: float, B: float, C: float = 0.0):
+        for name, value in (("A", A), ("B", B), ("C", C)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        self._freeze(A, B, C)
 
     @property
     def a_minus_c(self) -> float:
@@ -97,19 +98,16 @@ class AveragedParams:
         return cls(A=0.0, B=b, C=-a_minus_c)
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Frozen):
     """Bob mass, rod length, gravity; all strictly positive and finite."""
 
-    m: float = 1.0
-    l: float = 1.0
-    g: float = 1.0
+    __slots__ = ("m", "l", "g")
 
-    def __post_init__(self):
-        for name in ("m", "l", "g"):
-            value = getattr(self, name)
+    def __init__(self, m: float = 1.0, l: float = 1.0, g: float = 1.0):
+        for name, value in (("m", m), ("l", l), ("g", g)):
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        self._freeze(m, l, g)
 
 
 def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> AveragedParams:
@@ -162,14 +160,13 @@ def d2v(phi: float, ap: AveragedParams) -> float:
     return barrier + ap.a_minus_c * (c * c - s * s) + c
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Frozen):
     """Critical point of V with its stability classification."""
 
-    phi: float
-    kind: EquilibriumKind
-    v_value: float
-    second_derivative: float
+    __slots__ = ("phi", "kind", "v_value", "second_derivative")
+
+    def __init__(self, phi: float, kind: EquilibriumKind, v_value: float, second_derivative: float):
+        self._freeze(phi, kind, v_value, second_derivative)
 
 
 def _classify(phi: float, ap: AveragedParams, second: float) -> Equilibrium:
@@ -336,13 +333,13 @@ def _find_equilibria_planar(ap: AveragedParams) -> list[Equilibrium]:
     return [_classify(x, ap, d2v(x, ap)) for x in _dedup(phis)]
 
 
-@dataclass(frozen=True)
-class GammaPoint:
+class GammaPoint(Frozen):
     """Point of the critical curve, parametrised by the degenerate angle phi."""
 
-    phi: float
-    a_minus_c: float
-    b: float
+    __slots__ = ("phi", "a_minus_c", "b")
+
+    def __init__(self, phi: float, a_minus_c: float, b: float):
+        self._freeze(phi, a_minus_c, b)
 
 
 def gamma_point(phi: float) -> GammaPoint:

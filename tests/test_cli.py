@@ -41,6 +41,16 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def run_fresh(argv, *python_flags):
+    """``python -m pendulum_vib.cli argv`` in a new interpreter, on this checkout."""
+    src = str(Path(pendulum_vib.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "pendulum_vib.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_moments_vertical(tmp_path, capsys):
     path = write(tmp_path, "v.json", VERTICAL_DOC)
     code, out = run(capsys, ["moments", "--excitation", path])
@@ -427,6 +437,24 @@ def test_compare_requires_decreasing_sweep(tmp_path, capsys):
     assert code == 1
 
 
+def test_compare_refuses_a_sweep_of_one_amplitude(tmp_path, capsys, monkeypatch):
+    # one amplitude gives no ratio to check: the sweep used to print
+    # "ratios_phi": [] and "passed": true having checked nothing
+    def sweep(*args):
+        raise AssertionError("a sweep of one amplitude was integrated")
+
+    monkeypatch.setattr(dynamics, "convergence_sweep", sweep)
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code = main(["compare", "--excitation", path, "--eps-sweep", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --eps-sweep needs at least two amplitudes, got 1\n"
+    with pytest.raises(SystemExit):
+        main(["compare", "--help"])
+    assert "at least two strictly decreasing amplitudes" in " ".join(capsys.readouterr().out.split())
+
+
 def test_reproduce_writes_the_figure_data(tmp_path, capsys):
     out_dir = tmp_path / "repro"
     code, out = run(
@@ -511,9 +539,16 @@ def test_package_names_resolve_on_first_access():
         assert getattr(pendulum_vib, name, None) is None
 
 
+def imported_modules(argv) -> set[str]:
+    """Every module a fresh ``pendulum_vib.cli argv`` run imports, which must succeed."""
+    # -X importtime lists on stderr every module the run imports
+    proc = run_fresh(argv, "-X", "importtime")
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_scalar_subcommands_do_not_import_numpy(tmp_path):
-    src = str(Path(pendulum_vib.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     exc = write(tmp_path, "v.json", VERTICAL_DOC)
     for argv in (
         ["domain", "--a-minus-c", "2", "--b", "0.1"],
@@ -521,16 +556,25 @@ def test_scalar_subcommands_do_not_import_numpy(tmp_path):
         ["curve", "--samples", "20"],
         ["moments", "--excitation", exc],
     ):
-        # -X importtime lists on stderr every module the run imports
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "pendulum_vib.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                    if line.startswith("import time:")}
+        imported = imported_modules(argv)
         assert "pendulum_vib.potential" in imported
         assert not {m for m in imported if m.split(".")[0] == "numpy"}, argv
+        # dataclasses imports inspect, ast, dis and tokenize: more than the
+        # rest of the import of a scalar subcommand
+        assert not {"dataclasses", "inspect"} & imported, argv
+        assert ("pendulum_vib.excitation" in imported) == (argv[0] == "moments"), argv
+
+
+def test_array_subcommands_do_not_import_dataclasses(tmp_path):
+    exc = write(tmp_path, "z.json", ZERO_COMPARE_DOC)
+    for argv in (
+        ["portrait", "--a-minus-c", "3.5", "--b", "0.01", "--nx", "8", "--ny", "8",
+         "--out", str(tmp_path / "portrait")],
+        ["compare", "--excitation", exc, "--eps-sweep", "0.02,0.01", "--t-end", "0.2"],
+    ):
+        imported = imported_modules(argv)
+        assert "numpy" in imported and "pendulum_vib.potential" in imported
+        assert "dataclasses" not in imported, argv
 
 
 def test_unknown_flags_exit_nonzero(capsys):
@@ -541,8 +585,6 @@ def test_unknown_flags_exit_nonzero(capsys):
 def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
     # main shares one parser across calls; two subcommands and then a bad
     # argv, all in this process, print what each prints in a process of its own
-    src = str(Path(pendulum_vib.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argvs = (
         ["domain", "--a-minus-c", "2", "--b", "0.1"],
         ["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
@@ -555,9 +597,35 @@ def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
         except SystemExit as exc:
             code = exc.code
         here = capsys.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "pendulum_vib.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        fresh = run_fresh(argv)
         assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert code == 2 and "--b" in here.err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["compare", "--excitation", "{in_phase}", "--eps-sweep", "0.1,0.05"], 2),
+        (["moments", "--excitation", "{in_phase}"], 2),
+        (["equilibria", "--a-minus-c", "1", "--b", "-1"], 1),
+        (["moments", "--excitation", "{missing}"], 1),
+        (["compare", "--excitation", "{missing}", "--eps-sweep", "0.1,0.05"], 1),
+    ],
+)
+def test_exit_codes_are_the_same_in_process_and_in_a_fresh_one(tmp_path, capsys, argv, expected):
+    # a fresh process loads excitation only in moments and compare, or when
+    # main handles an error that may be its symmetry violation
+    paths = {"in_phase": write(tmp_path, "p.json", IN_PHASE_DOC),
+             "missing": str(tmp_path / "missing.json")}
+    argv = [a.format(**paths) for a in argv]
+    code = main(argv)
+    here = capsys.readouterr()
+    fresh = run_fresh(argv)
+    assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == expected
+    if expected == 1:
+        assert here.out == "" and here.err.startswith("error: ")
+    elif argv[0] == "compare":
+        assert here.err == "" and json.loads(here.out)["error"] == "symmetry violation"
+    else:
+        assert here.err == "" and json.loads(here.out)["symmetry"]["passed"] is False

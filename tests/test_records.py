@@ -1,0 +1,157 @@
+"""Value semantics of the package's records: equality, hash, repr, immutability.
+
+The scalar records compare, hash and print by their fields; the array-holding
+ones (PortraitGrid, LevelContours, Trajectory) compare by identity.  No
+record accepts assignment after construction.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from pendulum_vib import (
+    AveragedParams,
+    ComparisonReport,
+    Equilibrium,
+    Excitation,
+    GammaPoint,
+    HarmonicSeries,
+    LevelContours,
+    MomentMatrix,
+    PhysicalParams,
+    SymmetryReport,
+    Trajectory,
+    build_grid,
+    check_symmetry,
+    find_equilibria,
+)
+
+
+def _value_records():
+    """Factories of the value records; each call builds a fresh, equal object."""
+    return [
+        lambda: AveragedParams(2.0, 0.1),
+        lambda: PhysicalParams(m=2.0, l=0.5),
+        lambda: Equilibrium(0.5, "stable", -0.25, 1.5),
+        lambda: GammaPoint(phi=3.0, a_minus_c=1.5, b=0.25),
+        lambda: HarmonicSeries((0.35,), [0.0, 0.12]),
+        lambda: Excitation(0.1, 2.0, xi=HarmonicSeries(sine_coeffs=(1.0,))),
+        lambda: MomentMatrix([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+        lambda: SymmetryReport(0.0, 0.5, 0.0, 0.0, 1e-9, False),
+        lambda: ComparisonReport(0.1, 10.0, 1e-3, 2e-3, 3e-4),
+    ]
+
+
+@pytest.mark.parametrize("make", _value_records())
+def test_equal_arguments_give_equal_records_with_equal_hashes(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("make", _value_records())
+def test_records_copy_and_pickle_to_equal_records(make):
+    a = make()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a)
+        assert b == a and hash(b) == hash(a)
+
+
+def test_different_fields_or_types_give_unequal_records():
+    assert AveragedParams(2.0, 0.1) != AveragedParams(2.0, 0.1, 1.0)
+    assert AveragedParams(2.0, 0.1) != AveragedParams(2.0, 0.2)
+    assert GammaPoint(3.0, 1.5, 0.25) != Equilibrium(3.0, 1.5, 0.25, 0.0)
+    assert Excitation(0.1, 1.0) != Excitation(0.05, 1.0)
+    assert HarmonicSeries((1.0,)) != HarmonicSeries((), (1.0,))
+    assert AveragedParams(2.0, 0.1) != (2.0, 0.1, 0.0)
+
+
+def test_constructors_take_positional_and_keyword_arguments_with_defaults():
+    assert AveragedParams(1.0, 2.0) == AveragedParams(A=1.0, B=2.0, C=0.0)
+    assert PhysicalParams() == PhysicalParams(1.0, 1.0, 1.0)
+    zero = HarmonicSeries()
+    assert Excitation(0.1, 1.0) == Excitation(epsilon=0.1, omega=1.0, tau=zero, eta=zero, xi=zero)
+    assert HarmonicSeries([1, 2]).cosine_coeffs == (1.0, 2.0)
+    assert MomentMatrix.zero() == MomentMatrix(((0.0,) * 3,) * 3)
+
+
+def test_excitation_equality_and_repr_ignore_the_velocity_table():
+    a = Excitation(0.1, 1.0, tau=HarmonicSeries((0.35,)), eta=HarmonicSeries((), (0.35,)))
+    b = Excitation(0.1, 1.0, tau=HarmonicSeries((0.35,)), eta=HarmonicSeries((), (0.35,)))
+    object.__setattr__(b, "velocity_table", ((), ((), (), ())))
+    assert a.velocity_table != b.velocity_table
+    assert a == b and hash(a) == hash(b)
+    assert "velocity_table" not in repr(a)
+    assert pickle.loads(pickle.dumps(a)).velocity_table == a.velocity_table
+
+
+def test_reprs_name_every_field_in_order():
+    assert repr(AveragedParams(2.0, 0.1)) == "AveragedParams(A=2.0, B=0.1, C=0.0)"
+    assert repr(AveragedParams.from_a_minus_c(-1.5, 0.25)) == "AveragedParams(A=0.0, B=0.25, C=1.5)"
+    assert repr(find_equilibria(AveragedParams(3.5, 0.01))[0]) == (
+        "Equilibrium(phi=0.2185614954770279, kind='stable', v_value=-0.7875842187965022, "
+        "second_derivative=17.294813907989806)"
+    )
+    assert repr(Excitation(0.1, 2.0, xi=HarmonicSeries(sine_coeffs=(1.0,)))) == (
+        "Excitation(epsilon=0.1, omega=2.0, "
+        "tau=HarmonicSeries(cosine_coeffs=(), sine_coeffs=()), "
+        "eta=HarmonicSeries(cosine_coeffs=(), sine_coeffs=()), "
+        "xi=HarmonicSeries(cosine_coeffs=(), sine_coeffs=(1.0,)))"
+    )
+    assert repr(PhysicalParams()) == "PhysicalParams(m=1.0, l=1.0, g=1.0)"
+    assert repr(check_symmetry(MomentMatrix.zero())) == (
+        "SymmetryReport(diag_residual=0.0, tau_eta=0.0, tau_xi=0.0, eta_xi=0.0, tol=1e-09, "
+        "passed=True)"
+    )
+    assert repr(MomentMatrix.zero()) == (
+        "MomentMatrix(m=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))"
+    )
+
+
+def _all_records():
+    grid = build_grid(AveragedParams(3.5, 0.01), nx=8, ny=8)
+    t = np.array([0.0, 1.0])
+    return [make() for make in _value_records()] + [
+        grid,
+        LevelContours(0.5, (np.zeros((2, 2)),), False),
+        Trajectory(t, np.zeros((2, 4))),
+    ]
+
+
+FIRST_FIELD = {
+    "AveragedParams": "A", "PhysicalParams": "m", "Equilibrium": "phi", "GammaPoint": "phi",
+    "HarmonicSeries": "cosine_coeffs", "Excitation": "epsilon", "MomentMatrix": "m",
+    "SymmetryReport": "diag_residual", "ComparisonReport": "epsilon", "PortraitGrid": "phi",
+    "LevelContours": "level", "Trajectory": "t",
+}
+
+
+@pytest.mark.parametrize("record", _all_records(), ids=lambda r: type(r).__name__)
+def test_records_refuse_assignment(record):
+    name = FIRST_FIELD[type(record).__name__]
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1.0
+    assert getattr(record, name) is before
+
+
+def test_array_records_compare_by_identity():
+    ap = AveragedParams(3.5, 0.01)
+    g1, g2 = build_grid(ap, nx=8, ny=8), build_grid(ap, nx=8, ny=8)
+    assert g1 == g1 and g1 != g2
+    assert len({g1, g2}) == 2
+    t, y = np.array([0.0, 1.0]), np.zeros((2, 4))
+    a, b = Trajectory(t, y), Trajectory(t, y)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    assert repr(a) == f"Trajectory(t={t!r}, y={y!r})"
+    c = LevelContours(0.5, (), False)
+    assert c != LevelContours(0.5, (), False)
