@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 bad input or I/O trouble (a trajectory that reaches
 non-finite values included), 2 a scientific check failed (symmetry violation,
 convergence band, impossible equilibrium count).
 All outputs are deterministic functions of the inputs; written JSON re-reads
-and re-emits byte-identically.  The scalar subcommands (moments, equilibria,
-curve, domain) run without numpy: portrait and dynamics, which need it, are
-imported only by the subcommands that use them.  Likewise excitation is
-imported only by moments and compare, and by :func:`main` on an error that
-may be its symmetry violation.
+and re-emits byte-identically.  :func:`main` parses argv once and hands the
+``argparse.Namespace`` to the subcommand, which checks the range of each
+option it reads before it reads or writes any file.  The scalar subcommands
+(moments, equilibria, curve, domain) run without numpy: portrait and
+dynamics, which need it, are imported only by the subcommands that use them.
+Likewise excitation is imported only by moments and compare.
 """
 
 from __future__ import annotations
@@ -43,62 +44,6 @@ MAX_GRID = 4096
 MAX_SAMPLES = 10**6
 
 
-class RunConfig:
-    """Validated per-invocation options shared by the subcommands.
-
-    The class attributes are the defaults; :meth:`from_args` sets on the
-    instance each option given.
-    """
-
-    phys: PhysicalParams = PhysicalParams()
-    p_alpha: float = 0.0
-    tol: float = 1e-9
-    excitation_path: str | None = None
-    out: str | None = None
-    a_minus_c: float = 0.0
-    b: float = 0.0
-    nx: int = 512
-    ny: int = 512
-    p_max: float | None = None
-    eps_sweep: tuple[float, ...] = ()
-    t_end: float = 10.0
-    initial: tuple[float, float, float, float] = (2.0, 0.0, 0.0, 0.3)
-    samples: int = 500
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "phys", None):
-            m, l, g = _parse_float_list(args.phys, expect=3, what="--phys")
-            cfg.phys = PhysicalParams(m, l, g)
-        for name in ("p_alpha", "tol", "excitation", "out", "a_minus_c", "b",
-                     "nx", "ny", "p_max", "t_end", "samples"):
-            attr = "excitation_path" if name == "excitation" else name
-            if getattr(args, name, None) is not None:
-                setattr(cfg, attr, getattr(args, name))
-        if not (0.0 < cfg.tol < math.inf):
-            raise ValueError("--tol must be positive and finite")
-        for name in ("nx", "ny"):
-            n = getattr(cfg, name)
-            if not (2 <= n <= MAX_GRID):
-                raise ValueError(f"--{name} must be between 2 and {MAX_GRID}, got {n}")
-        if not (2 <= cfg.samples <= MAX_SAMPLES):
-            raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}, got {cfg.samples}")
-        if getattr(args, "eps_sweep", None):
-            sweep = _parse_float_list(args.eps_sweep, what="--eps-sweep")
-            # one amplitude gives no ratio to check, and the sweep would pass vacuously
-            if len(sweep) < 2:
-                raise ValueError(f"--eps-sweep needs at least two amplitudes, got {len(sweep)}")
-            if any(x <= 0.0 for x in sweep):
-                raise ValueError("--eps-sweep entries must be positive")
-            if any(b >= a for a, b in zip(sweep, sweep[1:])):
-                raise ValueError("--eps-sweep must be strictly decreasing")
-            cfg.eps_sweep = tuple(sweep)
-        if getattr(args, "initial", None):
-            cfg.initial = tuple(_parse_float_list(args.initial, expect=4, what="--initial"))
-        return cfg
-
-
 def _parse_float_list(text: str, expect: int | None = None, what: str = "list") -> list[float]:
     try:
         values = [float(x) for x in text.split(",")]
@@ -128,15 +73,26 @@ def _emit_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def _residuals(rep) -> dict:
+    """The residuals of a symmetry report, as its JSON documents list them."""
+    return {
+        "diag": rep.diag_residual,
+        "tau_eta": rep.tau_eta,
+        "tau_xi": rep.tau_xi,
+        "eta_xi": rep.eta_xi,
+    }
+
+
+def cmd_moments(args: argparse.Namespace) -> int:
+    phys = PhysicalParams(*_parse_float_list(args.phys, expect=3, what="--phys"))
+    if not (0.0 < args.tol < math.inf):
+        raise ValueError("--tol must be positive and finite")
     from .excitation import check_symmetry, load_excitation, velocity_moments
 
-    if cfg.excitation_path is None:
-        raise ValueError("--excitation is required")
-    e = load_excitation(cfg.excitation_path)
+    e = load_excitation(args.excitation)
     mm = velocity_moments(e)
-    rep = check_symmetry(mm, cfg.tol)
-    ap = averaged_params(mm, cfg.p_alpha, cfg.phys)
+    rep = check_symmetry(mm, args.tol)
+    ap = averaged_params(mm, args.p_alpha, phys)
     doc = {
         "moments": {
             "tau_tau": mm.tau_tau,
@@ -152,21 +108,16 @@ def cmd_moments(cfg: RunConfig) -> int:
         "symmetry": {
             "passed": rep.passed,
             "tol": rep.tol,
-            "residuals": {
-                "diag": rep.diag_residual,
-                "tau_eta": rep.tau_eta,
-                "tau_xi": rep.tau_xi,
-                "eta_xi": rep.eta_xi,
-            },
+            "residuals": _residuals(rep),
         },
     }
-    _emit_json(doc, cfg.out)
+    _emit_json(doc, args.out)
     return EXIT_OK if rep.passed else EXIT_SCIENCE
 
 
-def cmd_equilibria(cfg: RunConfig) -> int:
-    ap = AveragedParams.from_a_minus_c(cfg.a_minus_c, cfg.b)
-    _emit_json(equilibrium_report(ap), cfg.out)
+def cmd_equilibria(args: argparse.Namespace) -> int:
+    ap = AveragedParams.from_a_minus_c(args.a_minus_c, args.b)
+    _emit_json(equilibrium_report(ap), args.out)
     return EXIT_OK
 
 
@@ -185,28 +136,34 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 def _gamma_csv(samples: int) -> str:
     """The critical curve at ``samples`` values of phi in (pi/2, pi], as CSV."""
+    if not (2 <= samples <= MAX_SAMPLES):
+        raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}, got {samples}")
     return gamma_curve_to_csv(gamma_curve(_linspace(0.5 * math.pi + 1e-3, math.pi, samples)))
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    _emit_text(_gamma_csv(cfg.samples), cfg.out)
+def cmd_curve(args: argparse.Namespace) -> int:
+    _emit_text(_gamma_csv(args.samples), args.out)
     return EXIT_OK
 
 
-def cmd_domain(cfg: RunConfig) -> int:
-    ap = AveragedParams.from_a_minus_c(cfg.a_minus_c, cfg.b)
+def cmd_domain(args: argparse.Namespace) -> int:
+    ap = AveragedParams.from_a_minus_c(args.a_minus_c, args.b)
     label = classify_domain(ap)
-    doc = {"params": {"a_minus_c": cfg.a_minus_c, "b": cfg.b}, "domain": label}
-    _emit_json(doc, cfg.out)
+    doc = {"params": {"a_minus_c": args.a_minus_c, "b": args.b}, "domain": label}
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
-def _build_portrait(a_minus_c: float, b: float, cfg: RunConfig):
+def _build_portrait(a_minus_c: float, b: float, args: argparse.Namespace):
     """The validated energy grid and its level sets; nothing is written."""
+    for name in ("nx", "ny"):
+        n = getattr(args, name)
+        if not (2 <= n <= MAX_GRID):
+            raise ValueError(f"--{name} must be between 2 and {MAX_GRID}, got {n}")
     from .portrait import build_grid, extract_contours
 
     ap = AveragedParams.from_a_minus_c(a_minus_c, b)
-    grid = build_grid(ap, nx=cfg.nx, ny=cfg.ny, p_max=cfg.p_max)
+    grid = build_grid(ap, nx=args.nx, ny=args.ny, p_max=args.p_max)
     return grid, extract_contours(grid)
 
 
@@ -222,9 +179,9 @@ def _write_portrait(portrait, out_dir: Path) -> None:
         print(f"equilibrium phi={eq.phi:.6f} kind={eq.kind} V={eq.v_value:.6f}")
 
 
-def cmd_portrait(cfg: RunConfig) -> int:
-    portrait = _build_portrait(cfg.a_minus_c, cfg.b, cfg)
-    _write_portrait(portrait, Path(cfg.out) if cfg.out else Path("."))
+def cmd_portrait(args: argparse.Namespace) -> int:
+    portrait = _build_portrait(args.a_minus_c, args.b, args)
+    _write_portrait(portrait, Path(args.out) if args.out else Path("."))
     return EXIT_OK
 
 
@@ -249,26 +206,42 @@ def _ratio_verdict(errors: list[float]) -> tuple[list[float], bool]:
     return ratios, ok
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    from .excitation import Excitation, load_excitation
+def cmd_compare(args: argparse.Namespace) -> int:
+    sweep = _parse_float_list(args.eps_sweep, what="--eps-sweep")
+    # one amplitude gives no ratio to check, and the sweep would pass vacuously
+    if len(sweep) < 2:
+        raise ValueError(f"--eps-sweep needs at least two amplitudes, got {len(sweep)}")
+    if any(x <= 0.0 for x in sweep):
+        raise ValueError("--eps-sweep entries must be positive")
+    if any(b >= a for a, b in zip(sweep, sweep[1:])):
+        raise ValueError("--eps-sweep must be strictly decreasing")
+    initial = _parse_float_list(args.initial, expect=4, what="--initial")
+    from .excitation import Excitation, check_symmetry, load_excitation, velocity_moments
 
-    if cfg.excitation_path is None:
-        raise ValueError("--excitation is required")
-    if not cfg.eps_sweep:
-        raise ValueError("--eps-sweep is required")
-    e = load_excitation(cfg.excitation_path)
+    e = load_excitation(args.excitation)
     # a span shorter than one fast period of the largest epsilon cannot show
     # the averaging error: its errors can all sit below ERROR_FLOOR, where no
     # ratio is checked, and the sweep would pass having shown nothing
-    period = Excitation(cfg.eps_sweep[0], e.omega, e.tau, e.eta, e.xi).fast_period
-    if cfg.t_end < period:
+    period = Excitation(sweep[0], e.omega, e.tau, e.eta, e.xi).fast_period
+    if args.t_end < period:
         raise ValueError(
-            f"--t-end {cfg.t_end!r} is shorter than one fast period ({period!r}) "
-            f"of the largest epsilon {cfg.eps_sweep[0]!r}"
+            f"--t-end {args.t_end!r} is shorter than one fast period ({period!r}) "
+            f"of the largest epsilon {sweep[0]!r}"
         )
-    from .dynamics import FullState, convergence_sweep
+    # the moments do not depend on epsilon: one check covers the whole sweep
+    rep = check_symmetry(velocity_moments(e))
+    if not rep.passed:
+        doc = {"error": "symmetry violation", "residuals": _residuals(rep), "tol": rep.tol}
+        sys.stdout.write(_json_text(doc))
+        return EXIT_SCIENCE
+    from .dynamics import FullState, IntegrationBlowUpError, convergence_sweep
 
-    report = convergence_sweep(e, cfg.eps_sweep, FullState(*cfg.initial), cfg.t_end)
+    try:
+        report = convergence_sweep(e, sweep, FullState(*initial), args.t_end)
+    except IntegrationBlowUpError as exc:
+        # the input is beyond the range of states the integrator can carry
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     ratios_phi, phi_ok = _ratio_verdict(report["max_err_phi"])
     ratios_drift, drift_ok = _ratio_verdict(report["p_alpha_drift"])
     doc = dict(report)
@@ -278,24 +251,24 @@ def cmd_compare(cfg: RunConfig) -> int:
     doc["ratios_p_alpha"] = [r if math.isfinite(r) else None for r in ratios_drift]
     doc["band"] = list(CONVERGENCE_BAND)
     doc["passed"] = bool(phi_ok and drift_ok)
-    _emit_json(doc, cfg.out)
+    _emit_json(doc, args.out)
     return EXIT_OK if doc["passed"] else EXIT_SCIENCE
 
 
-def cmd_reproduce(cfg: RunConfig) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> int:
     # everything that can fail on the input runs before the directory is made
-    gamma_text = _gamma_csv(cfg.samples)
+    gamma_text = _gamma_csv(args.samples)
     lines = ["a_minus_c,b,domain"]
     for amc in _linspace(-1.0, 4.0, 41):
         for b in _linspace(0.05, 1.5, 30):
             label = classify_domain(AveragedParams.from_a_minus_c(amc, b))
             lines.append(f"{amc!r},{b!r},{label}")
     portraits = {
-        name: _build_portrait(amc, b, cfg)
+        name: _build_portrait(amc, b, args)
         for name, amc, b in (("domain_I", 0.0, 0.1), ("domain_II", 3.5, 0.01))
     }
 
-    out_dir = Path(cfg.out) if cfg.out else Path("reproduction")
+    out_dir = Path(args.out) if args.out else Path("reproduction")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "gamma.csv").write_text(gamma_text, encoding="utf-8")
     print(f"wrote {out_dir / 'gamma.csv'}")
@@ -327,90 +300,69 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    # argparse converts a string default with the option's type, as if it
+    # were given on the command line, and help prints it as written here
     p = add("moments", cmd_moments, "velocity moments, (A, B, C) and the symmetry verdict")
     p.add_argument("--excitation", required=True, help="path to an excitation JSON file")
-    p.add_argument("--p-alpha", dest="p_alpha", type=float, help="azimuthal momentum (default 0)")
-    p.add_argument("--phys", help="physical parameters m,l,g (default 1,1,1)")
-    p.add_argument("--tol", type=float, help="symmetry tolerance (default 1e-9)")
+    p.add_argument("--p-alpha", type=float, default="0",
+                   help="azimuthal momentum (default %(default)s)")
+    p.add_argument("--phys", default="1,1,1",
+                   help="physical parameters m,l,g (default %(default)s)")
+    p.add_argument("--tol", type=float, default="1e-9",
+                   help="symmetry tolerance (default %(default)s)")
     p.add_argument("--out", help="also write the JSON report to this file")
 
     p = add("equilibria", cmd_equilibria, "equilibria of the effective potential")
-    p.add_argument("--a-minus-c", dest="a_minus_c", type=float, required=True)
+    p.add_argument("--a-minus-c", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--out")
 
     p = add("curve", cmd_curve, "parametric critical curve as CSV")
-    p.add_argument("--samples", type=int, help="number of phi samples (default 500)")
+    p.add_argument("--samples", type=int, default=500,
+                   help="number of phi samples (default %(default)s)")
     p.add_argument("--out")
 
     p = add("domain", cmd_domain, "parameter-plane domain label (B > 0)")
-    p.add_argument("--a-minus-c", dest="a_minus_c", type=float, required=True)
+    p.add_argument("--a-minus-c", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--out")
 
     p = add("portrait", cmd_portrait, "phase-portrait grid, contours and SVG")
-    p.add_argument("--a-minus-c", dest="a_minus_c", type=float, required=True)
+    p.add_argument("--a-minus-c", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--p-max", dest="p_max", type=float)
+    p.add_argument("--nx", type=int, default=512)
+    p.add_argument("--ny", type=int, default=512)
+    p.add_argument("--p-max", type=float)
     p.add_argument("--out", help="output directory (default current)")
 
     p = add("compare", cmd_compare, "full vs averaged convergence experiment")
     p.add_argument("--excitation", required=True)
-    p.add_argument("--eps-sweep", dest="eps_sweep", required=True,
+    p.add_argument("--eps-sweep", required=True,
                    help="at least two strictly decreasing amplitudes, e.g. 0.1,0.05,0.025")
-    p.add_argument("--t-end", dest="t_end", type=float, help="time horizon (default 10)")
-    p.add_argument("--initial", help="phi,alpha,p_phi,p_alpha (default 2,0,0,0.3)")
+    p.add_argument("--t-end", type=float, default="10",
+                   help="time horizon (default %(default)s)")
+    p.add_argument("--initial", default="2,0,0,0.3",
+                   help="phi,alpha,p_phi,p_alpha (default %(default)s)")
     p.add_argument("--out")
 
     p = add("reproduce", cmd_reproduce, "regenerate curve, domain sweep and both portraits")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--p-max", dest="p_max", type=float)
+    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--nx", type=int, default=512)
+    p.add_argument("--ny", type=int, default=512)
+    p.add_argument("--p-max", type=float)
     p.add_argument("--out", help="output directory (default reproduction)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(cfg)
+        return args.func(args)
     except InconsistentCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCIENCE
     except (OSError, ValueError) as exc:
-        # compare raises SymmetryViolationError, a ValueError; imported here,
-        # excitation costs the scalar subcommands nothing unless they fail
-        from .excitation import SymmetryViolationError
-
-        if isinstance(exc, SymmetryViolationError):
-            rep = exc.report
-            doc = {
-                "error": "symmetry violation",
-                "residuals": {
-                    "diag": rep.diag_residual,
-                    "tau_eta": rep.tau_eta,
-                    "tau_xi": rep.tau_xi,
-                    "eta_xi": rep.eta_xi,
-                },
-                "tol": rep.tol,
-            }
-            sys.stdout.write(_json_text(doc))
-            return EXIT_SCIENCE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        # dynamics, which needs numpy, is already loaded if compare raised this
-        from .dynamics import IntegrationBlowUpError
-
-        if not isinstance(exc, IntegrationBlowUpError):
-            raise
-        # the input is beyond the range of states the integrator can carry
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -220,6 +220,10 @@ def velocity_moments(e: Excitation) -> MomentMatrix:
     for i in range(3):
         for j in range(i, 3):
             m[i][j] = m[j][i] = w2 * _series_cross_moment(axes[i], axes[j])
+    # omega^2 or a coefficient product past the float range is inf, and
+    # inf * 0 puts NaN off the diagonal
+    if not all(math.isfinite(x) for row in m for x in row):
+        raise ValueError(f"velocity moments overflow the float range at omega = {e.omega!r}")
     return MomentMatrix(m)
 
 
@@ -265,12 +269,36 @@ def check_symmetry(mm: MomentMatrix, tol: float = DEFAULT_SYMMETRY_TOL) -> Symme
     return SymmetryReport(diag, te, tx, ex, tol, passed)
 
 
-def _series_from_dict(doc: dict | None) -> HarmonicSeries:
+def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    # a misspelt key would otherwise read as a missing one, that is as zero
+    for key in doc:
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown key {key!r}, expected one of {', '.join(allowed)}")
+
+
+def _number(value, what: str) -> float:
+    # json gives a number as int or float; bool is an int to Python alone
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float")
+
+
+def _series_from_dict(doc: dict | None, axis: str) -> HarmonicSeries:
     if doc is None:
         return HarmonicSeries()
     if not isinstance(doc, dict):
         raise ValueError("axis entry must be an object with 'cos'/'sin' lists")
-    return HarmonicSeries(tuple(doc.get("cos", ())), tuple(doc.get("sin", ())))
+    _check_keys(doc, ("cos", "sin"), f"axis {axis!r}")
+    coeffs = []
+    for key in ("cos", "sin"):
+        values = doc.get(key, [])
+        if not isinstance(values, list):
+            raise ValueError(f"{axis}.{key} must be a JSON array of numbers, got {values!r}")
+        coeffs.append(tuple(_number(x, f"{axis}.{key}[{k}]") for k, x in enumerate(values)))
+    return HarmonicSeries(*coeffs)
 
 
 def excitation_from_dict(doc: dict) -> Excitation:
@@ -278,20 +306,22 @@ def excitation_from_dict(doc: dict) -> Excitation:
 
     Schema: ``{"epsilon": r, "omega": r, "tau": {"cos": [...], "sin": [...]},
     "eta": {...}, "xi": {...}}``; missing axes default to the zero series.
+    Any other key is refused, and so is a value of ``epsilon``, ``omega`` or
+    a coefficient that is not a JSON number (a string or ``true`` included).
     """
     if not isinstance(doc, dict):
         raise ValueError("excitation document must be a JSON object")
+    _check_keys(doc, ("epsilon", "omega", "tau", "eta", "xi"), "excitation document")
     try:
-        epsilon = float(doc["epsilon"])
-        omega = float(doc["omega"])
-    except (KeyError, TypeError, ValueError) as exc:
+        epsilon, omega = doc["epsilon"], doc["omega"]
+    except KeyError as exc:
         raise ValueError(f"excitation document needs numeric 'epsilon' and 'omega': {exc}")
     return Excitation(
-        epsilon=epsilon,
-        omega=omega,
-        tau=_series_from_dict(doc.get("tau")),
-        eta=_series_from_dict(doc.get("eta")),
-        xi=_series_from_dict(doc.get("xi")),
+        epsilon=_number(epsilon, "epsilon"),
+        omega=_number(omega, "omega"),
+        tau=_series_from_dict(doc.get("tau"), "tau"),
+        eta=_series_from_dict(doc.get("eta"), "eta"),
+        xi=_series_from_dict(doc.get("xi"), "xi"),
     )
 
 

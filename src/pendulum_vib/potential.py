@@ -52,7 +52,6 @@ __all__ = [
     "equilibrium_report",
 ]
 
-DEDUP_TOL = 1e-9
 # Relative distance |B - B*| / B* to gamma within which a point is "boundary".
 BOUNDARY_REL = 1e-12
 # the bisection variables, as named in error messages
@@ -178,14 +177,6 @@ def _classify(phi: float, ap: AveragedParams, second: float) -> Equilibrium:
     else:
         kind = "unstable"
     return Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second)
-
-
-def _dedup(values: list[float], tol: float = DEDUP_TOL) -> list[float]:
-    out: list[float] = []
-    for x in sorted(values):
-        if not out or x - out[-1] > tol:
-            out.append(x)
-    return out
 
 
 def _fold(a: float) -> tuple[float, float]:
@@ -326,11 +317,11 @@ def _phi(w: float, sign: float) -> float:
 def _find_equilibria_planar(ap: AveragedParams) -> list[Equilibrium]:
     # B = 0: dV = sin(phi) ((A - C) cos(phi) + 1).  Poles are equilibria with
     # limiting curvatures (A - C) + 1 at phi = 0 and (A - C) - 1 at phi = pi.
+    # The third root acos(-1 / (A - C)) is a pole at |A - C| == 1, and for any
+    # float beyond it lies at least ~2e-8 from both (at A - C = nextafter(±1, ±2)).
     amc = ap.a_minus_c
-    phis = [0.0, math.pi]
-    if abs(amc) >= 1.0:
-        phis.append(math.acos(-1.0 / amc))
-    return [_classify(x, ap, d2v(x, ap)) for x in _dedup(phis)]
+    phis = [0.0, math.acos(-1.0 / amc), math.pi] if abs(amc) > 1.0 else [0.0, math.pi]
+    return [_classify(x, ap, d2v(x, ap)) for x in phis]
 
 
 class GammaPoint(Frozen):

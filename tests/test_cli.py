@@ -99,6 +99,63 @@ def test_moments_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # read as the coefficients [1, 2]
+        '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": "12"}}',
+        # an unknown axis, or axis key, would read as a zero series
+        '{"epsilon": 0.1, "omega": 1.0, "vertical": {"sin": [1.0]}}',
+        '{"epsilon": 0.1, "omega": 1.0, "xi": {"sine": [1.0]}}',
+        '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [[1.0]]}}',
+        '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [null]}}',
+        '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": 5}}',
+        '{"epsilon": "0.1", "omega": 1.0}',
+        '{"epsilon": 0.1, "omega": true}',
+        # a JSON integer past the float range
+        '{"epsilon": 0.1, "omega": 1.0, "xi": {"sin": [1' + "0" * 400 + ']}}',
+    ],
+    ids=["string", "unknown-axis", "unknown-axis-key", "nested-list", "null", "scalar",
+         "string-epsilon", "bool-omega", "huge-int"],
+)
+def test_moments_refuses_an_excitation_off_the_schema(tmp_path, capsys, doc):
+    path = write(tmp_path, "x.json", doc)
+    code = main(["moments", "--excitation", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["compare", "--eps-sweep", "0.1,0.05"]])
+def test_moments_that_overflow_are_refused_as_such(tmp_path, capsys, argv):
+    # omega^2 is inf, and inf * 0 puts NaN off the diagonal: not an asymmetry
+    path = write(tmp_path, "x.json", '{"epsilon": 0.1, "omega": 1e200, "xi": {"sin": [1.0]}}')
+    code = main([argv[0], "--excitation", path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: velocity moments overflow")
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--phys", ["moments", "--phys", ""]),
+        ("--initial", ["compare", "--eps-sweep", "0.1,0.05", "--initial", ""]),
+        ("--eps-sweep", ["compare", "--eps-sweep", ""]),
+    ],
+)
+def test_an_empty_list_option_is_refused(tmp_path, capsys, option, argv):
+    # an empty list holds no numbers; it does not ask for the default
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code = main([argv[0], "--excitation", path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: expected comma-separated numbers, got ''\n"
+
+
 def test_equilibria_planar_three(capsys):
     code, out = run(capsys, ["equilibria", "--a-minus-c", "2", "--b", "0"])
     doc = json.loads(out)
@@ -577,6 +634,19 @@ def test_array_subcommands_do_not_import_dataclasses(tmp_path):
         assert "dataclasses" not in imported, argv
 
 
+def test_a_failing_scalar_subcommand_imports_neither_excitation_nor_numpy():
+    # main reports an error with what is loaded already
+    proc = run_fresh(["equilibria", "--a-minus-c", "1", "--b", "-1"], "-X", "importtime")
+    lines = proc.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert [line for line in lines if not line.startswith("import time:")][0].startswith("error: ")
+    assert "pendulum_vib.potential" in imported
+    assert "pendulum_vib.excitation" not in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
 def test_unknown_flags_exit_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["domain", "--a-minus-c", "1"])  # missing --b
@@ -613,8 +683,7 @@ def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
     ],
 )
 def test_exit_codes_are_the_same_in_process_and_in_a_fresh_one(tmp_path, capsys, argv, expected):
-    # a fresh process loads excitation only in moments and compare, or when
-    # main handles an error that may be its symmetry violation
+    # a fresh process loads excitation only in moments and compare
     paths = {"in_phase": write(tmp_path, "p.json", IN_PHASE_DOC),
              "missing": str(tmp_path / "missing.json")}
     argv = [a.format(**paths) for a in argv]

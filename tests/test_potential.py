@@ -110,9 +110,20 @@ def test_planar_tilted_equilibrium_for_strong_horizontal():
 
 
 def test_planar_threshold_is_degenerate():
-    eqs = find_equilibria(AveragedParams.from_a_minus_c(1.0, 0.0))
-    top = [eq for eq in eqs if eq.phi == math.pi]
-    assert len(top) == 1 and top[0].kind == "degenerate"
+    # at |A - C| == 1 the third root acos(-1 / (A - C)) is the pole itself;
+    # one float further out it is a root of its own, ~2e-8 from the pole
+    for amc, pole in (
+        (1.0, math.pi),
+        (-1.0, 0.0),
+        (math.nextafter(1.0, 2.0), math.pi),
+        (math.nextafter(-1.0, -2.0), 0.0),
+    ):
+        eqs = find_equilibria(AveragedParams.from_a_minus_c(amc, 0.0))
+        top = [eq for eq in eqs if eq.phi == pole]
+        assert len(top) == 1 and top[0].kind == "degenerate", amc
+        phis = [eq.phi for eq in eqs]
+        assert phis == sorted(set(phis)), amc
+        assert len(phis) == (2 if abs(amc) == 1.0 else 3), amc
 
 
 def test_degenerate_equilibrium_on_critical_curve():
