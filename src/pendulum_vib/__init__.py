@@ -7,7 +7,7 @@ the averaging step against the full time-dependent flow.
 
 The names below are imported from their module on first access (PEP 562),
 so ``import pendulum_vib`` loads none of the package's modules, and numpy
-comes in only with ``dynamics`` or ``portrait``.
+comes in only with ``portrait`` or a read of ``Trajectory.t`` or ``.y``.
 """
 
 import importlib

@@ -6,10 +6,11 @@ convergence band, impossible equilibrium count).
 All outputs are deterministic functions of the inputs; written JSON re-reads
 and re-emits byte-identically.  :func:`main` parses argv once and hands the
 ``argparse.Namespace`` to the subcommand, which checks the range of each
-option it reads before it reads or writes any file.  The scalar subcommands
-(moments, equilibria, curve, domain) run without numpy: portrait and
-dynamics, which need it, are imported only by the subcommands that use them.
-Likewise excitation is imported only by moments and compare.
+option it reads before it reads or writes any file.  Only portrait, and a
+read of ``Trajectory.t`` or ``.y``, loads numpy; portrait and dynamics are
+imported only by the subcommands that use them, so every subcommand but
+portrait and reproduce runs without numpy.  Likewise excitation is imported
+only by moments and compare.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if any(b >= a for a, b in zip(sweep, sweep[1:])):
         raise ValueError("--eps-sweep must be strictly decreasing")
     initial = _parse_float_list(args.initial, expect=4, what="--initial")
-    from .excitation import Excitation, check_symmetry, load_excitation, velocity_moments
+    from .excitation import Excitation, SymmetryViolationError, load_excitation
 
     e = load_excitation(args.excitation)
     # a span shorter than one fast period of the largest epsilon cannot show
@@ -228,16 +229,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"--t-end {args.t_end!r} is shorter than one fast period ({period!r}) "
             f"of the largest epsilon {sweep[0]!r}"
         )
-    # the moments do not depend on epsilon: one check covers the whole sweep
-    rep = check_symmetry(velocity_moments(e))
-    if not rep.passed:
-        doc = {"error": "symmetry violation", "residuals": _residuals(rep), "tol": rep.tol}
-        sys.stdout.write(_json_text(doc))
-        return EXIT_SCIENCE
     from .dynamics import FullState, IntegrationBlowUpError, convergence_sweep
 
     try:
         report = convergence_sweep(e, sweep, FullState(*initial), args.t_end)
+    except SymmetryViolationError as exc:
+        # raised before the first integration step
+        rep = exc.report
+        doc = {"error": "symmetry violation", "residuals": _residuals(rep), "tol": rep.tol}
+        sys.stdout.write(_json_text(doc))
+        return EXIT_SCIENCE
     except IntegrationBlowUpError as exc:
         # the input is beyond the range of states the integrator can carry
         print(f"error: {exc}", file=sys.stderr)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from itertools import repeat
+from operator import sub
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._frozen import Frozen
 from .excitation import (
@@ -35,6 +35,9 @@ from .potential import (
     averaged_params,
     dv,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FullState",
@@ -211,15 +214,33 @@ class IntegrationBlowUpError(RuntimeError):
 class Trajectory(Frozen):
     """States recorded at every accepted step of a fixed-step integration.
 
-    Compared by identity: its fields are arrays.
+    ``ts`` holds the times and ``ys`` the states, one row of the state's
+    width per time, both as the flat ``array('d')`` buffers that
+    :func:`integrate` fills.  :attr:`t` and :attr:`y` view them as numpy
+    arrays, and only a read of one of them imports numpy.  Compared by
+    identity: its fields are arrays.
     """
 
-    __slots__ = ("t", "y")
+    __slots__ = ("ts", "ys")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, t: np.ndarray, y: np.ndarray):
-        self._freeze(t, y)
+    def __init__(self, ts: array, ys: array):
+        self._freeze(ts, ys)
+
+    @property
+    def t(self) -> np.ndarray:
+        """The times, shape ``(len(ts),)``: a view of ``ts``."""
+        import numpy as np
+
+        return np.frombuffer(self.ts)
+
+    @property
+    def y(self) -> np.ndarray:
+        """The states, shape ``(len(ts), width)``: a view of ``ys``."""
+        import numpy as np
+
+        return np.frombuffer(self.ys).reshape(len(self.ts), -1)
 
 
 def rk4_step(rhs: Rhs, t: float, y: Sequence[float], h: float) -> list[float]:
@@ -289,7 +310,7 @@ def integrate(
         ts.append(t_next)
         ys.extend(y)
         t = t_next
-    return Trajectory(t=np.array(ts), y=np.array(ys).reshape(len(ts), len(y)))
+    return Trajectory(ts, ys)
 
 
 def _finite(y: Sequence[float], t: float) -> Sequence[float]:
@@ -322,7 +343,8 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
     would be alone, and the max-difference norms compare states at
     identical times with no resampling.  The product's RHS is the
     :func:`make_full_rhs` closure on the first four components and
-    :func:`reduced_rhs` on the last two.
+    :func:`reduced_rhs` on the last two.  The norms are read off the flat
+    recorded states, six values a step.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
@@ -336,13 +358,13 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
         return (*full(t, y[:4]), *reduced_rhs(y[4], y[5], ap))
 
     y0 = (*initial, initial.phi, initial.p_phi)
-    y = integrate(rhs, y0, (0.0, t_end), e.fast_period / STEPS_PER_FAST_PERIOD).y
+    ys = integrate(rhs, y0, (0.0, t_end), e.fast_period / STEPS_PER_FAST_PERIOD).ys
     return ComparisonReport(
         epsilon=e.epsilon,
         t_end=t_end,
-        max_err_phi=float(np.max(np.abs(y[:, 0] - y[:, 4]))),
-        max_err_p_phi=float(np.max(np.abs(y[:, 2] - y[:, 5]))),
-        p_alpha_drift=float(np.max(np.abs(y[:, 3] - initial.p_alpha))),
+        max_err_phi=max(map(abs, map(sub, ys[0::6], ys[4::6]))),
+        max_err_p_phi=max(map(abs, map(sub, ys[2::6], ys[5::6]))),
+        p_alpha_drift=max(map(abs, map(sub, ys[3::6], repeat(initial.p_alpha)))),
     )
 
 
@@ -355,6 +377,8 @@ def convergence_sweep(
     """Run :func:`compare_full_averaged` for each amplitude scale.
 
     Returns the JSON-ready report; entries are ordered like ``epsilons``.
+    The moments do not depend on epsilon, so an asymmetric excitation raises
+    :class:`SymmetryViolationError` at the first amplitude, before any step.
     """
     epsilons = [float(x) for x in epsilons]
     reports = [

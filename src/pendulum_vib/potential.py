@@ -113,12 +113,20 @@ def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> Aver
     """Nondimensionalise the moments and azimuthal momentum to (A, B, C).
 
     A = <xi'^2> / (g l), C = <eta'^2> / (g l), B = p_alpha^2 / (m^2 l^3 g);
-    the matching time unit is sqrt(l / g).
+    the matching time unit is sqrt(l / g).  A divisor that underflows to 0 or
+    overflows the float range raises ValueError.
     """
     gl = p.g * p.l
+    try:
+        ml3g = p.m * p.m * p.l ** 3 * p.g
+    except OverflowError:  # float ** raises where * would give inf
+        ml3g = math.inf
+    for name, value in (("g l", gl), ("m^2 l^3 g", ml3g)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} = {value!r} is outside the positive float range for {p!r}")
     return AveragedParams(
         A=mm.xi_xi / gl,
-        B=p_alpha * p_alpha / (p.m * p.m * p.l ** 3 * p.g),
+        B=p_alpha * p_alpha / ml3g,
         C=mm.eta_eta / gl,
     )
 
@@ -147,16 +155,26 @@ def dv(phi: float, ap: AveragedParams) -> float:
 
 
 def d2v(phi: float, ap: AveragedParams) -> float:
-    """Second derivative d2V/dphi2."""
+    """Second derivative d2V/dphi2.
+
+    Its non-barrier part a (c^2 - s^2) + c is written around the nearer
+    pole, as (1 + a) - s^2 (2 a + 1 / (1 + c)) for c >= 0 and
+    (a - 1) - s^2 (2 a - 1 / (1 - c)) for c < 0.  Next to a pole the plain
+    sum cancels and absorbs the barrier: at A - C = -1, where cos phi rounds
+    to 1, it reads 0 while this form gives 1.5 s^2.
+    """
     s = math.sin(phi)
     c = math.cos(phi)
     _check_regular(s, ap.B)
+    s2 = s * s
     if ap.B != 0.0:
-        s2 = s * s
         barrier = 3.0 * ap.B * c * c / (s2 * s2) + ap.B / s2
     else:
         barrier = 0.0
-    return barrier + ap.a_minus_c * (c * c - s * s) + c
+    a = ap.a_minus_c
+    if c >= 0.0:
+        return barrier + ((1.0 + a) - s2 * (2.0 * a + 1.0 / (1.0 + c)))
+    return barrier + ((a - 1.0) - s2 * (2.0 * a - 1.0 / (1.0 - c)))
 
 
 class Equilibrium(Frozen):
@@ -263,10 +281,16 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     pair is one "degenerate" equilibrium at c*.  A bracket without a sign
     change, or a d2V whose sign disagrees with the kind, raises
     :class:`InconsistentCountError`.  For B = 0 the poles are equilibria and
-    the interior ones solve (A - C) cos phi + 1 = 0.
+    the interior ones solve (A - C) cos phi + 1 = 0.  A subnormal B raises
+    ValueError: the minimum next to phi = 0 sits at phi ~ B^(1/4), where
+    sin^4 phi underflows and d2V loses its digits.
     """
     if ap.B == 0.0:
         return _find_equilibria_planar(ap)
+    if ap.B < sys.float_info.min:
+        raise ValueError(
+            f"B = {ap.B!r} is subnormal: equilibria need B = 0 or B >= {sys.float_info.min!r}"
+        )
 
     a, b = ap.a_minus_c, ap.B
     label, r = _domain(a, b)

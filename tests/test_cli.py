@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -125,6 +126,23 @@ def test_moments_refuses_an_excitation_off_the_schema(tmp_path, capsys, doc):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("phys, p_alpha", [
+    ("1e-200,1e-200,1e-200", "0"),  # g l underflows to 0
+    ("1e200,1e200,1e200", "1"),  # g l overflows
+    ("1,1e200,1e-200", "1"),  # g l = 1, but l ** 3 overflows
+])
+def test_moments_refuses_physical_parameters_out_of_the_float_range(
+    tmp_path, capsys, phys, p_alpha
+):
+    # each value is positive and finite, but a divisor of (A, B, C) is not
+    path = write(tmp_path, "v.json", VERTICAL_DOC)
+    code = main(["moments", "--excitation", path, "--phys", phys, "--p-alpha", p_alpha])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "outside the positive float range" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["moments"], ["compare", "--eps-sweep", "0.1,0.05"]])
@@ -596,11 +614,11 @@ def test_package_names_resolve_on_first_access():
         assert getattr(pendulum_vib, name, None) is None
 
 
-def imported_modules(argv) -> set[str]:
-    """Every module a fresh ``pendulum_vib.cli argv`` run imports, which must succeed."""
+def imported_modules(argv, code=0) -> set[str]:
+    """Every module a fresh ``pendulum_vib.cli argv`` run imports, which must exit with code."""
     # -X importtime lists on stderr every module the run imports
     proc = run_fresh(argv, "-X", "importtime")
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
@@ -623,14 +641,20 @@ def test_scalar_subcommands_do_not_import_numpy(tmp_path):
 
 
 def test_array_subcommands_do_not_import_dataclasses(tmp_path):
-    exc = write(tmp_path, "z.json", ZERO_COMPARE_DOC)
-    for argv in (
-        ["portrait", "--a-minus-c", "3.5", "--b", "0.01", "--nx", "8", "--ny", "8",
-         "--out", str(tmp_path / "portrait")],
-        ["compare", "--excitation", exc, "--eps-sweep", "0.02,0.01", "--t-end", "0.2"],
+    # portrait needs numpy; compare integrates and takes its norms on flat
+    # float buffers, and loads numpy neither for a sweep nor for a violation
+    zero = write(tmp_path, "z.json", ZERO_COMPARE_DOC)
+    in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
+    for argv, code in (
+        (["portrait", "--a-minus-c", "3.5", "--b", "0.01", "--nx", "8", "--ny", "8",
+          "--out", str(tmp_path / "portrait")], 0),
+        (["compare", "--excitation", zero, "--eps-sweep", "0.02,0.01", "--t-end", "0.2"], 0),
+        (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05"], 2),
     ):
-        imported = imported_modules(argv)
-        assert "numpy" in imported and "pendulum_vib.potential" in imported
+        imported = imported_modules(argv, code)
+        assert "pendulum_vib.potential" in imported
+        numpy = {m for m in imported if m.split(".")[0] == "numpy"}
+        assert bool(numpy) == (argv[0] == "portrait"), argv
         assert "dataclasses" not in imported, argv
 
 
@@ -645,6 +669,48 @@ def test_a_failing_scalar_subcommand_imports_neither_excitation_nor_numpy():
     assert "pendulum_vib.potential" in imported
     assert "pendulum_vib.excitation" not in imported
     assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+# magnitudes at the edges of the float line; the fuzz below takes each with
+# both signs, and NaN
+EDGE_MAGNITUDES = (
+    0.0, 5e-324, 1e-320, 1e-300, 1e-200, math.nextafter(1.0, 0.0), 1.0,
+    math.nextafter(1.0, 2.0), 3.5, 1e200, 1e300, 4e307, math.inf,
+)
+CORNERS = [v for x in EDGE_MAGNITUDES for v in (x, -x)] + [math.nan]
+
+
+def test_scalar_subcommands_keep_the_exit_code_contract_at_the_float_corners(tmp_path, capsys):
+    # every exit is 0, 1 or 2; exit 1 is an "error:" line and nothing on
+    # stdout; any other exit prints RFC 8259 JSON; no exception escapes main
+    exc = write(tmp_path, "v.json", VERTICAL_DOC)
+    rng = random.Random(20260)
+    positive = [x for x in CORNERS if 0.0 < x < math.inf]
+    argvs = [
+        [command, f"--a-minus-c={a!r}", f"--b={b!r}"]
+        for command in ("equilibria", "domain") for a in CORNERS for b in CORNERS
+    ]
+    # every positive finite m, l, g, and a drawn p_alpha; then draws from all corners
+    phys = [(m, l, g) for m in positive for l in positive for g in positive]
+    phys += [tuple(rng.choice(CORNERS) for _ in range(3)) for _ in range(300)]
+    argvs += [
+        ["moments", "--excitation", exc, "--phys=" + ",".join(map(repr, mlg)),
+         f"--p-alpha={rng.choice(CORNERS)!r}"]
+        for mlg in phys
+    ]
+
+    def no_constants(name):
+        raise ValueError(f"non-RFC JSON constant {name}")
+
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert captured.out == "" and captured.err.startswith("error: "), argv
+        else:
+            assert captured.err == "", argv
+            json.loads(captured.out, parse_constant=no_constants)
 
 
 def test_unknown_flags_exit_nonzero(capsys):

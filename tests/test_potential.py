@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -298,6 +300,57 @@ def test_lone_minimum_at_a_hugely_negative_a_minus_c(amc, b):
     below = sin3_dv(math.nextafter(phi, 0.0), amc, b)
     above = sin3_dv(math.nextafter(phi, math.pi), amc, b)
     assert np.sign(below) != np.sign(above), phi
+
+
+def test_lone_minimum_next_to_the_pole_at_a_minus_c_minus_one():
+    # at A - C = -1 the minimum sits at phi ~ (2 B)^(1/6), where cos phi
+    # rounds to 1 and a (c^2 - s^2) + c, summed as written, cancels to 0 and
+    # absorbs the barrier: d2V read 0.0 and the minimum was refused.  Checked
+    # against sin and cos of the float phi to 250 digits (a few terms of
+    # their series; phi^8 / 8! is far below that), where c (1 - c) survives
+    amc, b = -1.0, 1e-300
+    (eq,) = find_equilibria(AveragedParams.from_a_minus_c(amc, b))
+    assert eq.kind == "stable"
+    with localcontext() as ctx:
+        ctx.prec = 250
+
+        def sin_cos(phi):
+            x, term, s, c = Decimal(phi), Decimal(1), Decimal(0), Decimal(0)
+            for k in range(8):
+                if k % 2:
+                    s += term if k % 4 == 1 else -term
+                else:
+                    c += term if k % 4 == 0 else -term
+                term = term * x / (k + 1)
+            return s, c
+
+        a, bd = Decimal(amc), Decimal(b)
+
+        def dv_exact(phi):
+            s, c = sin_cos(phi)
+            return -bd * c / s ** 3 + a * s * c + s
+
+        s, c = sin_cos(eq.phi)
+        exact = 3 * bd * c * c / s ** 4 + bd / s ** 2 + a * (c * c - s * s) + c
+        assert abs(Decimal(eq.second_derivative) - exact) <= Decimal("1e-14") * exact
+        # dV changes sign one float step either side of phi
+        assert dv_exact(math.nextafter(eq.phi, 0.0)) < 0 < dv_exact(math.nextafter(eq.phi, 1.0))
+
+
+def test_find_equilibria_refuses_a_subnormal_barrier():
+    # the minimum sits at phi ~ B^(1/4), where sin^4 underflows: at 5e-324
+    # the barrier read as singular, and at 1e-320 d2V came back 11.9956 for 12
+    for amc in (0.5, 2.0):
+        for b in (5e-324, 1e-320, math.nextafter(sys.float_info.min, 0.0)):
+            ap = AveragedParams.from_a_minus_c(amc, b)
+            with pytest.raises(ValueError, match=r"subnormal.*2\.2250738585072014e-308"):
+                find_equilibria(ap)
+            # the domain label needs no root, and is still given
+            assert classify_domain(ap) == {0.5: "I", 2.0: "II"}[amc]
+        # at the smallest normal B, B ~ s^4 (1 + A - C), so d2V ~ 3 B / s^4 + (1 + A - C)
+        eq = find_equilibria(AveragedParams.from_a_minus_c(amc, sys.float_info.min))[0]
+        assert eq.kind == "stable"
+        assert eq.second_derivative == pytest.approx(4.0 * (1.0 + amc), rel=1e-6)
 
 
 def test_just_inside_domain_two_near_gamma():

@@ -7,6 +7,7 @@ record accepts assignment after construction.
 
 import copy
 import pickle
+from array import array
 
 import numpy as np
 import pytest
@@ -114,11 +115,10 @@ def test_reprs_name_every_field_in_order():
 
 def _all_records():
     grid = build_grid(AveragedParams(3.5, 0.01), nx=8, ny=8)
-    t = np.array([0.0, 1.0])
     return [make() for make in _value_records()] + [
         grid,
         LevelContours(0.5, (np.zeros((2, 2)),), False),
-        Trajectory(t, np.zeros((2, 4))),
+        Trajectory(array("d", [0.0, 1.0]), array("d", [0.0] * 8)),
     ]
 
 
@@ -126,7 +126,7 @@ FIRST_FIELD = {
     "AveragedParams": "A", "PhysicalParams": "m", "Equilibrium": "phi", "GammaPoint": "phi",
     "HarmonicSeries": "cosine_coeffs", "Excitation": "epsilon", "MomentMatrix": "m",
     "SymmetryReport": "diag_residual", "ComparisonReport": "epsilon", "PortraitGrid": "phi",
-    "LevelContours": "level", "Trajectory": "t",
+    "LevelContours": "level", "Trajectory": "ts",
 }
 
 
@@ -148,10 +148,26 @@ def test_array_records_compare_by_identity():
     g1, g2 = build_grid(ap, nx=8, ny=8), build_grid(ap, nx=8, ny=8)
     assert g1 == g1 and g1 != g2
     assert len({g1, g2}) == 2
-    t, y = np.array([0.0, 1.0]), np.zeros((2, 4))
-    a, b = Trajectory(t, y), Trajectory(t, y)
+    ts, ys = array("d", [0.0, 1.0]), array("d", [0.0] * 8)
+    a, b = Trajectory(ts, ys), Trajectory(ts, ys)
     assert a == a and a != b
     assert len({a, b}) == 2
-    assert repr(a) == f"Trajectory(t={t!r}, y={y!r})"
+    assert repr(a) == f"Trajectory(ts={ts!r}, ys={ys!r})"
     c = LevelContours(0.5, (), False)
     assert c != LevelContours(0.5, (), False)
+
+
+def test_trajectory_views_its_flat_buffers_as_arrays():
+    ts, ys = array("d", [0.0, 0.5, 1.0]), array("d", range(12))
+    traj = Trajectory(ts, ys)
+    assert traj.t.shape == (3,) and traj.y.shape == (3, 4)
+    assert traj.t.tolist() == [0.0, 0.5, 1.0]
+    assert traj.y[:, 1].tolist() == [1.0, 5.0, 9.0]
+    # views of the stored buffers, not copies
+    assert np.shares_memory(traj.t, np.frombuffer(ts))
+    assert np.shares_memory(traj.y, np.frombuffer(ys))
+    for name in ("t", "y"):
+        with pytest.raises(AttributeError):
+            setattr(traj, name, np.zeros(3))
+        with pytest.raises(AttributeError):
+            delattr(traj, name)
