@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import repeat
-from operator import sub
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from ._frozen import Frozen
 from .excitation import (
@@ -102,9 +101,10 @@ def full_rhs(state: Sequence[float], t: float, e: Excitation) -> tuple[float, fl
     """Hamilton's equations of the full system: (dphi, dalpha, dp_phi, dp_alpha).
 
     ``state`` is a :class:`FullState` or any sequence in the same order.
-    The equations are those of :func:`make_full_rhs`.
+    The equations are those that :func:`make_full_rhs` and
+    :func:`compare_full_averaged` step.
     """
-    return make_full_rhs(e)(t, state)
+    return _full_flow(e)(t, *state)
 
 
 def averaged_hamiltonian(state: FullState, mm: MomentMatrix) -> float:
@@ -143,27 +143,27 @@ def reduced_rhs(phi: float, p_phi: float, ap: AveragedParams) -> tuple[float, fl
 Rhs = Callable[[float, Sequence[float]], Sequence[float]]
 
 
-def make_full_rhs(e: Excitation) -> Rhs:
-    """:func:`full_rhs` as an ``rhs(t, y)`` for :func:`integrate`.
+def _full_flow(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
+    """The full flow as ``f(t, phi, alpha, p_phi, p_alpha)``.
 
-    This closure holds the one copy of the full flow's equations;
-    :func:`full_rhs` calls a fresh one.  The pivot velocity depends on ``t``
-    alone, so a call at the same ``t`` as the previous one reuses it: RK4's
-    two midpoint stages share a time, and a step's last stage often shares
-    one with the next step's first.  Each evaluation costs one sine or cosine
-    per distinct harmonic and family that some axis of ``e`` needs (see
-    :func:`pendulum_vib.excitation.eval_velocity`), with the same bits as the
-    term-by-term series.
+    This closure holds the one copy of the full flow's equations.  The pivot
+    velocity depends on ``t`` alone, so a call at the same ``t`` as the
+    previous one reuses it: RK4's two midpoint stages share a time, and a
+    step's last stage often shares one with the next step's first.  Each
+    evaluation costs one sine or cosine per distinct harmonic and family that
+    some axis of ``e`` needs (see :func:`pendulum_vib.excitation.eval_velocity`),
+    with the same bits as the term-by-term series.
     """
     last_t = None
     vel = None
 
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float, float]:
+    def f(
+        t: float, phi: float, alpha: float, p_phi: float, p_alpha: float
+    ) -> tuple[float, float, float, float]:
         nonlocal last_t, vel
         if t != last_t:
             last_t = t
             vel = eval_velocity(e, t)
-        phi, alpha, p_phi, p_alpha = y
         td, ed, xd = vel
         s = math.sin(phi)
         c = math.cos(phi)
@@ -190,6 +190,22 @@ def make_full_rhs(e: Excitation) -> Rhs:
         dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
         dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
         return (d_phi, dalpha, dp_phi, dp_alpha)
+
+    return f
+
+
+def make_full_rhs(e: Excitation) -> Rhs:
+    """:func:`full_rhs` as an ``rhs(t, y)`` for :func:`integrate`.
+
+    ``f(t, *y)`` around a fresh closure of the one copy of the full flow's
+    equations, which :func:`compare_full_averaged` calls directly from its
+    scalar RK4 loop.  Each closure evaluates the pivot velocity once per
+    distinct stage time.
+    """
+    f = _full_flow(e)
+
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float, float]:
+        return f(t, *y)
 
     return rhs
 
@@ -264,15 +280,42 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 over t_span, recording every step.
 
-    ``rhs(t, y)`` takes and returns a sequence of floats: see
-    :func:`make_full_rhs`, which evaluates the pivot velocity once per
-    distinct stage time, and :func:`make_reduced_rhs`.  A final shorter step
-    lands exactly on the end time when the span is not an integer number of
-    steps or is shorter than one step.  Deterministic for identical inputs;
-    rejects a non-finite ``y0`` or ``t_span``, or a span of more than
-    MAX_STEPS steps, with ValueError, and aborts with
+    The general integrator, and the reference that :func:`compare_full_averaged`
+    matches bit for bit.  ``rhs(t, y)`` takes and returns a sequence of
+    floats: see :func:`make_full_rhs`, which evaluates the pivot velocity
+    once per distinct stage time, and :func:`make_reduced_rhs`.  A final
+    shorter step lands exactly on the end time when the span is not an
+    integer number of steps or is shorter than one step.  Deterministic for
+    identical inputs; rejects a non-finite ``y0`` or ``t_span``, or a span of
+    more than MAX_STEPS steps, with ValueError, and aborts with
     :class:`IntegrationBlowUpError` when the state, or a stage of a step,
     goes non-finite.
+    """
+    y, t, steps = _time_grid(y0, t_span, step)
+    # flat C doubles: 8 bytes a recorded value, where a list per step takes ~6x that
+    ts = array("d", [t])
+    ys = array("d", y)
+    for t_next, h in steps:
+        try:
+            y = _finite(rk4_step(rhs, t, y, h), t_next)
+        except ValueError:
+            _replay_checked(rhs, t, y, h, t_next)
+            raise
+        ts.append(t_next)
+        ys.extend(y)
+        t = t_next
+    return Trajectory(ts, ys)
+
+
+def _time_grid(
+    y0: Sequence[float], t_span: tuple[float, float], step: float
+) -> tuple[list[float], float, Iterator[tuple[float, float]]]:
+    """Check the inputs of a fixed-step run; return ``y0`` as floats, the start
+    time and an iterator of the steps as ``(t_next, h)``.
+
+    Whole steps of ``step`` are followed by a shorter one that lands on the end
+    time, when the span is not an integer number of steps or is shorter than
+    one step.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
@@ -292,25 +335,20 @@ def integrate(
         )
     n_full = int(math.floor(n_steps * (1.0 + 1e-12)))
     remainder = t1 - (t0 + n_full * step)
-    n_total = n_full + (remainder > step * 1e-9 or n_full == 0)
+    steps = ((t0 + k * step, step) for k in range(1, n_full + 1))
+    if remainder > step * 1e-9 or n_full == 0:
+        steps = chain(steps, [(t1, remainder)])
+    return y, t0, steps
 
-    # flat C doubles: 8 bytes a recorded value, where a list per step takes ~6x that
-    ts = array("d", [t0])
-    ys = array("d", y)
-    t = t0
-    for k in range(n_total):
-        t_next, h = (t0 + (k + 1) * step, step) if k < n_full else (t1, remainder)
-        try:
-            y = _finite(rk4_step(rhs, t, y, h), t_next)
-        except ValueError:
-            # math.sin and math.cos refuse an infinite argument: replay the step
-            # with its stages checked, to report a stage that overflowed as such
-            rk4_step(lambda s, z: rhs(s, _finite(z, t_next)), t, y, h)
-            raise
-        ts.append(t_next)
-        ys.extend(y)
-        t = t_next
-    return Trajectory(ts, ys)
+
+def _replay_checked(rhs: Rhs, t: float, y: Sequence[float], h: float, t_next: float) -> None:
+    """Replay a step from (t, y) that raised ValueError, with its stages checked.
+
+    math.sin and math.cos refuse an infinite argument, so a stage that
+    overflowed raises IntegrationBlowUpError(t_next) here; an ``rhs``'s own
+    ValueError is raised again, by the replay or by the caller's ``raise``.
+    """
+    rk4_step(lambda s, z: rhs(s, _finite(z, t_next)), t, y, h)
 
 
 def _finite(y: Sequence[float], t: float) -> Sequence[float]:
@@ -338,33 +376,83 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
     flows are in units m = l = g = 1 (time unit sqrt(l / g)), so (A, B, C)
     come from :func:`averaged_params` at unit physical values.  They are
     stepped as one product system (phi, alpha, p_phi, p_alpha, phi_r, p_r)
-    at the full flow's step of 1/STEPS_PER_FAST_PERIOD fast periods; RK4
-    acts on each component separately, so each flow's trajectory is what it
-    would be alone, and the max-difference norms compare states at
-    identical times with no resampling.  The product's RHS is the
-    :func:`make_full_rhs` closure on the first four components and
-    :func:`reduced_rhs` on the last two.  The norms are read off the flat
-    recorded states, six values a step.
+    at the full flow's step of 1/STEPS_PER_FAST_PERIOD fast periods, in one
+    scalar RK4 loop over six floats that keeps running maxima of the three
+    norms and records no trajectory.  Each stage calls the full flow and
+    then :func:`pendulum_vib.potential.dv`, and every operation is that of
+    :func:`rk4_step` in the same order, so each flow's states are bit for bit
+    what :func:`integrate` gives it alone, on the same time grid, and the
+    norms compare states at identical times with no resampling.  Input
+    checks, the time grid and the blow-up errors are those of
+    :func:`integrate`.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
     if not report.passed:
         raise SymmetryViolationError(report)
 
-    full = make_full_rhs(e)
+    f = _full_flow(e)
     ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
-
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
-        return (*full(t, y[:4]), *reduced_rhs(y[4], y[5], ap))
-
-    y0 = (*initial, initial.phi, initial.p_phi)
-    ys = integrate(rhs, y0, (0.0, t_end), e.fast_period / STEPS_PER_FAST_PERIOD).ys
+    y, t, steps = _time_grid(
+        (*initial, initial.phi, initial.p_phi), (0.0, t_end),
+        e.fast_period / STEPS_PER_FAST_PERIOD,
+    )
+    phi, alpha, p_phi, p_alpha, phi_r, p_r = y
+    p_alpha0 = p_alpha
+    err_phi = err_p_phi = drift = 0.0
+    isfinite = math.isfinite
+    for t_next, h in steps:
+        hh = 0.5 * h
+        t_mid = t + hh
+        try:
+            # the reduced flow's derivative is (p_r, -dV(phi_r)): the p_r
+            # argument of a stage is that stage's slope of phi_r
+            a1, b1, c1, d1 = f(t, phi, alpha, p_phi, p_alpha)
+            q1 = -dv(phi_r, ap)
+            a2, b2, c2, d2 = f(t_mid, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
+                               p_alpha + hh * d1)
+            p2 = p_r + hh * q1
+            q2 = -dv(phi_r + hh * p_r, ap)
+            a3, b3, c3, d3 = f(t_mid, phi + hh * a2, alpha + hh * b2, p_phi + hh * c2,
+                               p_alpha + hh * d2)
+            p3 = p_r + hh * q2
+            q3 = -dv(phi_r + hh * p2, ap)
+            a4, b4, c4, d4 = f(t + h, phi + h * a3, alpha + h * b3, p_phi + h * c3,
+                               p_alpha + h * d3)
+            p4 = p_r + h * q3
+            q4 = -dv(phi_r + h * p3, ap)
+        except ValueError:
+            _replay_checked(
+                lambda s, z: (*f(s, *z[:4]), *reduced_rhs(z[4], z[5], ap)),
+                t, [phi, alpha, p_phi, p_alpha, phi_r, p_r], h, t_next,
+            )
+            raise
+        h6 = h / 6.0
+        phi = phi + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        alpha = alpha + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        p_phi = p_phi + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        p_alpha = p_alpha + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        phi_r = phi_r + h6 * (p_r + 2.0 * p2 + 2.0 * p3 + p4)
+        p_r = p_r + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if not (isfinite(phi) and isfinite(alpha) and isfinite(p_phi) and isfinite(p_alpha)
+                and isfinite(phi_r) and isfinite(p_r)):
+            raise IntegrationBlowUpError(t_next)
+        d = abs(phi - phi_r)
+        if d > err_phi:
+            err_phi = d
+        d = abs(p_phi - p_r)
+        if d > err_p_phi:
+            err_p_phi = d
+        d = abs(p_alpha - p_alpha0)
+        if d > drift:
+            drift = d
+        t = t_next
     return ComparisonReport(
         epsilon=e.epsilon,
         t_end=t_end,
-        max_err_phi=max(map(abs, map(sub, ys[0::6], ys[4::6]))),
-        max_err_p_phi=max(map(abs, map(sub, ys[2::6], ys[5::6]))),
-        p_alpha_drift=max(map(abs, map(sub, ys[3::6], repeat(initial.p_alpha)))),
+        max_err_phi=err_phi,
+        max_err_p_phi=err_p_phi,
+        p_alpha_drift=drift,
     )
 
 

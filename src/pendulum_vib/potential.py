@@ -114,13 +114,22 @@ def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> Aver
 
     A = <xi'^2> / (g l), C = <eta'^2> / (g l), B = p_alpha^2 / (m^2 l^3 g);
     the matching time unit is sqrt(l / g).  A divisor that underflows to 0 or
-    overflows the float range raises ValueError.
+    overflows the float range raises ValueError.  A plain product m^2 l^3 g
+    that comes out 0 or inf is taken again on the mantissas and exponents,
+    so that an intermediate leaving the float range refuses no product
+    inside it.
     """
     gl = p.g * p.l
     try:
         ml3g = p.m * p.m * p.l ** 3 * p.g
     except OverflowError:  # float ** raises where * would give inf
         ml3g = math.inf
+    if ml3g == 0.0 or ml3g == math.inf:
+        (fm, em), (fl, el), (fg, eg) = map(math.frexp, (p.m, p.l, p.g))
+        try:
+            ml3g = math.ldexp(fm * fm * fl ** 3 * fg, 2 * em + 3 * el + eg)
+        except OverflowError:  # ldexp raises where * would give inf
+            ml3g = math.inf
     for name, value in (("g l", gl), ("m^2 l^3 g", ml3g)):
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} = {value!r} is outside the positive float range for {p!r}")

@@ -10,6 +10,10 @@ import math
 import numpy as np
 
 QUADRATURE_INTERVALS = 4096
+# initial compare states at the poles and next to them, with momenta at the
+# float range's edges
+CORNER_PHI = (0.0, math.pi, 5e-324, math.nextafter(math.pi, 0.0))
+CORNER_MOMENTA = (0.0, 1e150, -1e150, 1e300, -1e300, math.nan, math.inf)
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:

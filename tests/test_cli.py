@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CORNER_MOMENTA, CORNER_PHI
+
 import pendulum_vib
 from pendulum_vib import cli, dynamics
 from pendulum_vib.cli import _ratio_verdict, main
@@ -641,8 +643,8 @@ def test_scalar_subcommands_do_not_import_numpy(tmp_path):
 
 
 def test_array_subcommands_do_not_import_dataclasses(tmp_path):
-    # portrait needs numpy; compare integrates and takes its norms on flat
-    # float buffers, and loads numpy neither for a sweep nor for a violation
+    # portrait needs numpy; compare steps plain floats and keeps running
+    # norms, and loads numpy neither for a sweep nor for a violation
     zero = write(tmp_path, "z.json", ZERO_COMPARE_DOC)
     in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
     for argv, code in (
@@ -711,6 +713,37 @@ def test_scalar_subcommands_keep_the_exit_code_contract_at_the_float_corners(tmp
         else:
             assert captured.err == "", argv
             json.loads(captured.out, parse_constant=no_constants)
+
+
+def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, capsys):
+    # every corner state on both excitations, each with a drawn azimuth, over
+    # a span of a little over one fast period of eps = 0.1 on either
+    paths = [write(tmp_path, "v.json", VERTICAL_DOC), write(tmp_path, "c.json", CIRCULAR_DOC)]
+    rng = random.Random(1208)
+    argvs = [
+        ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05", "--t-end", "0.4",
+         "--initial", ",".join(map(repr, (phi, rng.choice((0.0, 0.5)), p_phi, p_alpha)))]
+        for path in paths for phi in CORNER_PHI
+        for p_phi in CORNER_MOMENTA for p_alpha in CORNER_MOMENTA
+    ]
+    # a state that blows up after many steps, not in the first
+    argvs.append(["compare", "--excitation", write(tmp_path, "r.json", README_VERTICAL_DOC),
+                  "--eps-sweep", "0.1,0.05", "--t-end", "1", "--initial", "2,0,0,1e150"])
+
+    def no_constants(name):
+        raise ValueError(f"non-RFC JSON constant {name}")
+
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        else:
+            assert captured.err == "", argv
+            json.loads(captured.out, parse_constant=no_constants)
+    assert captured.err == "error: non-finite state reached at t = 0.9326603190344698\n"
 
 
 def test_unknown_flags_exit_nonzero(capsys):

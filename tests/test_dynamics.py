@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import central_diff, close_rel
+from conftest import CORNER_MOMENTA, CORNER_PHI, central_diff, close_rel
 
 from pendulum_vib import dynamics
 from pendulum_vib.dynamics import (
@@ -283,50 +284,107 @@ def test_reduced_energy_conservation():
     assert np.max(np.abs(energies - energies[0])) < 1e-9
 
 
-def recorded_compare(monkeypatch, e, initial, t_end):
-    """compare_full_averaged's report and every trajectory it integrated."""
-    runs = []
+def bench_like_excitation(rng):
+    # circular harmonic 1 on tau/eta, vertical harmonics 2 and 3 only, as in
+    # the benchmark's compare workload
+    r = float(rng.uniform(0.2, 0.5))
+    return Excitation(
+        epsilon=0.1, omega=1.0, tau=HarmonicSeries((r,)), eta=HarmonicSeries((), (r,)),
+        xi=HarmonicSeries((0.0, float(rng.uniform(0.05, 0.25))),
+                          (0.0, float(rng.uniform(0.05, 0.25)), float(rng.uniform(0.02, 0.1)))),
+    )
 
-    def recording_integrate(*args):
-        runs.append(integrate(*args))
-        return runs[-1]
 
-    monkeypatch.setattr(dynamics, "integrate", recording_integrate)
-    return compare_full_averaged(e, initial, t_end), runs
+def reference_norms(e, initial, t_end):
+    """The three norms from each flow integrated alone by integrate."""
+    span, h = (0.0, t_end), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    full = integrate(make_full_rhs(e), initial, span, h)
+    ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
+    red = integrate(make_reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
+    assert np.array_equal(full.t, red.t)
+    return full, (
+        np.max(np.abs(full.y[:, 0] - red.y[:, 0])),
+        np.max(np.abs(full.y[:, 2] - red.y[:, 1])),
+        np.max(np.abs(full.y[:, 3] - initial.p_alpha)),
+    )
 
 
-def test_compare_steps_both_flows_as_one_product_system(monkeypatch):
-    # one integrate call per epsilon; RK4 acts on each component separately,
-    # so each flow's columns are bit-identical to integrating it alone
-    initial = FullState(2.0, 0.0, 0.0, 0.3)
-    for e in (VERTICAL, CIRCULAR):
-        _, runs = recorded_compare(monkeypatch, e, initial, 3.0)
-        (both,) = runs
-        assert both.y.shape[1] == 6
-        span, h = (0.0, 3.0), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-        full = integrate(make_full_rhs(e), initial, span, h)
-        ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
-        red = integrate(make_reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
-        assert np.array_equal(both.t, full.t) and np.array_equal(both.t, red.t)
-        assert np.array_equal(both.y[:, :4], full.y)
-        assert np.array_equal(both.y[:, 4:], red.y)
+def test_compare_steps_both_flows_as_one_product_system():
+    # RK4 acts on each component separately, so the product system's norms
+    # are bit-identical to those of each flow integrated alone
+    rng = np.random.default_rng(12)
+    cases = [(e, FullState(2.0, 0.0, 0.0, 0.3)) for e in (VERTICAL, CIRCULAR)]
+    cases += [
+        (bench_like_excitation(rng), FullState(float(rng.uniform(0.8, 2.3)),
+                                               float(rng.uniform(0.0, 2.0 * math.pi)),
+                                               float(rng.uniform(-0.3, 0.3)),
+                                               float(rng.uniform(0.2, 0.6))))
+        for _ in range(4)
+    ]
+    for e, initial in cases:
+        h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        # a span ending in a shorter final step, and one shorter than a step
+        for t_end in (3.0, h / 3.0):
+            report = compare_full_averaged(e, initial, t_end)
+            full, norms = reference_norms(e, initial, t_end)
+            assert 0.0 < full.t[-1] - full.t[-2] < h
+            assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
-def test_compare_gap_matches_a_finer_reduced_flow(monkeypatch, eps):
+def test_compare_gap_matches_a_finer_reduced_flow(eps):
     # criterion-6 setting; the reduced flow at h / 8 stands in for the exact one
     e = Excitation(epsilon=eps, omega=1.0, xi=SIN)
-    report, (both,) = recorded_compare(monkeypatch, e, FullState(2.0, 0.0, 0.0, 0.3), 10.0)
-
+    initial = FullState(2.0, 0.0, 0.0, 0.3)
+    report = compare_full_averaged(e, initial, 10.0)
     h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    full = integrate(make_full_rhs(e), initial, (0.0, 10.0), h)
     ref = integrate(make_reduced_rhs(averaged_params(velocity_moments(e), 0.3, PhysicalParams())),
                     [2.0, 0.0], (0.0, 10.0), h / 8)
     # every 8th fine time is bit-identical to a full-grid time; the final
     # shorter step is left out
-    n = len(both.t) - 1
-    assert np.array_equal(ref.t[:8 * n:8], both.t[:n])
-    gap = np.max(np.abs(both.y[:n, 0] - ref.y[:8 * n:8, 0]))
+    n = len(full.t) - 1
+    assert np.array_equal(ref.t[:8 * n:8], full.t[:n])
+    gap = np.max(np.abs(full.y[:n, 0] - ref.y[:8 * n:8, 0]))
     assert report.max_err_phi == pytest.approx(gap, rel=1e-4)
+
+
+def product_reference(e, initial, t_end):
+    """compare_full_averaged's norms from integrate on the product system
+    (phi, alpha, p_phi, p_alpha, phi_r, p_r), or the exception it raises."""
+    full = make_full_rhs(e)
+    try:
+        ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
+        y = integrate(lambda t, z: (*full(t, z[:4]), *reduced_rhs(z[4], z[5], ap)),
+                      (*initial, initial.phi, initial.p_phi), (0.0, t_end),
+                      e.fast_period / dynamics.STEPS_PER_FAST_PERIOD).y
+    except (ValueError, IntegrationBlowUpError) as exc:
+        return exc
+    return (np.max(np.abs(y[:, 0] - y[:, 4])), np.max(np.abs(y[:, 2] - y[:, 5])),
+            np.max(np.abs(y[:, 3] - initial.p_alpha)))
+
+
+def test_compare_fails_and_answers_as_the_product_reference_at_the_float_corners():
+    # every corner state, each with a drawn azimuth and span, fails with the
+    # reference's exception type, message and blow-up time, or gives its norms
+    rng = random.Random(1207)
+    corners = [(phi, p_phi, p_alpha) for phi in CORNER_PHI
+               for p_phi in CORNER_MOMENTA for p_alpha in CORNER_MOMENTA]
+    for e in (VERTICAL, CIRCULAR):
+        for phi, p_phi, p_alpha in corners:
+            initial = FullState(phi, rng.choice((0.0, 0.5)), p_phi, p_alpha)
+            t_end = rng.choice((e.fast_period / 100.0, e.fast_period))
+            expected = product_reference(e, initial, t_end)
+            try:
+                report = compare_full_averaged(e, initial, t_end)
+            except (ValueError, IntegrationBlowUpError) as exc:
+                assert isinstance(expected, Exception), (initial, t_end, exc)
+                assert type(exc) is type(expected), (initial, t_end)
+                assert str(exc) == str(expected), (initial, t_end)
+                assert getattr(exc, "time", None) == getattr(expected, "time", None)
+                continue
+            assert not isinstance(expected, Exception), (initial, t_end, expected)
+            assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == expected
 
 
 def test_compare_readme_sweep_is_pinned():

@@ -14,9 +14,12 @@ from conftest import (
     sin3_dv,
 )
 
+from pendulum_vib.excitation import MomentMatrix
 from pendulum_vib.potential import (
     AveragedParams,
+    PhysicalParams,
     SingularConfigurationError,
+    averaged_params,
     classify_domain,
     d2v,
     dv,
@@ -422,3 +425,21 @@ def test_averaged_params_validation():
             AveragedParams.from_a_minus_c(1.0, bad)
     ap = AveragedParams.from_a_minus_c(-1.5, 0.2)
     assert ap.A == 0.0 and ap.C == 1.5 and ap.a_minus_c == -1.5
+
+
+def test_averaged_params_takes_a_product_in_range_past_an_intermediate_out_of_range():
+    # l ** 3 overflows and m * m underflows, though each m^2 l^3 g is in range;
+    # a product that is out of range itself is still refused
+    mm = MomentMatrix(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.5)))
+    for m, l, g in ((1e-150, 1e103, 1.0), (1e-200, 1e100, 1.0), (1e-170, 1e110, 3.0)):
+        b = averaged_params(mm, 1.0, PhysicalParams(m, l, g)).B
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = Decimal(m) ** 2 * Decimal(l) ** 3 * Decimal(g)
+            assert abs(Decimal(b) * exact - 1) <= 4 * Decimal(sys.float_info.epsilon)
+    for m, l, g in ((1.0, 1e200, 1e-200), (1e-200, 1e-50, 1.0)):
+        with pytest.raises(ValueError, match="outside the positive float range"):
+            averaged_params(mm, 1.0, PhysicalParams(m, l, g))
+    # a product whose plain form is in range keeps its bits
+    for m, l, g in ((2.0, 3.0, 9.81), (0.3, 1e-30, 7.0), (1e100, 1e30, 1e-5)):
+        assert averaged_params(mm, 1.5, PhysicalParams(m, l, g)).B == 1.5 * 1.5 / (m * m * l ** 3 * g)
