@@ -169,13 +169,23 @@ def _build_portrait(a_minus_c: float, b: float, args: argparse.Namespace):
 
 
 def _write_portrait(portrait, out_dir: Path) -> None:
+    """Write grid.csv, contours.csv and portrait.svg into ``out_dir``, then
+    print the equilibria.
+
+    Each file is opened as ``Path.write_text`` opens it and handed to its
+    writer, which writes every row, polyline or element as it is formatted,
+    so no whole document is held in memory.
+    """
     from .portrait import contours_to_csv, grid_to_csv, render_svg
 
     grid, contours = portrait
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "grid.csv").write_text(grid_to_csv(grid), encoding="utf-8")
-    (out_dir / "contours.csv").write_text(contours_to_csv(contours), encoding="utf-8")
-    (out_dir / "portrait.svg").write_text(render_svg(grid, contours), encoding="utf-8")
+    with open(out_dir / "grid.csv", "w", encoding="utf-8") as out:
+        grid_to_csv(grid, out)
+    with open(out_dir / "contours.csv", "w", encoding="utf-8") as out:
+        contours_to_csv(contours, out)
+    with open(out_dir / "portrait.svg", "w", encoding="utf-8") as out:
+        render_svg(grid, contours, out)
     for eq in grid.equilibria:
         print(f"equilibrium phi={eq.phi:.6f} kind={eq.kind} V={eq.v_value:.6f}")
 

@@ -2,12 +2,14 @@
 
 The reduced energy is separable, p^2/2 + V(phi), so the grid is an outer sum
 of a p-parabola and the sampled potential.  Level sets are traced with
-marching squares and emitted as CSV and as a deterministic SVG.
+marching squares and written, as they are formatted, to text streams as
+CSV and as a deterministic SVG.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TextIO
 
 import numpy as np
 
@@ -288,11 +290,12 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def render_svg(grid: PortraitGrid, contours: list[LevelContours]) -> str:
-    """Deterministic SVG of the portrait: contours plus equilibrium markers.
+def render_svg(grid: PortraitGrid, contours: list[LevelContours], out: TextIO) -> None:
+    """Write a deterministic SVG of the portrait to the text stream ``out``.
 
-    Stable equilibria are filled circles, unstable and degenerate ones
-    crosses; separatrix polylines get their own stroke.
+    Contours plus equilibrium markers: stable equilibria are filled circles,
+    unstable and degenerate ones crosses; separatrix polylines get their own
+    stroke.  Each element is written as soon as it is formatted.
     """
     x0, y0, x1, y1 = _PLOT
     phi_lo, phi_hi = grid.phi_range
@@ -304,40 +307,46 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours]) -> str:
     def to_y(p: float) -> float:
         return y1 - (p - p_lo) / (p_hi - p_lo) * (y1 - y0)
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    def put(element: str) -> None:
+        out.write(element)
+        out.write("\n")
+
+    put('<?xml version="1.0" encoding="UTF-8"?>')
+    put(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="#ffffff"/>',
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}">'
+    )
+    put(f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="#ffffff"/>')
+    put(
         f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" '
-        'fill="none" stroke="#000000" stroke-width="1"/>',
-    ]
+        'fill="none" stroke="#000000" stroke-width="1"/>'
+    )
     for k in range(5):
         phi = phi_lo + k * (phi_hi - phi_lo) / 4.0
         x = to_x(phi)
-        parts.append(
+        put(
             f'<line x1="{_fmt(x)}" y1="{_fmt(y1)}" x2="{_fmt(x)}" y2="{_fmt(y1 + 6)}" '
             'stroke="#000000" stroke-width="1"/>'
         )
-        parts.append(
+        put(
             f'<text x="{_fmt(x)}" y="{_fmt(y1 + 22)}" font-size="13" text-anchor="middle" '
             f'font-family="sans-serif">{phi:.2f}</text>'
         )
         p = p_lo + k * (p_hi - p_lo) / 4.0
         y = to_y(p)
-        parts.append(
+        put(
             f'<line x1="{_fmt(x0 - 6)}" y1="{_fmt(y)}" x2="{_fmt(x0)}" y2="{_fmt(y)}" '
             'stroke="#000000" stroke-width="1"/>'
         )
-        parts.append(
+        put(
             f'<text x="{_fmt(x0 - 10)}" y="{_fmt(y + 4)}" font-size="13" text-anchor="end" '
             f'font-family="sans-serif">{p:.2f}</text>'
         )
-    parts.append(
+    put(
         f'<text x="{_fmt(0.5 * (x0 + x1))}" y="{_fmt(y1 + 40)}" font-size="15" '
         'text-anchor="middle" font-family="sans-serif">phi</text>'
     )
-    parts.append(
+    put(
         f'<text x="16" y="{_fmt(0.5 * (y0 + y1))}" font-size="15" text-anchor="middle" '
         f'font-family="sans-serif" transform="rotate(-90 16 {_fmt(0.5 * (y0 + y1))})">p_phi</text>'
     )
@@ -349,7 +358,7 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours]) -> str:
             xs = x0 + (poly[:, 0] - phi_lo) / (phi_hi - phi_lo) * (x1 - x0)
             ys = y1 - (poly[:, 1] - p_lo) / (p_hi - p_lo) * (y1 - y0)
             coords = " L ".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
-            parts.append(f'<path {style} d="M {coords}"/>')
+            put(f'<path {style} d="M {coords}"/>')
 
     for eq in grid.equilibria:
         if not (phi_lo <= eq.phi <= phi_hi):
@@ -357,51 +366,54 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours]) -> str:
         x = to_x(eq.phi)
         y = to_y(0.0)
         if eq.kind == "stable":
-            parts.append(
+            put(
                 f'<circle class="equilibrium-stable" cx="{_fmt(x)}" cy="{_fmt(y)}" '
                 f'r="{_fmt(_MARKER_R)}" fill="#1f3b66"/>'
             )
         else:
             r = _MARKER_R
-            parts.append(
+            put(
                 f'<path class="equilibrium-{eq.kind}" stroke="#c0392b" stroke-width="2" '
                 f'd="M {_fmt(x - r)} {_fmt(y - r)} L {_fmt(x + r)} {_fmt(y + r)} '
                 f'M {_fmt(x - r)} {_fmt(y + r)} L {_fmt(x + r)} {_fmt(y - r)}"/>'
             )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    put("</svg>")
 
 
-def grid_to_csv(grid: PortraitGrid) -> str:
-    """CSV of the sampled energies: header row of p values, first column phi.
+def grid_to_csv(grid: PortraitGrid, out: TextIO) -> None:
+    """Write the sampled energies as CSV to the text stream ``out``.
 
-    Each row is formatted for its first half only and mirrored, so the grid
-    must be exactly (bit for bit) symmetric in p, as build_grid makes it;
-    ValueError otherwise.
+    Header row of p values, first column phi; each row is written as soon
+    as it is joined.  Each row is formatted for its first half only and
+    mirrored, so the grid must be exactly (bit for bit) symmetric in p, as
+    build_grid makes it; ValueError otherwise, before anything is written.
     """
     values = np.asarray(grid.values, dtype=np.float64)
     if not np.array_equal(values.view(np.int64), values[:, ::-1].view(np.int64)):
         raise ValueError("grid values are not exactly mirror-symmetric in p")
     ny = values.shape[1]
     mirrored = ny // 2
-    lines = ["phi," + ",".join(map(repr, grid.p.tolist()))]
+    out.write("phi," + ",".join(map(repr, grid.p.tolist())) + "\n")
     for phi, row in zip(grid.phi.tolist(), values[:, : ny - mirrored]):
         cells = [repr(phi), *map(repr, row.tolist())]
         cells += cells[mirrored:0:-1]
-        lines.append(",".join(cells))
-    lines.append("")  # the final newline, without a second copy of a ~5 MB string
-    return "\n".join(lines)
+        out.write(",".join(cells))
+        out.write("\n")
 
 
-def contours_to_csv(contours: list[LevelContours]) -> str:
-    """CSV of the polylines: level, per-level polyline id, phi, p_phi."""
-    lines = ["level,polyline_id,phi,p_phi"]
+def contours_to_csv(contours: list[LevelContours], out: TextIO) -> None:
+    """Write the polylines as CSV to the text stream ``out``.
+
+    Columns: level, per-level polyline id, phi, p_phi; each polyline is
+    written as soon as it is formatted.
+    """
+    out.write("level,polyline_id,phi,p_phi\n")
     for lc in contours:
         for pid, poly in enumerate(lc.polylines):
             prefix = f"{lc.level!r},{pid},"
             # one string per polyline and flat column lists: keeping a small
             # object per vertex alive raised peak RSS ~1 MB over repeated runs
             phis, ps = poly[:, 0].tolist(), poly[:, 1].tolist()
-            lines.append("\n".join([f"{prefix}{x!r},{y!r}" for x, y in zip(phis, ps)]))
-    return "\n".join(lines) + "\n"
+            out.write("\n".join([f"{prefix}{x!r},{y!r}" for x, y in zip(phis, ps)]))
+            out.write("\n")

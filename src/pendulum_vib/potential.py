@@ -114,30 +114,68 @@ def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> Aver
 
     A = <xi'^2> / (g l), C = <eta'^2> / (g l), B = p_alpha^2 / (m^2 l^3 g);
     the matching time unit is sqrt(l / g).  A divisor that underflows to 0 or
-    overflows the float range raises ValueError.  A plain product m^2 l^3 g
-    that comes out 0 or inf is taken again on the mantissas and exponents,
-    so that an intermediate leaving the float range refuses no product
-    inside it.
+    overflows the float range, or a p_alpha that is not finite, raises
+    ValueError.  Each quotient is the plain float expression when every
+    product on its way is a normal float.  Otherwise the products are taken
+    again on the mantissas, with the exponents kept apart, and divided
+    exactly, so that an intermediate that leaves the normal range neither
+    refuses nor blurs a result inside it.
     """
+    if not math.isfinite(p_alpha):
+        raise ValueError(f"p_alpha must be finite, got {p_alpha!r}")
+    (fm, em), (fl, el), (fg, eg) = map(math.frexp, (p.m, p.l, p.g))
     gl = p.g * p.l
+    if not (0.0 < gl < math.inf):
+        raise ValueError(f"g l = {gl!r} is outside the positive float range for {p!r}")
+    if _normal(gl):
+        A, C = mm.xi_xi / gl, mm.eta_eta / gl
+    else:
+        A = _exact_quotient(mm.xi_xi, fg * fl, -(eg + el))
+        C = _exact_quotient(mm.eta_eta, fg * fl, -(eg + el))
+
+    pp = p_alpha * p_alpha
     try:
-        ml3g = p.m * p.m * p.l ** 3 * p.g
+        l3 = p.l ** 3
     except OverflowError:  # float ** raises where * would give inf
-        ml3g = math.inf
-    if ml3g == 0.0 or ml3g == math.inf:
-        (fm, em), (fl, el), (fg, eg) = map(math.frexp, (p.m, p.l, p.g))
+        l3 = math.inf
+    m2 = p.m * p.m
+    m2l3 = m2 * l3
+    ml3g = m2l3 * p.g
+    if _normal(m2, l3, m2l3, ml3g) and (p_alpha == 0.0 or _normal(pp)):
+        B = pp / ml3g
+    else:
+        den, den_exp = fm * fm * fl ** 3 * fg, 2 * em + 3 * el + eg
         try:
-            ml3g = math.ldexp(fm * fm * fl ** 3 * fg, 2 * em + 3 * el + eg)
+            ml3g = math.ldexp(den, den_exp)
         except OverflowError:  # ldexp raises where * would give inf
             ml3g = math.inf
-    for name, value in (("g l", gl), ("m^2 l^3 g", ml3g)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} = {value!r} is outside the positive float range for {p!r}")
-    return AveragedParams(
-        A=mm.xi_xi / gl,
-        B=p_alpha * p_alpha / ml3g,
-        C=mm.eta_eta / gl,
-    )
+        if not (0.0 < ml3g < math.inf):
+            raise ValueError(
+                f"m^2 l^3 g = {ml3g!r} is outside the positive float range for {p!r}"
+            )
+        fp, ep = math.frexp(p_alpha)
+        B = _exact_quotient(fp * fp, den, 2 * ep - den_exp)
+    return AveragedParams(A=A, B=B, C=C)
+
+
+def _normal(*values: float) -> bool:
+    return all(sys.float_info.min <= abs(x) < math.inf for x in values)
+
+
+def _exact_quotient(num: float, den: float, exp: int) -> float:
+    """num / den * 2**exp for finite num and den, rounded once; inf past the
+    float range."""
+    a, b = num.as_integer_ratio()
+    c, d = den.as_integer_ratio()
+    top, bottom = a * d, b * c
+    if exp >= 0:
+        top <<= exp
+    else:
+        bottom <<= -exp
+    try:
+        return top / bottom  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf
 
 
 def _check_regular(s: float, b: float) -> None:

@@ -2,9 +2,11 @@
 
 These deliberately re-derive results with the dumbest method available
 (finite differences, dense sign scans, plain bisection) so they stay
-independent of the library code paths they audit.
+independent of the library code paths they audit.  ``written`` reads what
+a portrait writer writes.
 """
 
+import io
 import math
 
 import numpy as np
@@ -14,6 +16,13 @@ QUADRATURE_INTERVALS = 4096
 # float range's edges
 CORNER_PHI = (0.0, math.pi, 5e-324, math.nextafter(math.pi, 0.0))
 CORNER_MOMENTA = (0.0, 1e150, -1e150, 1e300, -1e300, math.nan, math.inf)
+
+
+def written(writer, *args) -> str:
+    """The text that a stream writer writes, read through ``io.StringIO``."""
+    out = io.StringIO()
+    assert writer(*args, out) is None
+    return out.getvalue()
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:

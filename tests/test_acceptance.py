@@ -16,6 +16,7 @@ from conftest import (
     central_diff,
     close_rel,
     series_derivative_samples,
+    written,
 )
 
 from pendulum_vib.dynamics import (
@@ -316,8 +317,8 @@ def test_criterion_9_portrait_properties():
     )
     assert cells <= 2.0  # within the 2/nx interpolation tolerance of the window
 
-    svg_a = render_svg(grid, contours)
-    svg_b = render_svg(build_grid(ap, nx=nx, ny=ny), extract_contours(grid))
+    svg_a = written(render_svg, grid, contours)
+    svg_b = written(render_svg, build_grid(ap, nx=nx, ny=ny), extract_contours(grid))
     assert svg_a.encode() == svg_b.encode()
     elapsed = time.perf_counter() - t0
     report(

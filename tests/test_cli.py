@@ -6,16 +6,27 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import CORNER_MOMENTA, CORNER_PHI
+from conftest import CORNER_MOMENTA, CORNER_PHI, written
 
 import pendulum_vib
 from pendulum_vib import cli, dynamics
 from pendulum_vib.cli import _ratio_verdict, main
+from pendulum_vib.portrait import (
+    build_grid,
+    contours_to_csv,
+    extract_contours,
+    grid_to_csv,
+    render_svg,
+)
+from pendulum_vib.potential import AveragedParams
 
 VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
 # the README's vertical convergence sweep
@@ -145,6 +156,60 @@ def test_moments_refuses_physical_parameters_out_of_the_float_range(
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "outside the positive float range" in captured.err
+
+
+def circular_doc(radius):
+    return json.dumps({"epsilon": 0.1, "omega": 1.0,
+                       "tau": {"cos": [radius]}, "eta": {"sin": [radius]}})
+
+
+def moments_doc(tmp_path, capsys, radius, phys, p_alpha):
+    path = write(tmp_path, "c.json", circular_doc(radius))
+    code, out = run(capsys, ["moments", "--excitation", path, "--phys", phys,
+                             "--p-alpha", p_alpha])
+    assert code == 0
+    return json.loads(out)
+
+
+def relative_error(value, exact):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return abs(Decimal(value) / exact - 1)
+
+
+def test_moments_takes_a_product_in_range_past_a_nan_intermediate(tmp_path, capsys):
+    # m * m is inf and l ** 3 is 0, so the plain m^2 l^3 g is NaN; the product is 1e-295
+    doc = moments_doc(tmp_path, capsys, 1e-10, "1e170,1e-160,1e-155", "0")
+    assert (doc["A"], doc["B"]) == (0.0, 0.0)
+    assert doc["C"] > 0.0
+
+
+def test_moments_keeps_b_precise_past_a_subnormal_intermediate(tmp_path, capsys):
+    # m * m = 1e-320 keeps ~11 bits; the plain quotient read 1.000011132941258e+20
+    doc = moments_doc(tmp_path, capsys, 0.3, "1e-160,1e100,1", "1")
+    exact = 1 / (Decimal(1e-160) ** 2 * Decimal(1e100) ** 3)
+    assert relative_error(doc["B"], exact) <= 4 * Decimal(sys.float_info.epsilon)
+
+
+def test_moments_keeps_c_precise_over_a_subnormal_g_l(tmp_path, capsys):
+    # g l = 1e-315 is subnormal: C is eta_eta / (g l), rounded once from the
+    # rounded product, not divided by the subnormal
+    doc = moments_doc(tmp_path, capsys, 1e-10, "1e170,1e-160,1e-155", "0")
+    eta_eta = doc["moments"]["eta_eta"]
+    fg, eg = math.frexp(1e-155)
+    fl, el = math.frexp(1e-160)
+    assert doc["C"] == float(Fraction(eta_eta) / (Fraction(fg * fl) * Fraction(2) ** (eg + el)))
+    exact = Decimal(eta_eta) / (Decimal(1e-155) * Decimal(1e-160))
+    assert relative_error(doc["C"], exact) <= 2 * Decimal(sys.float_info.epsilon)
+    assert doc["C"] != eta_eta / (1e-155 * 1e-160)
+
+
+def test_moments_keep_the_plain_quotients_when_every_product_is_normal(tmp_path, capsys):
+    for phys, p_alpha in (("2,0.5,4", "0.3"), ("1e100,1e30,1e-5", "1.5"), ("0.3,1e-30,7", "2")):
+        m, l, g = map(float, phys.split(","))
+        doc = moments_doc(tmp_path, capsys, 0.3, phys, p_alpha)
+        assert doc["C"] == doc["moments"]["eta_eta"] / (g * l)
+        assert doc["B"] == float(p_alpha) * float(p_alpha) / (m * m * l ** 3 * g)
 
 
 @pytest.mark.parametrize("argv", [["moments"], ["compare", "--eps-sweep", "0.1,0.05"]])
@@ -333,6 +398,36 @@ def test_portrait_bytes_are_pinned(tmp_path, capsys, args, pins):
     for name in ("grid.csv", "contours.csv", "portrait.svg"):
         digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digests == pins
+
+
+@pytest.mark.parametrize("a_minus_c, b", [(0.0, 0.1), (3.5, 0.01)])
+def test_portrait_files_are_written_in_under_a_megabyte(tmp_path, capsys, a_minus_c, b):
+    # the 4.9 MB grid.csv goes out a row at a time, not as one string
+    grid = build_grid(AveragedParams.from_a_minus_c(a_minus_c, b), nx=512, ny=512)
+    portrait = (grid, extract_contours(grid))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_portrait(portrait, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert (tmp_path / "grid.csv").stat().st_size > 4_000_000
+    assert peak - start < 1_000_000
+
+
+def test_portrait_writers_write_the_same_text_to_a_file_and_to_a_string(tmp_path, capsys):
+    grid = build_grid(AveragedParams.from_a_minus_c(3.5, 0.01), nx=64, ny=65)
+    contours = extract_contours(grid)
+    cli._write_portrait((grid, contours), tmp_path)
+    capsys.readouterr()
+    for name, writer, args in (
+        ("grid.csv", grid_to_csv, (grid,)),
+        ("contours.csv", contours_to_csv, (contours,)),
+        ("portrait.svg", render_svg, (grid, contours)),
+    ):
+        assert (tmp_path / name).read_bytes() == written(writer, *args).encode(), name
 
 
 CIRCULAR_DOC = '{"epsilon": 0.1, "omega": 1.7, "tau": {"cos": [0.8]}, "eta": {"sin": [0.8]}}'
@@ -744,6 +839,61 @@ def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, cap
             assert captured.err == "", argv
             json.loads(captured.out, parse_constant=no_constants)
     assert captured.err == "error: non-finite state reached at t = 0.9326603190344698\n"
+
+
+def test_writing_subcommands_keep_the_exit_code_contract_at_the_float_corners(
+    tmp_path, capsys
+):
+    # exit 1 is one "error:" line, nothing on stdout and no output made;
+    # exit 0 writes every file, each non-empty, and a grid of nx + 1 lines
+    rng = random.Random(1313)
+    sizes = (1, 2, 3, 4097)
+    p_maxes = ([], ["--p-max=1e-320"], ["--p-max=1e+300"], ["--p-max=inf"], ["--p-max=nan"])
+    samples = (0, 1, 2, 10**6 + 1)
+    # drawn corner points on grids it can draw, then every size at one point
+    argvs = [
+        ["portrait", f"--a-minus-c={rng.choice(CORNERS)!r}", f"--b={rng.choice(CORNERS)!r}",
+         f"--nx={rng.choice((2, 3))}", f"--ny={rng.choice((2, 3))}", *rng.choice(p_maxes)]
+        for _ in range(240)
+    ]
+    argvs += [
+        ["portrait", "--a-minus-c=3.5", "--b=0.01", f"--nx={nx}", f"--ny={ny}", *p_max]
+        for nx in sizes for ny in sizes for p_max in p_maxes
+    ]
+    argvs += [
+        ["reproduce", f"--nx={rng.choice(sizes)}", f"--ny={rng.choice(sizes)}",
+         f"--samples={rng.choice(samples)}", *rng.choice(p_maxes)]
+        for _ in range(60)
+    ]
+    cases = [(argv, True) for argv in argvs]
+    cases += [(["curve", f"--samples={n}"], to_file) for n in samples for to_file in (False, True)]
+
+    seen = set()
+    for k, (argv, to_file) in enumerate(cases):
+        out = tmp_path / str(k)
+        code = main([*argv, "--out", str(out)] if to_file else argv)
+        captured = capsys.readouterr()
+        seen.add((argv[0], code))
+        if code != 0:
+            assert code == 1, argv
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+            assert not out.exists(), argv
+            continue
+        assert captured.err == "", argv
+        options = dict(a.lstrip("-").split("=") for a in argv[1:])
+        if argv[0] == "curve":
+            text = out.read_text() if to_file else captured.out
+            assert len(text.splitlines()) == int(options["samples"]) + 1, argv
+            continue
+        subs = [out] if argv[0] == "portrait" else [
+            out / "portrait_domain_I", out / "portrait_domain_II"]
+        for sub in subs:
+            for name in ("grid.csv", "contours.csv", "portrait.svg"):
+                assert (sub / name).stat().st_size > 0, (argv, name)
+            with open(sub / "grid.csv", encoding="utf-8") as f:
+                assert sum(1 for _ in f) == int(options["nx"]) + 1, argv
+    assert {(c, code) for c in ("portrait", "reproduce", "curve") for code in (0, 1)} <= seen
 
 
 def test_unknown_flags_exit_nonzero(capsys):

@@ -1,7 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
+
+from conftest import written
 
 from pendulum_vib.portrait import (
     PortraitGrid,
@@ -276,7 +279,7 @@ def test_contours_only_meet_at_saddle_cells():
 
 def test_grid_csv_layout():
     g = build_grid(DOMAIN_I, nx=4, ny=3)
-    lines = grid_to_csv(g).strip().splitlines()
+    lines = written(grid_to_csv, g).strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "phi"
     assert [float(x) for x in header[1:]] == [float(x) for x in g.p]
@@ -288,7 +291,7 @@ def test_grid_csv_layout():
 def test_grid_csv_mirrors_each_row():
     for ny in (6, 7):
         g = build_grid(DOMAIN_II, nx=5, ny=ny)
-        lines = grid_to_csv(g).splitlines()
+        lines = written(grid_to_csv, g).splitlines()
         assert lines[0] == "phi," + ",".join(repr(float(x)) for x in g.p)
         for phi, row, line in zip(g.phi, g.values, lines[1:]):
             assert line == ",".join(repr(float(x)) for x in (phi, *row))
@@ -304,14 +307,16 @@ def test_grid_csv_refuses_a_grid_that_is_not_mirror_symmetric():
         grid = PortraitGrid(
             phi=g.phi, p=g.p, values=values, levels=(), separatrix_levels=(), equilibria=()
         )
+        out = io.StringIO()
         with pytest.raises(ValueError, match="mirror"):
-            grid_to_csv(grid)
+            grid_to_csv(grid, out)
+        assert out.getvalue() == ""  # refused before the first byte
 
 
 def test_contours_csv_layout():
     g = build_grid(PLANAR_II, nx=64, ny=64)
     contours = extract_contours(g)
-    lines = contours_to_csv(contours).strip().splitlines()
+    lines = written(contours_to_csv, contours).strip().splitlines()
     assert lines[0] == "level,polyline_id,phi,p_phi"
     first = lines[1].split(",")
     assert len(first) == 4
@@ -321,14 +326,14 @@ def test_contours_csv_layout():
 def test_svg_deterministic_and_marks_equilibria():
     g1 = build_grid(DOMAIN_I, nx=96, ny=96)
     c1 = extract_contours(g1)
-    svg_a = render_svg(g1, c1)
-    svg_b = render_svg(build_grid(DOMAIN_I, nx=96, ny=96), extract_contours(g1))
+    svg_a = written(render_svg, g1, c1)
+    svg_b = written(render_svg, build_grid(DOMAIN_I, nx=96, ny=96), extract_contours(g1))
     assert svg_a == svg_b
     assert svg_a.count("<circle") == 1  # exactly one centre in domain I
     assert "separatrix" not in svg_a
 
     g2 = build_grid(DOMAIN_II, nx=96, ny=96)
-    svg2 = render_svg(g2, extract_contours(g2))
+    svg2 = written(render_svg, g2, extract_contours(g2))
     assert svg2.count("<circle") == 2
     assert svg2.count('class="equilibrium-unstable"') == 1
     assert 'class="separatrix"' in svg2
@@ -336,6 +341,6 @@ def test_svg_deterministic_and_marks_equilibria():
 
 def test_svg_empty_contours_still_draws_axes():
     g = build_grid(DOMAIN_I, nx=16, ny=16)
-    svg = render_svg(g, [])
+    svg = written(render_svg, g, [])
     assert svg.startswith("<?xml")
     assert "<rect" in svg and "<circle" in svg
