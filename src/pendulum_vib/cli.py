@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input or I/O trouble (a trajectory that reaches
-non-finite values included), 2 a scientific check failed (symmetry violation,
-convergence band, impossible equilibrium count).
+Exit codes: 0 success, 1 bad input or I/O trouble (a usage error and a
+trajectory that reaches non-finite values included), 2 a scientific check
+failed (symmetry violation, convergence band, impossible equilibrium count).
 All outputs are deterministic functions of the inputs; written JSON re-reads
 and re-emits byte-identically.  :func:`main` parses argv once and hands the
 ``argparse.Namespace`` to the subcommand, which checks the range of each
@@ -292,6 +292,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, which
+    :func:`main` reports as bad input (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     scalar subcommand do; parsing leaves it unchanged, so every call of
     :func:`main` in a process shares it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pendulum-vib",
         description="Averaged dynamics of a spherical pendulum with a fast-vibrating pivot.",
     )
@@ -367,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InconsistentCountError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,8 +49,6 @@ __all__ = [
     "averaged_hamiltonian",
     "averaged_params",
     "reduced_rhs",
-    "make_full_rhs",
-    "make_reduced_rhs",
     "rk4_step",
     "integrate",
     "compare_full_averaged",
@@ -97,16 +95,6 @@ def full_hamiltonian(state: FullState, t: float, e: Excitation) -> float:
     return (d_phi * d_phi + w * w) / 2.0 - c
 
 
-def full_rhs(state: Sequence[float], t: float, e: Excitation) -> tuple[float, float, float, float]:
-    """Hamilton's equations of the full system: (dphi, dalpha, dp_phi, dp_alpha).
-
-    ``state`` is a :class:`FullState` or any sequence in the same order.
-    The equations are those that :func:`make_full_rhs` and
-    :func:`compare_full_averaged` step.
-    """
-    return _full_flow(e)(t, *state)
-
-
 def averaged_hamiltonian(state: FullState, mm: MomentMatrix) -> float:
     """Hamiltonian averaged over one period of the fast phase, state frozen.
 
@@ -135,21 +123,18 @@ def averaged_hamiltonian(state: FullState, mm: MomentMatrix) -> float:
     )
 
 
-def reduced_rhs(phi: float, p_phi: float, ap: AveragedParams) -> tuple[float, float]:
-    """Reduced flow in dimensionless units: (dphi, dp_phi) = (p_phi, -dV/dphi)."""
-    return (p_phi, -dv(phi, ap))
+Rhs = Callable[..., Sequence[float]]
 
 
-Rhs = Callable[[float, Sequence[float]], Sequence[float]]
+def full_rhs(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
+    """The full flow as ``f(t, phi, alpha, p_phi, p_alpha)``, which returns
+    Hamilton's equations (dphi, dalpha, dp_phi, dp_alpha).
 
-
-def _full_flow(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
-    """The full flow as ``f(t, phi, alpha, p_phi, p_alpha)``.
-
-    This closure holds the one copy of the full flow's equations.  The pivot
+    The closure holds the one copy of the full flow's equations.  The pivot
     velocity depends on ``t`` alone, so a call at the same ``t`` as the
-    previous one reuses it: RK4's two midpoint stages share a time, and a
-    step's last stage often shares one with the next step's first.  Each
+    previous one to the same closure reuses it: RK4's two midpoint stages
+    share a time, and a step's last stage often shares one with the next
+    step's first.  Build one closure per run and step it.  Each
     evaluation costs one sine or cosine per distinct harmonic and family that
     some axis of ``e`` needs (see :func:`pendulum_vib.excitation.eval_velocity`),
     with the same bits as the term-by-term series.
@@ -194,29 +179,14 @@ def _full_flow(e: Excitation) -> Callable[..., tuple[float, float, float, float]
     return f
 
 
-def make_full_rhs(e: Excitation) -> Rhs:
-    """:func:`full_rhs` as an ``rhs(t, y)`` for :func:`integrate`.
+def reduced_rhs(ap: AveragedParams) -> Callable[[float, float, float], tuple[float, float]]:
+    """The reduced flow in dimensionless units as ``g(t, phi, p_phi)``, which
+    returns (dphi, dp_phi) = (p_phi, -dV/dphi)."""
 
-    ``f(t, *y)`` around a fresh closure of the one copy of the full flow's
-    equations, which :func:`compare_full_averaged` calls directly from its
-    scalar RK4 loop.  Each closure evaluates the pivot velocity once per
-    distinct stage time.
-    """
-    f = _full_flow(e)
+    def g(t: float, phi: float, p_phi: float) -> tuple[float, float]:
+        return (p_phi, -dv(phi, ap))
 
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, float, float, float]:
-        return f(t, *y)
-
-    return rhs
-
-
-def make_reduced_rhs(ap: AveragedParams) -> Rhs:
-    """:func:`reduced_rhs` as an ``rhs(t, y)`` for :func:`integrate`, y = (phi, p_phi)."""
-
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, float]:
-        return reduced_rhs(y[0], y[1], ap)
-
-    return rhs
+    return g
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -262,15 +232,16 @@ class Trajectory(Frozen):
 def rk4_step(rhs: Rhs, t: float, y: Sequence[float], h: float) -> list[float]:
     """One classical RK4 step of size h from (t, y).
 
-    ``rhs(t, y)`` takes and returns a sequence of floats; the stages and the
-    result are plain Python floats, combined in the same order as the vector
-    form ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``.
+    ``rhs(t, *y)`` takes the state's floats as arguments and returns a
+    sequence of floats; the stages and the result are plain Python floats,
+    combined in the same order as the vector form
+    ``y + h/6 (k1 + 2 k2 + 2 k3 + k4)``.
     """
     hh = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + hh, [a + hh * b for a, b in zip(y, k1)])
-    k3 = rhs(t + hh, [a + hh * b for a, b in zip(y, k2)])
-    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+    k1 = rhs(t, *y)
+    k2 = rhs(t + hh, *[a + hh * b for a, b in zip(y, k1)])
+    k3 = rhs(t + hh, *[a + hh * b for a, b in zip(y, k2)])
+    k4 = rhs(t + h, *[a + h * b for a, b in zip(y, k3)])
     h6 = h / 6.0
     return [a + h6 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
@@ -281,9 +252,9 @@ def integrate(
     """Classical fixed-step RK4 over t_span, recording every step.
 
     The general integrator, and the reference that :func:`compare_full_averaged`
-    matches bit for bit.  ``rhs(t, y)`` takes and returns a sequence of
-    floats: see :func:`make_full_rhs`, which evaluates the pivot velocity
-    once per distinct stage time, and :func:`make_reduced_rhs`.  A final
+    matches bit for bit.  ``rhs(t, *y)`` is a flow as :func:`full_rhs` or
+    :func:`reduced_rhs` returns it, or any callable that takes the state's
+    floats as arguments and returns a sequence of floats.  A final
     shorter step lands exactly on the end time when the span is not an
     integer number of steps or is shorter than one step.  Deterministic for
     identical inputs; rejects a non-finite ``y0`` or ``t_span``, or a span of
@@ -348,7 +319,7 @@ def _replay_checked(rhs: Rhs, t: float, y: Sequence[float], h: float, t_next: fl
     overflowed raises IntegrationBlowUpError(t_next) here; an ``rhs``'s own
     ValueError is raised again, by the replay or by the caller's ``raise``.
     """
-    rk4_step(lambda s, z: rhs(s, _finite(z, t_next)), t, y, h)
+    rk4_step(lambda s, *z: rhs(s, *_finite(z, t_next)), t, y, h)
 
 
 def _finite(y: Sequence[float], t: float) -> Sequence[float]:
@@ -391,7 +362,7 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
     if not report.passed:
         raise SymmetryViolationError(report)
 
-    f = _full_flow(e)
+    f = full_rhs(e)
     ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
     y, t, steps = _time_grid(
         (*initial, initial.phi, initial.p_phi), (0.0, t_end),
@@ -405,8 +376,8 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
         hh = 0.5 * h
         t_mid = t + hh
         try:
-            # the reduced flow's derivative is (p_r, -dV(phi_r)): the p_r
-            # argument of a stage is that stage's slope of phi_r
+            # reduced_rhs's (p_r, -dV(phi_r)), inline to save a call a stage:
+            # the p_r argument of a stage is that stage's slope of phi_r
             a1, b1, c1, d1 = f(t, phi, alpha, p_phi, p_alpha)
             q1 = -dv(phi_r, ap)
             a2, b2, c2, d2 = f(t_mid, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
@@ -422,8 +393,9 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
             p4 = p_r + h * q3
             q4 = -dv(phi_r + h * p3, ap)
         except ValueError:
+            g = reduced_rhs(ap)
             _replay_checked(
-                lambda s, z: (*f(s, *z[:4]), *reduced_rhs(z[4], z[5], ap)),
+                lambda s, *z: (*f(s, *z[:4]), *g(s, *z[4:])),
                 t, [phi, alpha, p_phi, p_alpha, phi_r, p_r], h, t_next,
             )
             raise

@@ -111,7 +111,7 @@ def build_grid(
         raise ValueError("the sampled energies are not all finite")
 
     eqs = tuple(find_equilibria(ap))
-    separatrix = tuple(sorted({v_bar(eq.phi, ap) for eq in eqs if eq.kind == "unstable"}))
+    separatrix = tuple(sorted({eq.v_value for eq in eqs if eq.kind == "unstable"}))
     spaced = [
         v_min + k * (v_max - v_min) / (AUTO_LEVEL_COUNT + 1.0)
         for k in range(1, AUTO_LEVEL_COUNT + 1)
@@ -301,6 +301,7 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours], out: TextIO) -
     phi_lo, phi_hi = grid.phi_range
     p_lo, p_hi = grid.p_range
 
+    # plain arithmetic: on a float64 array, each element gets the bits of a float
     def to_x(phi: float) -> float:
         return x0 + (phi - phi_lo) / (phi_hi - phi_lo) * (x1 - x0)
 
@@ -354,9 +355,8 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours], out: TextIO) -
     for lc in contours:
         style = _SEPARATRIX_STYLE if lc.is_separatrix else _CONTOUR_STYLE
         for poly in lc.polylines:
-            # to_x and to_y over the whole polyline, in the same operation order
-            xs = x0 + (poly[:, 0] - phi_lo) / (phi_hi - phi_lo) * (x1 - x0)
-            ys = y1 - (poly[:, 1] - p_lo) / (p_hi - p_lo) * (y1 - y0)
+            xs = to_x(poly[:, 0])
+            ys = to_y(poly[:, 1])
             coords = " L ".join(f"{x:.3f} {y:.3f}" for x, y in zip(xs.tolist(), ys.tolist()))
             put(f'<path {style} d="M {coords}"/>')
 

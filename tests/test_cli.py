@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -711,6 +713,17 @@ def test_package_names_resolve_on_first_access():
         assert getattr(pendulum_vib, name, None) is None
 
 
+def test_module_exports_resolve_and_cover_the_package():
+    # a stale entry would break ``from pendulum_vib.<module> import *``
+    exported = set()
+    for module in ("excitation", "potential", "dynamics", "portrait"):
+        mod = importlib.import_module(f"pendulum_vib.{module}")
+        for name in mod.__all__:
+            assert hasattr(mod, name), (module, name)
+        exported.update(mod.__all__)
+    assert set(pendulum_vib.__all__) <= exported
+
+
 def imported_modules(argv, code=0) -> set[str]:
     """Every module a fresh ``pendulum_vib.cli argv`` run imports, which must exit with code."""
     # -X importtime lists on stderr every module the run imports
@@ -840,6 +853,24 @@ def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, cap
             json.loads(captured.out, parse_constant=no_constants)
     assert captured.err == "error: non-finite state reached at t = 0.9326603190344698\n"
 
+    # malformed lists and spans, alone and together, each refused before a
+    # step: exit 1 and one "error:" line; -inf as its own token is a usage error
+    sweeps = ("0.1,,0.05", "0.1;0.05", "nan,0.1", "inf,0.1", "0.1,-0.0", "0.1,0.1", ",",
+              "0.1,0.05")
+    initials = ("2,0,0", "2,0,0,0.3,1", "nan,0,0,0.3", "2,inf,0,0.3", "2,0,0,-inf",
+                "2,0,0,0.3")
+    t_ends = ("inf", "nan", "0", "-inf", "1")
+    for sweep, initial, t_end in product(sweeps, initials, t_ends):
+        if (sweep, initial, t_end) == (sweeps[-1], initials[-1], t_ends[-1]):
+            continue  # the one well-formed argv
+        argv = ["compare", "--excitation", paths[0], "--eps-sweep", sweep,
+                "--initial", initial, "--t-end", t_end]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
 
 def test_writing_subcommands_keep_the_exit_code_contract_at_the_float_corners(
     tmp_path, capsys
@@ -897,8 +928,25 @@ def test_writing_subcommands_keep_the_exit_code_contract_at_the_float_corners(
 
 
 def test_unknown_flags_exit_nonzero(capsys):
-    with pytest.raises(SystemExit):
-        main(["domain", "--a-minus-c", "1"])  # missing --b
+    # a usage error is bad input: exit 1 and one "error:" line, as for any other
+    for argv, message in (
+        (["domain", "--a-minus-c", "1"], "the following arguments are required: --b"),
+        (["portrait", "--a-minus-c", "1", "--b", "0.1", "--nx", "abc"],
+         "argument --nx: invalid int value: 'abc'"),
+        (["domain", "--a-minus-c", "1", "--b", "0.1", "--extra"],
+         "unrecognized arguments: --extra"),
+        # argparse takes -inf for an option, not for a value
+        (["compare", "--excitation", "e.json", "--eps-sweep", "0.1,0.05", "--t-end", "-inf"],
+         "argument --t-end: expected one argument"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    for command in ("domain", "portrait", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
 
 
 def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
@@ -911,14 +959,11 @@ def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
     )
     assert cli.build_parser() is cli.build_parser()
     for argv in argvs:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         here = capsys.readouterr()
         fresh = run_fresh(argv)
         assert (code, here.out, here.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
-    assert code == 2 and "--b" in here.err
+    assert code == 1 and "--b" in here.err
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,6 @@ from pendulum_vib.dynamics import (
     full_hamiltonian,
     full_rhs,
     integrate,
-    make_full_rhs,
-    make_reduced_rhs,
     reduced_rhs,
 )
 from pendulum_vib.excitation import (
@@ -94,8 +92,9 @@ def test_zero_excitation_full_equals_averaged():
 
 
 def test_full_rhs_planar_examples():
-    assert full_rhs(FullState(math.pi / 2, 0.0, 0.0, 0.0), 0.0, ZERO_EXC) == (0.0, 0.0, -1.0, 0.0)
-    dphi, dalpha, dp_phi, dp_alpha = full_rhs(FullState(math.pi / 2, 0.0, 0.3, 0.0), 0.0, ZERO_EXC)
+    f = full_rhs(ZERO_EXC)
+    assert f(0.0, *FullState(math.pi / 2, 0.0, 0.0, 0.0)) == (0.0, 0.0, -1.0, 0.0)
+    dphi, dalpha, dp_phi, dp_alpha = f(0.0, *FullState(math.pi / 2, 0.0, 0.3, 0.0))
     assert dphi == 0.3
     assert dp_alpha == 0.0
 
@@ -107,7 +106,7 @@ def test_full_rhs_matches_hamiltonian_gradient():
         e = random_excitation(rng)
         s = random_state(rng)
         t = float(rng.uniform(0.0, 5.0))
-        dphi, dalpha, dp_phi, dp_alpha = full_rhs(s, t, e)
+        dphi, dalpha, dp_phi, dp_alpha = full_rhs(e)(t, *s)
 
         def H(phi=s.phi, alpha=s.alpha, p_phi=s.p_phi, p_alpha=s.p_alpha):
             return full_hamiltonian(FullState(phi, alpha, p_phi, p_alpha), t, e)
@@ -159,8 +158,8 @@ def test_averaged_params_nondimensionalisation():
 
 
 def test_reduced_rhs_examples():
-    assert reduced_rhs(math.pi / 2, 0.0, AveragedParams.from_a_minus_c(0.0, 0.0)) == (0.0, -1.0)
-    dphi, dp = reduced_rhs(2 * math.pi / 3, 0.0, AveragedParams.from_a_minus_c(2.0, 0.0))
+    assert reduced_rhs(AveragedParams.from_a_minus_c(0.0, 0.0))(0.0, math.pi / 2, 0.0) == (0.0, -1.0)
+    dphi, dp = reduced_rhs(AveragedParams.from_a_minus_c(2.0, 0.0))(0.0, 2 * math.pi / 3, 0.0)
     assert dphi == 0.0
     assert dp == pytest.approx(0.0, abs=1e-15)
 
@@ -171,7 +170,7 @@ def test_reduced_rhs_matches_potential_gradient():
         ap = AveragedParams.from_a_minus_c(float(rng.uniform(-3, 4)), float(rng.uniform(0, 1.5)))
         phi = float(rng.uniform(0.05, math.pi - 0.05))
         p_phi = float(rng.normal())
-        dphi, dp = reduced_rhs(phi, p_phi, ap)
+        dphi, dp = reduced_rhs(ap)(0.0, phi, p_phi)
         assert dphi == p_phi
         assert close_rel(dp, -central_diff(lambda x: v_bar(x, ap), phi))
 
@@ -184,26 +183,26 @@ def test_reduced_rhs_shift_invariance():
         k = float(rng.uniform(0, 5))
         b = float(rng.uniform(0, 1))
         phi = float(rng.uniform(0.1, math.pi - 0.1))
-        base = reduced_rhs(phi, 0.3, AveragedParams(A=a, B=b, C=c))
-        shifted = reduced_rhs(phi, 0.3, AveragedParams(A=a + k, B=b, C=c + k))
+        base = reduced_rhs(AveragedParams(A=a, B=b, C=c))(0.0, phi, 0.3)
+        shifted = reduced_rhs(AveragedParams(A=a + k, B=b, C=c + k))(0.0, phi, 0.3)
         assert abs(base[1] - shifted[1]) <= 1e-14 * max(1.0, abs(base[1]))
 
 
 def test_integrate_zero_rhs_is_constant():
-    traj = integrate(lambda t, y: np.zeros_like(y), [1.0, -2.0], (0.0, 1.0), 0.1)
+    traj = integrate(lambda t, *y: np.zeros_like(y), [1.0, -2.0], (0.0, 1.0), 0.1)
     assert np.all(traj.y == np.array([1.0, -2.0]))
     assert traj.t[0] == 0.0 and traj.t[-1] == 1.0
 
 
 def test_integrate_lands_exactly_on_end_time():
-    traj = integrate(lambda t, y: np.ones_like(y), [0.0], (0.0, 0.95), 0.1)
+    traj = integrate(lambda t, *y: np.ones_like(y), [0.0], (0.0, 0.95), 0.1)
     assert traj.t[-1] == 0.95
     assert traj.y[-1, 0] == pytest.approx(0.95, abs=1e-12)
 
 
 def test_integrate_takes_a_short_step_over_a_span_shorter_than_one():
     # a span below step * 1e-9 is one short step, not zero steps ending at t0
-    traj = integrate(lambda t, y: [1.0 for _ in y], [0.0], (0.0, 1e-12), 0.1)
+    traj = integrate(lambda t, *y: [1.0 for _ in y], [0.0], (0.0, 1e-12), 0.1)
     assert len(traj.t) == 2
     assert traj.t[-1] == 1e-12
     assert traj.y[-1, 0] == 1e-12
@@ -211,14 +210,14 @@ def test_integrate_takes_a_short_step_over_a_span_shorter_than_one():
 
 def test_integrate_small_angle_period():
     # near the bottom the reduced flow is a unit-frequency oscillator
-    rhs = make_reduced_rhs(AveragedParams.from_a_minus_c(0.0, 0.0))
+    rhs = reduced_rhs(AveragedParams.from_a_minus_c(0.0, 0.0))
     traj = integrate(rhs, [1e-3, 0.0], (0.0, 2.0 * math.pi), 1e-3)
     assert abs(traj.y[-1, 0] - 1e-3) < 1e-9
     assert abs(traj.y[-1, 1]) < 1e-9
 
 
 def test_integrate_validates_inputs():
-    rhs = lambda t, y: y
+    rhs = lambda t, *y: y
     with pytest.raises(ValueError):
         integrate(rhs, [1.0], (0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
@@ -226,7 +225,7 @@ def test_integrate_validates_inputs():
 
 
 def test_integrate_reports_blow_up_time():
-    rhs = lambda t, y: [v * v for v in y]
+    rhs = lambda t, *y: [v * v for v in y]
     with pytest.raises(IntegrationBlowUpError) as err:
         integrate(rhs, [1.0], (0.0, 50.0), 1.0)
     assert 0.0 < err.value.time <= 50.0
@@ -234,29 +233,29 @@ def test_integrate_reports_blow_up_time():
 
 def test_integrate_reports_a_stage_overflow_as_a_blow_up():
     # the second stage is infinite, and math.cos refuses it with ValueError
-    rhs = lambda t, y: [1e308 * (1.0 + math.cos(y[0]))]
+    rhs = lambda t, *y: [1e308 * (1.0 + math.cos(y[0]))]
     with pytest.raises(IntegrationBlowUpError) as err:
         integrate(rhs, [0.0], (0.0, 1.0), 0.5)
     assert err.value.time == 0.5
     # a ValueError with finite stages is the rhs's own and passes through
     with pytest.raises(ValueError, match="math domain error"):
-        integrate(lambda t, y: [math.sqrt(y[0])], [-1.0], (0.0, 1.0), 0.5)
+        integrate(lambda t, *y: [math.sqrt(y[0])], [-1.0], (0.0, 1.0), 0.5)
 
 
 def test_integrate_refuses_too_many_steps():
     with pytest.raises(ValueError, match=r"takes 1\.5e\+06 steps, more than the limit of 1000000"):
-        integrate(lambda t, y: y, [1.0], (0.0, 1.5), 1e-6)
+        integrate(lambda t, *y: y, [1.0], (0.0, 1.5), 1e-6)
     with pytest.raises(ValueError, match="more than the limit"):
-        integrate(lambda t, y: y, [1.0], (-1e308, 1e308), 1.0)
+        integrate(lambda t, *y: y, [1.0], (-1e308, 1e308), 1.0)
 
 
 def test_make_full_rhs_matches_full_rhs_bit_for_bit():
     # the pivot velocity is reused between stages at the same time; the
-    # result must be what full_rhs gives at every stage
+    # result must be what a fresh full_rhs closure gives at every stage
     for e in (VERTICAL, CIRCULAR):
         span, h = (0.0, 3.0), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-        fast = integrate(make_full_rhs(e), FullState(2.0, 0.5, 0.1, 0.3), span, h)
-        plain = integrate(lambda t, y: full_rhs(FullState(*y), t, e),
+        fast = integrate(full_rhs(e), FullState(2.0, 0.5, 0.1, 0.3), span, h)
+        plain = integrate(lambda t, *y: full_rhs(e)(t, *y),
                           FullState(2.0, 0.5, 0.1, 0.3), span, h)
         assert np.array_equal(fast.t, plain.t)
         assert np.array_equal(fast.y, plain.y)
@@ -271,14 +270,14 @@ def test_make_full_rhs_evaluates_the_velocity_under_three_times_a_step(monkeypat
 
     monkeypatch.setattr(dynamics, "eval_velocity", counting)
     h = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    traj = integrate(make_full_rhs(VERTICAL), FullState(2.0, 0.0, 0.0, 0.3), (0.0, 10.0), h)
+    traj = integrate(full_rhs(VERTICAL), FullState(2.0, 0.0, 0.0, 0.3), (0.0, 10.0), h)
     steps = len(traj.t) - 1
     assert len(calls) < 3 * steps
 
 
 def test_reduced_energy_conservation():
     ap = AveragedParams.from_a_minus_c(0.5, 0.09)
-    rhs = make_reduced_rhs(ap)
+    rhs = reduced_rhs(ap)
     traj = integrate(rhs, [2.0, 0.0], (0.0, 10.0), 1e-3)
     energies = 0.5 * traj.y[:, 1] ** 2 + np.array([v_bar(float(x), ap) for x in traj.y[:, 0]])
     assert np.max(np.abs(energies - energies[0])) < 1e-9
@@ -298,9 +297,9 @@ def bench_like_excitation(rng):
 def reference_norms(e, initial, t_end):
     """The three norms from each flow integrated alone by integrate."""
     span, h = (0.0, t_end), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    full = integrate(make_full_rhs(e), initial, span, h)
+    full = integrate(full_rhs(e), initial, span, h)
     ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
-    red = integrate(make_reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
+    red = integrate(reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
     assert np.array_equal(full.t, red.t)
     return full, (
         np.max(np.abs(full.y[:, 0] - red.y[:, 0])),
@@ -338,8 +337,8 @@ def test_compare_gap_matches_a_finer_reduced_flow(eps):
     initial = FullState(2.0, 0.0, 0.0, 0.3)
     report = compare_full_averaged(e, initial, 10.0)
     h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    full = integrate(make_full_rhs(e), initial, (0.0, 10.0), h)
-    ref = integrate(make_reduced_rhs(averaged_params(velocity_moments(e), 0.3, PhysicalParams())),
+    full = integrate(full_rhs(e), initial, (0.0, 10.0), h)
+    ref = integrate(reduced_rhs(averaged_params(velocity_moments(e), 0.3, PhysicalParams())),
                     [2.0, 0.0], (0.0, 10.0), h / 8)
     # every 8th fine time is bit-identical to a full-grid time; the final
     # shorter step is left out
@@ -352,10 +351,11 @@ def test_compare_gap_matches_a_finer_reduced_flow(eps):
 def product_reference(e, initial, t_end):
     """compare_full_averaged's norms from integrate on the product system
     (phi, alpha, p_phi, p_alpha, phi_r, p_r), or the exception it raises."""
-    full = make_full_rhs(e)
+    full = full_rhs(e)
     try:
-        ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
-        y = integrate(lambda t, z: (*full(t, z[:4]), *reduced_rhs(z[4], z[5], ap)),
+        reduced = reduced_rhs(averaged_params(velocity_moments(e), initial.p_alpha,
+                                              PhysicalParams()))
+        y = integrate(lambda t, *z: (*full(t, *z[:4]), *reduced(t, *z[4:])),
                       (*initial, initial.phi, initial.p_phi), (0.0, t_end),
                       e.fast_period / dynamics.STEPS_PER_FAST_PERIOD).y
     except (ValueError, IntegrationBlowUpError) as exc:
