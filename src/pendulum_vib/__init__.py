@@ -15,8 +15,8 @@ import importlib
 _EXPORTS = {
     "excitation": (
         "Excitation", "HarmonicSeries", "MomentMatrix", "SymmetryReport",
-        "SymmetryViolationError", "check_symmetry", "eval_displacement", "eval_velocity",
-        "excitation_from_dict", "excitation_to_dict", "load_excitation", "velocity_moments",
+        "SymmetryViolationError", "check_symmetry", "eval_velocity", "excitation_from_dict",
+        "load_excitation", "velocity_moments",
     ),
     "potential": (
         "AveragedParams", "DomainLabel", "Equilibrium", "GammaPoint", "InconsistentCountError",

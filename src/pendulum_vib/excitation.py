@@ -24,12 +24,10 @@ __all__ = [
     "MomentMatrix",
     "SymmetryReport",
     "SymmetryViolationError",
-    "eval_displacement",
     "eval_velocity",
     "velocity_moments",
     "check_symmetry",
     "excitation_from_dict",
-    "excitation_to_dict",
     "load_excitation",
 ]
 
@@ -54,14 +52,6 @@ class HarmonicSeries(Frozen):
                 raise ValueError(f"{name} must be finite, got {coeffs}")
             values.append(coeffs)
         self._freeze(*values)
-
-    def value(self, s: float) -> float:
-        out = 0.0
-        for k, a in enumerate(self.cosine_coeffs, start=1):
-            out += a * math.cos(k * s)
-        for k, b in enumerate(self.sine_coeffs, start=1):
-            out += b * math.sin(k * s)
-        return out
 
 
 _ZERO_SERIES = HarmonicSeries()
@@ -121,12 +111,6 @@ class Excitation(Frozen):
     @property
     def axes(self) -> tuple[HarmonicSeries, HarmonicSeries, HarmonicSeries]:
         return (self.tau, self.eta, self.xi)
-
-
-def eval_displacement(e: Excitation, t: float) -> tuple[float, float, float]:
-    """Pivot displacement (tau, eta, xi) at time t."""
-    s = e.omega * t / e.epsilon
-    return (e.epsilon * e.tau.value(s), e.epsilon * e.eta.value(s), e.epsilon * e.xi.value(s))
 
 
 def eval_velocity(e: Excitation, t: float) -> tuple[float, float, float]:
@@ -195,10 +179,6 @@ class MomentMatrix(Frozen):
     @property
     def eta_xi(self) -> float:
         return self.m[1][2]
-
-    @classmethod
-    def zero(cls) -> "MomentMatrix":
-        return cls(((0.0,) * 3,) * 3)
 
 
 def _series_cross_moment(f: HarmonicSeries, g: HarmonicSeries) -> float:
@@ -323,16 +303,6 @@ def excitation_from_dict(doc: dict) -> Excitation:
         eta=_series_from_dict(doc.get("eta"), "eta"),
         xi=_series_from_dict(doc.get("xi"), "xi"),
     )
-
-
-def excitation_to_dict(e: Excitation) -> dict:
-    return {
-        "epsilon": e.epsilon,
-        "omega": e.omega,
-        "tau": {"cos": list(e.tau.cosine_coeffs), "sin": list(e.tau.sine_coeffs)},
-        "eta": {"cos": list(e.eta.cosine_coeffs), "sin": list(e.eta.sine_coeffs)},
-        "xi": {"cos": list(e.xi.cosine_coeffs), "sin": list(e.xi.sine_coeffs)},
-    }
 
 
 def load_excitation(path) -> Excitation:

@@ -55,14 +55,6 @@ class PortraitGrid(Frozen):
         self._freeze(phi, p, values, levels, separatrix_levels, equilibria)
 
     @property
-    def nx(self) -> int:
-        return len(self.phi)
-
-    @property
-    def ny(self) -> int:
-        return len(self.p)
-
-    @property
     def phi_range(self) -> tuple[float, float]:
         return (float(self.phi[0]), float(self.phi[-1]))
 

@@ -83,7 +83,8 @@ class AveragedParams(Frozen):
         for name, value in (("A", A), ("B", B), ("C", C)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        self._freeze(A, B, C)
+        # + 0.0 turns a -0.0 into 0.0: these are means of squares
+        self._freeze(A + 0.0, B + 0.0, C + 0.0)
 
     @property
     def a_minus_c(self) -> float:

@@ -3,11 +3,13 @@
 These deliberately re-derive results with the dumbest method available
 (finite differences, dense sign scans, plain bisection) so they stay
 independent of the library code paths they audit.  ``written`` reads what
-a portrait writer writes.
+a portrait writer writes, and ``excitation_doc`` and ``ZERO_MOMENTS`` build
+test inputs.
 """
 
 import io
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -16,6 +18,8 @@ QUADRATURE_INTERVALS = 4096
 # float range's edges
 CORNER_PHI = (0.0, math.pi, 5e-324, math.nextafter(math.pi, 0.0))
 CORNER_MOMENTA = (0.0, 1e150, -1e150, 1e300, -1e300, math.nan, math.inf)
+# the rows of the all-zero MomentMatrix
+ZERO_MOMENTS = ((0.0,) * 3,) * 3
 
 
 def written(writer, *args) -> str:
@@ -111,6 +115,28 @@ def series_derivative_samples(series, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def displacement(e, t: float) -> tuple[float, float, float]:
+    """Pivot displacement (tau, eta, xi) of an Excitation at time t, term by term."""
+    s = e.omega * t / e.epsilon
+    out = []
+    for series in e.axes:
+        x = 0.0
+        for k, a in enumerate(series.cosine_coeffs, start=1):
+            x += a * math.cos(k * s)
+        for k, b in enumerate(series.sine_coeffs, start=1):
+            x += b * math.sin(k * s)
+        out.append(e.epsilon * x)
+    return tuple(out)
+
+
+def excitation_doc(e) -> dict:
+    """The JSON document of an Excitation, every axis written out."""
+    doc = {"epsilon": e.epsilon, "omega": e.omega}
+    for name, series in zip(("tau", "eta", "xi"), e.axes):
+        doc[name] = {"cos": list(series.cosine_coeffs), "sin": list(series.sine_coeffs)}
+    return doc
+
+
 def velocity_moments_quadrature(e, n: int = QUADRATURE_INTERVALS) -> np.ndarray:
     """The 3x3 velocity moment matrix of an Excitation by composite Simpson.
 
@@ -130,18 +156,23 @@ def velocity_moments_quadrature(e, n: int = QUADRATURE_INTERVALS) -> np.ndarray:
 
 
 def fold_b(a: float) -> float:
-    """B on the critical curve at A - C = a > 1, by bisection of the fold cubic.
+    """B on the critical curve at A - C = a > 1, from 60-digit arithmetic.
 
-    4 a c^3 + 3 c^2 + 1 rises from 4 - 4a < 0 at c = -1 to a positive value
-    at c = -1/(2a); its root c* there gives B* = -(1 - c*^2)^3 / (4 c*^3).
+    With x = -1/c*, the fold cubic 4 a c^3 + 3 c^2 + 1 = 0 reads
+    x^3 + 3 x = 4 a, whose left side rises through 4 a on (1, 1 + 4a/3].
+    Bisection in 60-digit decimals finds x, and B* = (x^2 - 1)^3 / (4 x^3)
+    is rounded to a float once.
     """
-    lo, hi = -1.0, -0.5 / a
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if 4.0 * a * mid ** 3 + 3.0 * mid * mid + 1.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return -((1.0 - mid * mid) ** 3) / (4.0 * mid ** 3)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        target = 4 * Decimal(a)
+        lo, hi = Decimal(1), 1 + target / 3
+        while True:
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            if mid * (mid * mid + 3) < target:
+                lo = mid
+            else:
+                hi = mid
+        return float((mid * mid - 1) ** 3 / (4 * mid ** 3))

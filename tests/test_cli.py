@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORNER_MOMENTA, CORNER_PHI, written
+from conftest import CORNER_MOMENTA, CORNER_PHI, fold_b, written
 
 import pendulum_vib
 from pendulum_vib import cli, dynamics
@@ -28,7 +28,7 @@ from pendulum_vib.portrait import (
     grid_to_csv,
     render_svg,
 )
-from pendulum_vib.potential import AveragedParams
+from pendulum_vib.potential import BOUNDARY_REL, AveragedParams
 
 VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
 # the README's vertical convergence sweep
@@ -55,6 +55,22 @@ def write(tmp_path, name, text):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def assert_exit_contract(code, captured, argv):
+    """Exit 1 is one "error:" line and nothing on stdout; exit 0 or 2 prints
+    RFC 8259 JSON, with no NaN or Infinity, and nothing on stderr."""
+
+    def no_constants(name):
+        raise ValueError(f"non-RFC JSON constant {name}")
+
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+    else:
+        assert captured.err == "", argv
+        json.loads(captured.out, parse_constant=no_constants)
 
 
 def run_fresh(argv, *python_flags):
@@ -250,6 +266,18 @@ def test_equilibria_planar_three(capsys):
     phis = [eq["phi"] for eq in doc["equilibria"]]
     assert phis == pytest.approx([0.0, 2 * math.pi / 3, math.pi], abs=1e-9)
     assert doc["domain"] is None
+
+
+@pytest.mark.parametrize("signed, unsigned", [
+    (["--a-minus-c", "-0.0", "--b", "0.1"], ["--a-minus-c", "0", "--b", "0.1"]),
+    (["--a-minus-c", "2", "--b", "-0.0"], ["--a-minus-c", "2", "--b", "0"]),
+])
+def test_equilibria_prints_a_negative_zero_parameter_as_zero(capsys, signed, unsigned):
+    # A, B and C are means of squares: none of them, nor A - C, prints as -0.0
+    code, out = run(capsys, ["equilibria", *signed])
+    assert code == 0
+    assert "-0.0" not in out
+    assert (code, out) == run(capsys, ["equilibria", *unsigned])
 
 
 def test_equilibria_json_round_trips(tmp_path, capsys):
@@ -690,11 +718,11 @@ def test_linspace_equals_numpy_bit_for_bit():
 
 
 # every name the package exported before its names were loaded lazily, less
-# velocity_moments_quadrature (now the test oracle in conftest) and the
-# deleted trajectory_to_csv
+# velocity_moments_quadrature, eval_displacement and excitation_to_dict (now
+# test helpers in conftest) and the deleted trajectory_to_csv
 PACKAGE_EXPORTS = (
-    "Excitation HarmonicSeries MomentMatrix SymmetryReport check_symmetry eval_displacement "
-    "eval_velocity excitation_from_dict excitation_to_dict load_excitation velocity_moments "
+    "Excitation HarmonicSeries MomentMatrix SymmetryReport check_symmetry "
+    "eval_velocity excitation_from_dict load_excitation velocity_moments "
     "AveragedParams DomainLabel Equilibrium GammaPoint InconsistentCountError "
     "SingularConfigurationError classify_domain d2v dv find_equilibria gamma_curve "
     "gamma_point v_bar ComparisonReport FullState IntegrationBlowUpError PhysicalParams "
@@ -709,8 +737,13 @@ def test_package_names_resolve_on_first_access():
     for name in PACKAGE_EXPORTS:
         assert getattr(pendulum_vib, name) is not None, name
     assert sorted(pendulum_vib.__all__) == sorted(set(PACKAGE_EXPORTS) - {"__version__"})
-    for name in ("trajectory_to_csv", "velocity_moments_quadrature", "make_full_rhs"):
+    # test-only helpers stay in the tests
+    for name in ("trajectory_to_csv", "velocity_moments_quadrature", "make_full_rhs",
+                 "eval_displacement", "excitation_to_dict"):
         assert getattr(pendulum_vib, name, None) is None
+    for cls, name in ((pendulum_vib.HarmonicSeries, "value"), (pendulum_vib.MomentMatrix, "zero"),
+                      (pendulum_vib.PortraitGrid, "nx"), (pendulum_vib.PortraitGrid, "ny")):
+        assert not hasattr(cls, name), (cls, name)
 
 
 def test_module_exports_resolve_and_cover_the_package():
@@ -823,6 +856,38 @@ def test_scalar_subcommands_keep_the_exit_code_contract_at_the_float_corners(tmp
             json.loads(captured.out, parse_constant=no_constants)
 
 
+# relative offsets of B from gamma's B*, on both sides of BOUNDARY_REL
+GAMMA_OFFSETS = (0.0, 1e-14, 1e-13, 5e-13, 2e-12, 1e-11, 1e-9)
+# what equilibria lists in each domain, in increasing phi
+KINDS = {"I": ["stable"], "II": ["stable", "unstable", "stable"],
+         "boundary": ["stable", "degenerate"]}
+
+
+def test_domain_and_equilibria_label_points_next_to_gamma_exactly(capsys):
+    # the label and the equilibria follow the sign and size of the relative
+    # gap to the 60-digit B*; fold_b is within 1.2e-16 of it, far inside the
+    # 10% of BOUNDARY_REL by which a point must miss the boundary's edge
+    rng = random.Random(1606)
+    a_values = [1.0 + 10.0 ** rng.uniform(-6.0, math.log10(999.0)) for _ in range(74)] + [1e3]
+    checked = 0
+    for a in a_values:
+        b_star = fold_b(a)
+        for b in {b_star * (1.0 + s * d) for d in GAMMA_OFFSETS for s in (1.0, -1.0)}:
+            gap = (Fraction(b) - Fraction(b_star)) / Fraction(b_star)
+            if abs(abs(gap) - Fraction(BOUNDARY_REL)) < Fraction(BOUNDARY_REL) / 10:
+                continue
+            label = "boundary" if abs(gap) <= BOUNDARY_REL else "II" if gap < 0 else "I"
+            argv = [f"--a-minus-c={a!r}", f"--b={b!r}"]
+            code, out = run(capsys, ["domain", *argv])
+            assert (code, json.loads(out)["domain"]) == (0, label), argv
+            code, out = run(capsys, ["equilibria", *argv])
+            doc = json.loads(out)
+            assert (code, doc["domain"]) == (0, label), argv
+            assert [eq["kind"] for eq in doc["equilibria"]] == KINDS[label], argv
+            checked += 1
+    assert checked > 900
+
+
 def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, capsys):
     # every corner state on both excitations, each with a drawn azimuth, over
     # a span of a little over one fast period of eps = 0.1 on either
@@ -838,19 +903,10 @@ def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, cap
     argvs.append(["compare", "--excitation", write(tmp_path, "r.json", README_VERTICAL_DOC),
                   "--eps-sweep", "0.1,0.05", "--t-end", "1", "--initial", "2,0,0,1e150"])
 
-    def no_constants(name):
-        raise ValueError(f"non-RFC JSON constant {name}")
-
     for argv in argvs:
         code = main(argv)
         captured = capsys.readouterr()
-        assert code in (0, 1, 2), argv
-        if code == 1:
-            assert captured.out == "", argv
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
-        else:
-            assert captured.err == "", argv
-            json.loads(captured.out, parse_constant=no_constants)
+        assert_exit_contract(code, captured, argv)
     assert captured.err == "error: non-finite state reached at t = 0.9326603190344698\n"
 
     # malformed lists and spans, alone and together, each refused before a
@@ -870,6 +926,51 @@ def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, cap
         assert code == 1, argv
         assert captured.out == "", argv
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+# the values a document's numbers take at the schema's edges; json.dumps
+# writes inf and NaN as the Infinity and NaN that json.load reads back
+DOC_EDGES = [v for x in (0.0, 5e-324, 1e-300, 1e160, 1e300, sys.float_info.max, math.inf)
+             for v in (x, -x)] + [math.nan]
+
+
+def test_moments_and_compare_keep_the_exit_code_contract_at_the_schema_edges(
+    tmp_path, capsys
+):
+    base = {"epsilon": 0.1, "omega": 1.0}
+    docs = [base, {**base, "tau": {}}, {**base, "eta": {"cos": []}},
+            {**base, "xi": {"cos": [], "sin": []}},
+            # one long list, zeros but for harmonic 3001
+            {**base, "xi": {"sin": [0.0, -0.0] * 1500 + [1e-3]}}]
+    for v in DOC_EDGES:
+        docs += [
+            {**base, "epsilon": v},
+            {**base, "omega": v},
+            {**base, "xi": {"sin": [v]}},
+            {**base, "tau": {"cos": [v]}, "eta": {"sin": [v]}},
+            {**base, "eta": {"cos": [0.5], "sin": [0.0, v]}},
+        ]
+    # drawn documents: each scale an edge or a plain value, each axis missing,
+    # empty, or up to three edges in either list
+    rng = random.Random(1616)
+    for _ in range(150):
+        doc = {key: rng.choice(DOC_EDGES + [plain]) for key, plain in base.items()}
+        for axis in ("tau", "eta", "xi"):
+            if rng.random() < 0.6:
+                doc[axis] = {key: rng.choices(DOC_EDGES, k=rng.randrange(4))
+                             for key in ("cos", "sin") if rng.random() < 0.7}
+        docs.append(doc)
+
+    codes = set()
+    for k, doc in enumerate(docs):
+        path = write(tmp_path, f"{k}.json", json.dumps(doc))
+        for argv in (["moments", "--excitation", path],
+                     ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05",
+                      "--t-end", "0.7"]):
+            code = main(argv)
+            assert_exit_contract(code, capsys.readouterr(), (argv, doc))
+            codes.add((argv[0], code))
+    assert {(c, code) for c in ("moments", "compare") for code in (0, 1, 2)} <= codes
 
 
 def test_writing_subcommands_keep_the_exit_code_contract_at_the_float_corners(

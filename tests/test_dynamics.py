@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import CORNER_MOMENTA, CORNER_PHI, central_diff, close_rel
+from conftest import CORNER_MOMENTA, CORNER_PHI, ZERO_MOMENTS, central_diff, close_rel
 
 from pendulum_vib import dynamics
 from pendulum_vib.dynamics import (
@@ -83,7 +83,7 @@ def test_full_hamiltonian_singular_pole():
 
 def test_zero_excitation_full_equals_averaged():
     rng = np.random.default_rng(2)
-    zero_mm = MomentMatrix.zero()
+    zero_mm = MomentMatrix(ZERO_MOMENTS)
     for _ in range(50):
         s = random_state(rng)
         h_full = full_hamiltonian(s, float(rng.uniform(0, 10)), ZERO_EXC)
@@ -119,7 +119,7 @@ def test_full_rhs_matches_hamiltonian_gradient():
 
 def test_averaged_hamiltonian_zero_moments():
     s = FullState(math.pi / 3, 0.0, 0.0, 0.0)
-    assert averaged_hamiltonian(s, MomentMatrix.zero()) == pytest.approx(-0.5, abs=1e-15)
+    assert averaged_hamiltonian(s, MomentMatrix(ZERO_MOMENTS)) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_averaged_hamiltonian_vertical_only():

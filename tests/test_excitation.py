@@ -4,17 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import velocity_moments_quadrature
+from conftest import ZERO_MOMENTS, displacement, excitation_doc, velocity_moments_quadrature
 
 from pendulum_vib.excitation import (
     Excitation,
     HarmonicSeries,
     MomentMatrix,
     check_symmetry,
-    eval_displacement,
     eval_velocity,
     excitation_from_dict,
-    excitation_to_dict,
     load_excitation,
     velocity_moments,
 )
@@ -41,20 +39,20 @@ def random_excitation(rng):
 def test_zero_excitation_is_identically_zero():
     e = Excitation(epsilon=0.5, omega=2.0)
     for t in (0.0, 0.37, -4.0, 12.0):
-        assert eval_displacement(e, t) == (0.0, 0.0, 0.0)
+        assert displacement(e, t) == (0.0, 0.0, 0.0)
         assert eval_velocity(e, t) == (0.0, 0.0, 0.0)
 
 
 def test_displacement_vertical_sine():
     e = Excitation(epsilon=0.1, omega=1.0, xi=SIN)
-    tau, eta, xi = eval_displacement(e, math.pi * 0.1 / 2.0)
+    tau, eta, xi = displacement(e, math.pi * 0.1 / 2.0)
     assert tau == 0.0 and eta == 0.0
     assert xi == pytest.approx(0.1, abs=1e-15)
 
 
 def test_displacement_horizontal_cosine():
     e = Excitation(epsilon=0.05, omega=2.0, tau=COS)
-    assert eval_displacement(e, 0.0)[0] == pytest.approx(0.05, abs=1e-15)
+    assert displacement(e, 0.0)[0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_velocity_vertical_sine():
@@ -68,8 +66,8 @@ def test_velocity_matches_finite_differences():
     h = 1e-6
     for t in rng.uniform(-5.0, 5.0, 25):
         v = eval_velocity(e, float(t))
-        lo = eval_displacement(e, float(t) - h)
-        hi = eval_displacement(e, float(t) + h)
+        lo = displacement(e, float(t) - h)
+        hi = displacement(e, float(t) + h)
         for vi, a, b in zip(v, lo, hi):
             assert abs(vi - (b - a) / (2.0 * h)) < 1e-6
 
@@ -205,7 +203,7 @@ def test_moment_matrix_is_three_rows_of_three_floats():
 
 
 def test_symmetry_zero_matrix_passes():
-    rep = check_symmetry(MomentMatrix.zero())
+    rep = check_symmetry(MomentMatrix(ZERO_MOMENTS))
     assert rep.passed
     assert rep.residuals() == (0.0, 0.0, 0.0, 0.0)
 
@@ -242,7 +240,7 @@ def test_symmetry_refuses_a_nan_tolerance():
     # every comparison with NaN is false, so a NaN tol would fail any matrix
     for tol in (math.nan, -1.0):
         with pytest.raises(ValueError, match="^tol must be nonnegative"):
-            check_symmetry(MomentMatrix.zero(), tol=tol)
+            check_symmetry(MomentMatrix(ZERO_MOMENTS), tol=tol)
 
 
 def test_excitation_validation():
@@ -277,7 +275,7 @@ def test_excitation_from_dict_full_document():
 
 def test_excitation_from_dict_missing_axes_default_to_zero():
     e = excitation_from_dict({"epsilon": 0.1, "omega": 1.0})
-    assert eval_displacement(e, 1.23) == (0.0, 0.0, 0.0)
+    assert displacement(e, 1.23) == (0.0, 0.0, 0.0)
 
 
 def test_excitation_from_dict_requires_scales():
@@ -290,7 +288,7 @@ def test_excitation_from_dict_requires_scales():
 def test_load_excitation_round_trip(tmp_path):
     e = Excitation(epsilon=0.25, omega=1.5, xi=HarmonicSeries((0.1,), (0.9,)))
     path = tmp_path / "exc.json"
-    path.write_text(json.dumps(excitation_to_dict(e)))
+    path.write_text(json.dumps(excitation_doc(e)))
     assert load_excitation(path) == e
 
 

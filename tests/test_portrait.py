@@ -207,8 +207,8 @@ def test_separatrix_passes_near_the_saddle():
     sep = [lc for lc in contours if lc.is_separatrix]
     assert len(sep) == 1
     saddle = [eq for eq in g.equilibria if eq.kind == "unstable"][0]
-    dphi = (g.phi_range[1] - g.phi_range[0]) / (g.nx - 1)
-    dp = (g.p_range[1] - g.p_range[0]) / (g.ny - 1)
+    dphi = (g.phi_range[1] - g.phi_range[0]) / (len(g.phi) - 1)
+    dp = (g.p_range[1] - g.p_range[0]) / (len(g.p) - 1)
     cells = min(
         math.hypot((pt[0] - saddle.phi) / dphi, pt[1] / dp)
         for poly in sep[0].polylines
@@ -227,7 +227,7 @@ def test_contours_mirror_symmetric_in_p():
         # every mirrored vertex has a close counterpart on the same level set
         for pt in mirrored[:: max(1, len(mirrored) // 25)]:
             dist = np.min(np.hypot(vertices[:, 0] - pt[0], vertices[:, 1] - pt[1]))
-            assert dist < 2.0 * (g.phi_range[1] - g.phi_range[0]) / g.nx
+            assert dist < 2.0 * (g.phi_range[1] - g.phi_range[0]) / len(g.phi)
 
 
 def test_closed_orbits_around_the_centre():
@@ -253,8 +253,8 @@ def test_closed_orbits_around_the_centre():
 def test_contours_only_meet_at_saddle_cells():
     g = build_grid(PLANAR_II, nx=128, ny=128)
     contours = extract_contours(g)
-    dphi = (g.phi_range[1] - g.phi_range[0]) / (g.nx - 1)
-    dp = (g.p_range[1] - g.p_range[0]) / (g.ny - 1)
+    dphi = (g.phi_range[1] - g.phi_range[0]) / (len(g.phi) - 1)
+    dp = (g.p_range[1] - g.p_range[0]) / (len(g.p) - 1)
     saddles = [eq for eq in g.equilibria if eq.kind == "unstable"]
 
     def near_saddle(pt):

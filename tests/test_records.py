@@ -12,6 +12,8 @@ from array import array
 import numpy as np
 import pytest
 
+from conftest import ZERO_MOMENTS
+
 from pendulum_vib import (
     AveragedParams,
     ComparisonReport,
@@ -77,7 +79,6 @@ def test_constructors_take_positional_and_keyword_arguments_with_defaults():
     zero = HarmonicSeries()
     assert Excitation(0.1, 1.0) == Excitation(epsilon=0.1, omega=1.0, tau=zero, eta=zero, xi=zero)
     assert HarmonicSeries([1, 2]).cosine_coeffs == (1.0, 2.0)
-    assert MomentMatrix.zero() == MomentMatrix(((0.0,) * 3,) * 3)
 
 
 def test_excitation_equality_and_repr_ignore_the_velocity_table():
@@ -104,11 +105,11 @@ def test_reprs_name_every_field_in_order():
         "xi=HarmonicSeries(cosine_coeffs=(), sine_coeffs=(1.0,)))"
     )
     assert repr(PhysicalParams()) == "PhysicalParams(m=1.0, l=1.0, g=1.0)"
-    assert repr(check_symmetry(MomentMatrix.zero())) == (
+    assert repr(check_symmetry(MomentMatrix(ZERO_MOMENTS))) == (
         "SymmetryReport(diag_residual=0.0, tau_eta=0.0, tau_xi=0.0, eta_xi=0.0, tol=1e-09, "
         "passed=True)"
     )
-    assert repr(MomentMatrix.zero()) == (
+    assert repr(MomentMatrix(ZERO_MOMENTS)) == (
         "MomentMatrix(m=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))"
     )
 
