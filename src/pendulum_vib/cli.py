@@ -150,7 +150,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_domain(args: argparse.Namespace) -> int:
     ap = AveragedParams.from_a_minus_c(args.a_minus_c, args.b)
     label = classify_domain(ap)
-    doc = {"params": {"a_minus_c": args.a_minus_c, "b": args.b}, "domain": label}
+    doc = {"params": {"a_minus_c": ap.a_minus_c, "b": ap.B}, "domain": label}
     _emit_json(doc, args.out)
     return EXIT_OK
 

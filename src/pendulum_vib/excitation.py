@@ -201,9 +201,13 @@ def velocity_moments(e: Excitation) -> MomentMatrix:
         for j in range(i, 3):
             m[i][j] = m[j][i] = w2 * _series_cross_moment(axes[i], axes[j])
     # omega^2 or a coefficient product past the float range is inf, and
-    # inf * 0 puts NaN off the diagonal
-    if not all(math.isfinite(x) for row in m for x in row):
-        raise ValueError(f"velocity moments overflow the float range at omega = {e.omega!r}")
+    # inf * 0 or inf - inf puts NaN beside it: name an infinite moment first
+    names = ("tau", "eta", "xi")
+    bad = [(f"{names[i]}_{names[j]}", m[i][j])
+           for i in range(3) for j in range(i, 3) if not math.isfinite(m[i][j])]
+    if bad:
+        name, value = min(bad, key=lambda item: math.isnan(item[1]))
+        raise ValueError(f"velocity moments overflow the float range: {name} = {value!r}")
     return MomentMatrix(m)
 
 
@@ -261,9 +265,13 @@ def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a JSON number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float")
+    # json reads Infinity and NaN as floats
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 def _series_from_dict(doc: dict | None, axis: str) -> HarmonicSeries:
@@ -287,7 +295,8 @@ def excitation_from_dict(doc: dict) -> Excitation:
     Schema: ``{"epsilon": r, "omega": r, "tau": {"cos": [...], "sin": [...]},
     "eta": {...}, "xi": {...}}``; missing axes default to the zero series.
     Any other key is refused, and so is a value of ``epsilon``, ``omega`` or
-    a coefficient that is not a JSON number (a string or ``true`` included).
+    a coefficient that is not a finite JSON number (a string, ``true`` or
+    ``Infinity`` included).
     """
     if not isinstance(doc, dict):
         raise ValueError("excitation document must be a JSON object")

@@ -114,67 +114,33 @@ def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> Aver
     """Nondimensionalise the moments and azimuthal momentum to (A, B, C).
 
     A = <xi'^2> / (g l), C = <eta'^2> / (g l), B = p_alpha^2 / (m^2 l^3 g);
-    the matching time unit is sqrt(l / g).  A divisor that underflows to 0 or
-    overflows the float range, or a p_alpha that is not finite, raises
-    ValueError.  Each quotient is the plain float expression when every
-    product on its way is a normal float.  Otherwise the products are taken
-    again on the mantissas, with the exponents kept apart, and divided
-    exactly, so that an intermediate that leaves the normal range neither
-    refuses nor blurs a result inside it.
+    the matching time unit is sqrt(l / g).  Each quotient, and each divisor,
+    is a ratio of exact integer products (``float.as_integer_ratio``)
+    rounded once, so no intermediate leaves the float range or rounds.  A
+    divisor that rounds to 0 or past the float range, or a p_alpha that is
+    not finite, raises ValueError.
     """
     if not math.isfinite(p_alpha):
         raise ValueError(f"p_alpha must be finite, got {p_alpha!r}")
-    (fm, em), (fl, el), (fg, eg) = map(math.frexp, (p.m, p.l, p.g))
-    gl = p.g * p.l
-    if not (0.0 < gl < math.inf):
-        raise ValueError(f"g l = {gl!r} is outside the positive float range for {p!r}")
-    if _normal(gl):
-        A, C = mm.xi_xi / gl, mm.eta_eta / gl
-    else:
-        A = _exact_quotient(mm.xi_xi, fg * fl, -(eg + el))
-        C = _exact_quotient(mm.eta_eta, fg * fl, -(eg + el))
+    (pn, pd), (mn, md), (ln, ld), (gn, gd) = map(float.as_integer_ratio, (p_alpha, p.m, p.l, p.g))
+    gl_num, gl_den = gn * ln, gd * ld
+    ml_num, ml_den = mn * mn * ln ** 3 * gn, md * md * ld ** 3 * gd  # m^2 l^3 g
+    for name, num, den in (("g l", gl_num, gl_den), ("m^2 l^3 g", ml_num, ml_den)):
+        value = _rounded(num, den)
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} = {value!r} is outside the positive float range for {p!r}")
+    (an, ad), (cn, cd) = map(float.as_integer_ratio, (mm.xi_xi, mm.eta_eta))
+    return AveragedParams(
+        A=_rounded(an * gl_den, ad * gl_num),
+        B=_rounded(pn * pn * ml_den, pd * pd * ml_num),
+        C=_rounded(cn * gl_den, cd * gl_num),
+    )
 
-    pp = p_alpha * p_alpha
+
+def _rounded(num: int, den: int) -> float:
+    """num / den for ints, den > 0, rounded once; inf past the float range."""
     try:
-        l3 = p.l ** 3
-    except OverflowError:  # float ** raises where * would give inf
-        l3 = math.inf
-    m2 = p.m * p.m
-    m2l3 = m2 * l3
-    ml3g = m2l3 * p.g
-    if _normal(m2, l3, m2l3, ml3g) and (p_alpha == 0.0 or _normal(pp)):
-        B = pp / ml3g
-    else:
-        den, den_exp = fm * fm * fl ** 3 * fg, 2 * em + 3 * el + eg
-        try:
-            ml3g = math.ldexp(den, den_exp)
-        except OverflowError:  # ldexp raises where * would give inf
-            ml3g = math.inf
-        if not (0.0 < ml3g < math.inf):
-            raise ValueError(
-                f"m^2 l^3 g = {ml3g!r} is outside the positive float range for {p!r}"
-            )
-        fp, ep = math.frexp(p_alpha)
-        B = _exact_quotient(fp * fp, den, 2 * ep - den_exp)
-    return AveragedParams(A=A, B=B, C=C)
-
-
-def _normal(*values: float) -> bool:
-    return all(sys.float_info.min <= abs(x) < math.inf for x in values)
-
-
-def _exact_quotient(num: float, den: float, exp: int) -> float:
-    """num / den * 2**exp for finite num and den, rounded once; inf past the
-    float range."""
-    a, b = num.as_integer_ratio()
-    c, d = den.as_integer_ratio()
-    top, bottom = a * d, b * c
-    if exp >= 0:
-        top <<= exp
-    else:
-        bottom <<= -exp
-    try:
-        return top / bottom  # int / int is correctly rounded
+        return num / den  # int / int is correctly rounded
     except OverflowError:
         return math.inf
 
@@ -232,17 +198,6 @@ class Equilibrium(Frozen):
 
     def __init__(self, phi: float, kind: EquilibriumKind, v_value: float, second_derivative: float):
         self._freeze(phi, kind, v_value, second_derivative)
-
-
-def _classify(phi: float, ap: AveragedParams, second: float) -> Equilibrium:
-    # d2V grows with the parameters; scale the degeneracy tolerance accordingly.
-    if abs(second) <= 1e-8 * max(1.0, abs(ap.a_minus_c), ap.B):
-        kind: EquilibriumKind = "degenerate"
-    elif second > 0.0:
-        kind = "stable"
-    else:
-        kind = "unstable"
-    return Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second)
 
 
 def _fold(a: float) -> tuple[float, float]:
@@ -326,21 +281,56 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
 
     For B > 0 the domain label fixes the number, kinds and brackets of the
     roots of sin^3(phi) dV (see the module docstring); on gamma the merged
-    pair is one "degenerate" equilibrium at c*.  A bracket without a sign
-    change, or a d2V whose sign disagrees with the kind, raises
-    :class:`InconsistentCountError`.  For B = 0 the poles are equilibria and
-    the interior ones solve (A - C) cos phi + 1 = 0.  A subnormal B raises
-    ValueError: the minimum next to phi = 0 sits at phi ~ B^(1/4), where
-    sin^4 phi underflows and d2V loses its digits.
+    pair is one "degenerate" equilibrium at c*.  For B = 0 the poles are
+    equilibria, and so is acos(-1 / (A - C)) when |A - C| > 1; their kinds
+    are the signs of the curvatures (A - C) + 1, (A - C) - 1 and
+    (1 - (A - C)^2) / (A - C), except that within BOUNDARY_REL of
+    |A - C| = 1 the pole where the interior root merges, and that root, are
+    "degenerate".  A bracket without a sign change, or a d2V whose sign
+    disagrees with the kind, raises :class:`InconsistentCountError`.  A
+    subnormal B raises ValueError: the minimum next to phi = 0 sits at
+    phi ~ B^(1/4), where sin^4 phi underflows and d2V loses its digits.
     """
     if ap.B == 0.0:
-        return _find_equilibria_planar(ap)
-    if ap.B < sys.float_info.min:
+        found = _planar(ap.a_minus_c)
+    elif ap.B < sys.float_info.min:
         raise ValueError(
             f"B = {ap.B!r} is subnormal: equilibria need B = 0 or B >= {sys.float_info.min!r}"
         )
+    else:
+        found = _barrier(ap.a_minus_c, ap.B)
 
-    a, b = ap.a_minus_c, ap.B
+    eqs = []
+    for phi, kind in found:
+        second = d2v(phi, ap)
+        if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
+            raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
+        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second))
+    return eqs
+
+
+def _planar(a: float) -> list[tuple[float, EquilibriumKind]]:
+    """(phi, kind) of the equilibria at B = 0, where dV = sin(phi) (a cos(phi) + 1).
+
+    Each kind is the sign of the curvature d2V there.  The interior root
+    acos(-1 / a) merges with the pole at pi as a -> 1 and with the pole at 0
+    as a -> -1, and within BOUNDARY_REL of |a| = 1 both are "degenerate".
+    It is the pole itself at |a| == 1, and for any float beyond it lies at
+    least ~2e-8 from both poles (at a = nextafter(±1, ±2)).
+    """
+    merged = abs(abs(a) - 1.0) <= BOUNDARY_REL
+    found = [(0.0, a + 1.0, a < 0.0)]
+    if abs(a) > 1.0:
+        found.append((math.acos(-1.0 / a), (1.0 - a * a) / a, True))
+    found.append((math.pi, a - 1.0, a > 0.0))
+    return [
+        (phi, "degenerate" if merged and merging else "stable" if curvature > 0.0 else "unstable")
+        for phi, curvature, merging in found
+    ]
+
+
+def _barrier(a: float, b: float) -> list[tuple[float, EquilibriumKind]]:
+    """(phi, kind) of the equilibria at B = b > 0, in the domain's brackets."""
     label, r = _domain(a, b)
     w_star = r / (1.0 + r)
     if a < -3.5:
@@ -369,14 +359,7 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
             found.append((_phi(w_min, -1.0), "stable"))
     elif label == "boundary":
         found.append((_phi(w_star, -1.0), "degenerate"))
-
-    eqs = []
-    for phi, kind in found:
-        second = d2v(phi, ap)
-        if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
-            raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
-        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second))
-    return eqs
+    return found
 
 
 def _phi(w: float, sign: float) -> float:
@@ -384,16 +367,6 @@ def _phi(w: float, sign: float) -> float:
     half = 2.0 * math.asin(math.sqrt(0.5 * w))  # 1 - |cos(half)| = w
     # pi - half, rounded once: sin(math.pi) is the part of pi that math.pi drops
     return half if sign > 0.0 else math.pi - (half - math.sin(math.pi))
-
-
-def _find_equilibria_planar(ap: AveragedParams) -> list[Equilibrium]:
-    # B = 0: dV = sin(phi) ((A - C) cos(phi) + 1).  Poles are equilibria with
-    # limiting curvatures (A - C) + 1 at phi = 0 and (A - C) - 1 at phi = pi.
-    # The third root acos(-1 / (A - C)) is a pole at |A - C| == 1, and for any
-    # float beyond it lies at least ~2e-8 from both (at A - C = nextafter(±1, ±2)).
-    amc = ap.a_minus_c
-    phis = [0.0, math.acos(-1.0 / amc), math.pi] if abs(amc) > 1.0 else [0.0, math.pi]
-    return [_classify(x, ap, d2v(x, ap)) for x in phis]
 
 
 class GammaPoint(Frozen):
@@ -449,10 +422,9 @@ def gamma_curve_to_csv(points: list[GammaPoint]) -> str:
 def equilibrium_report(ap: AveragedParams) -> dict:
     """JSON-ready equilibrium set with the domain label (null on the B = 0 edge)."""
     eqs = find_equilibria(ap)
-    if ap.B > 0.0:
-        domain = classify_domain(ap)
-    else:
-        domain = None
+    # for B > 0, find_equilibria lists one equilibrium in domain I, two on
+    # gamma (a minimum and the degenerate one) and three in domain II
+    domain = {1: "I", 2: "boundary", 3: "II"}[len(eqs)] if ap.B > 0.0 else None
     return {
         "params": {"A": ap.A, "B": ap.B, "C": ap.C, "a_minus_c": ap.a_minus_c},
         "equilibria": [

@@ -28,7 +28,13 @@ from pendulum_vib.portrait import (
     grid_to_csv,
     render_svg,
 )
-from pendulum_vib.potential import BOUNDARY_REL, AveragedParams
+from pendulum_vib.excitation import MomentMatrix
+from pendulum_vib.potential import (
+    BOUNDARY_REL,
+    AveragedParams,
+    PhysicalParams,
+    averaged_params,
+)
 
 VERTICAL_DOC = '{"epsilon": 0.1, "omega": 2.0, "xi": {"sin": [1.0]}}'
 # the README's vertical convergence sweep
@@ -210,24 +216,38 @@ def test_moments_keeps_b_precise_past_a_subnormal_intermediate(tmp_path, capsys)
 
 
 def test_moments_keeps_c_precise_over_a_subnormal_g_l(tmp_path, capsys):
-    # g l = 1e-315 is subnormal: C is eta_eta / (g l), rounded once from the
-    # rounded product, not divided by the subnormal
+    # g l = 1e-315 is subnormal: C is eta_eta / (g l) rounded once from the
+    # exact product, not divided by the subnormal
     doc = moments_doc(tmp_path, capsys, 1e-10, "1e170,1e-160,1e-155", "0")
     eta_eta = doc["moments"]["eta_eta"]
-    fg, eg = math.frexp(1e-155)
-    fl, el = math.frexp(1e-160)
-    assert doc["C"] == float(Fraction(eta_eta) / (Fraction(fg * fl) * Fraction(2) ** (eg + el)))
+    assert doc["C"] == float(Fraction(eta_eta) / (Fraction(1e-155) * Fraction(1e-160)))
     exact = Decimal(eta_eta) / (Decimal(1e-155) * Decimal(1e-160))
     assert relative_error(doc["C"], exact) <= 2 * Decimal(sys.float_info.epsilon)
     assert doc["C"] != eta_eta / (1e-155 * 1e-160)
 
 
-def test_moments_keep_the_plain_quotients_when_every_product_is_normal(tmp_path, capsys):
+def exact_quotients(a, c, p_alpha, m, l, g):
+    """(A, B, C) as the exact quotients of the exact products, each rounded once."""
+    a, c, p_alpha, m, l, g = map(Fraction, (a, c, p_alpha, m, l, g))
+    return float(a / (g * l)), float(p_alpha ** 2 / (m ** 2 * l ** 3 * g)), float(c / (g * l))
+
+
+def test_moments_are_the_exact_quotients_rounded_once(tmp_path, capsys):
+    # a float expression rounds each product on its way: for m, l, g drawn
+    # from [0.1, 10], xi_xi / (g * l) misses the correctly rounded A in 26%
+    # of draws and p_alpha**2 / (m * m * l**3 * g) misses B in 50%
     for phys, p_alpha in (("2,0.5,4", "0.3"), ("1e100,1e30,1e-5", "1.5"), ("0.3,1e-30,7", "2")):
-        m, l, g = map(float, phys.split(","))
         doc = moments_doc(tmp_path, capsys, 0.3, phys, p_alpha)
-        assert doc["C"] == doc["moments"]["eta_eta"] / (g * l)
-        assert doc["B"] == float(p_alpha) * float(p_alpha) / (m * m * l ** 3 * g)
+        mm = doc["moments"]
+        assert (doc["A"], doc["B"], doc["C"]) == exact_quotients(
+            mm["xi_xi"], mm["eta_eta"], float(p_alpha), *map(float, phys.split(","))), phys
+    rng = random.Random(1717)
+    for _ in range(1000):
+        a, c, p_alpha = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)
+        m, l, g = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3))
+        mm = MomentMatrix(((0.0, 0.0, 0.0), (0.0, c, 0.0), (0.0, 0.0, a)))
+        ap = averaged_params(mm, p_alpha, PhysicalParams(m, l, g))
+        assert (ap.A, ap.B, ap.C) == exact_quotients(a, c, p_alpha, m, l, g), (a, c, p_alpha, m, l, g)
 
 
 @pytest.mark.parametrize("argv", [["moments"], ["compare", "--eps-sweep", "0.1,0.05"]])
@@ -269,15 +289,34 @@ def test_equilibria_planar_three(capsys):
 
 
 @pytest.mark.parametrize("signed, unsigned", [
-    (["--a-minus-c", "-0.0", "--b", "0.1"], ["--a-minus-c", "0", "--b", "0.1"]),
-    (["--a-minus-c", "2", "--b", "-0.0"], ["--a-minus-c", "2", "--b", "0"]),
+    (["equilibria", "--a-minus-c", "-0.0", "--b", "0.1"],
+     ["equilibria", "--a-minus-c", "0", "--b", "0.1"]),
+    (["equilibria", "--a-minus-c", "2", "--b", "-0.0"],
+     ["equilibria", "--a-minus-c", "2", "--b", "0"]),
+    (["domain", "--a-minus-c", "-0.0", "--b", "0.1"],
+     ["domain", "--a-minus-c", "0", "--b", "0.1"]),
 ])
 def test_equilibria_prints_a_negative_zero_parameter_as_zero(capsys, signed, unsigned):
     # A, B and C are means of squares: none of them, nor A - C, prints as -0.0
-    code, out = run(capsys, ["equilibria", *signed])
+    code, out = run(capsys, signed)
     assert code == 0
     assert "-0.0" not in out
-    assert (code, out) == run(capsys, ["equilibria", *unsigned])
+    assert (code, out) == run(capsys, unsigned)
+
+
+@pytest.mark.parametrize("a_minus_c, kinds", [
+    ("1.000000001", ["stable", "unstable", "stable"]),
+    ("-1.000000001", ["unstable", "stable", "unstable"]),
+])
+def test_equilibria_next_to_the_planar_threshold_take_the_curvature_signs(
+    capsys, a_minus_c, kinds
+):
+    # 1e-9 from |A - C| = 1 is outside the degenerate band, so each kind is
+    # the sign of its curvature (A - C) + 1, (1 - (A - C)^2) / (A - C) or
+    # (A - C) - 1
+    code, out = run(capsys, ["equilibria", "--a-minus-c", a_minus_c, "--b", "0"])
+    assert code == 0
+    assert [eq["kind"] for eq in json.loads(out)["equilibria"]] == kinds
 
 
 def test_equilibria_json_round_trips(tmp_path, capsys):
@@ -780,6 +819,9 @@ def test_scalar_subcommands_do_not_import_numpy(tmp_path):
         # dataclasses imports inspect, ast, dis and tokenize: more than the
         # rest of the import of a scalar subcommand
         assert not {"dataclasses", "inspect"} & imported, argv
+        # (A, B, C) are exact int quotients; Fraction or Decimal would cost
+        # more to import than the quotients take
+        assert not {"fractions", "decimal"} & imported, argv
         assert ("pendulum_vib.excitation" in imported) == (argv[0] == "moments"), argv
 
 
@@ -823,15 +865,54 @@ EDGE_MAGNITUDES = (
 CORNERS = [v for x in EDGE_MAGNITUDES for v in (x, -x)] + [math.nan]
 
 
+# relative offsets of B from gamma's B*, on both sides of BOUNDARY_REL
+GAMMA_OFFSETS = (0.0, 1e-14, 1e-13, 5e-13, 2e-12, 1e-11, 1e-9)
+# what equilibria lists in each domain, in increasing phi
+KINDS = {"I": ["stable"], "II": ["stable", "unstable", "stable"],
+         "boundary": ["stable", "degenerate"]}
+
+
+def theory_label(a, b, b_star):
+    """The domain at (A - C, B) = (a, b > 0), given gamma's 60-digit B* at
+    a > 1, or None where b misses the edge of the boundary band by less than
+    a tenth of BOUNDARY_REL, far more than fold_b's 1.2e-16 error."""
+    if a <= 1.0:
+        return "I"
+    gap = (Fraction(b) - Fraction(b_star)) / Fraction(b_star)
+    if abs(abs(gap) - Fraction(BOUNDARY_REL)) < Fraction(BOUNDARY_REL) / 10:
+        return None
+    return "boundary" if abs(gap) <= BOUNDARY_REL else "II" if gap < 0 else "I"
+
+
+def planar_kinds(a):
+    """The kinds at (A - C, B) = (a, 0), in increasing phi, from the signs of
+    the curvatures a + 1 at 0, (1 - a^2) / a at acos(-1 / a) when |a| > 1,
+    and a - 1 at pi.  Within BOUNDARY_REL of |a| = 1 the two whose curvature
+    vanishes there are degenerate."""
+    a = Fraction(a)
+    curvatures = [a + 1] + ([(1 - a * a) / a] if abs(a) > 1 else []) + [a - 1]
+    band = abs(abs(a) - 1) <= Fraction(BOUNDARY_REL)
+    return ["degenerate" if band and abs(k) < 1 else "stable" if k > 0 else "unstable"
+            for k in curvatures]
+
+
 def test_scalar_subcommands_keep_the_exit_code_contract_at_the_float_corners(tmp_path, capsys):
     # every exit is 0, 1 or 2; exit 1 is an "error:" line and nothing on
-    # stdout; any other exit prints RFC 8259 JSON; no exception escapes main
+    # stdout; any other exit prints RFC 8259 JSON; no exception escapes main.
+    # Every domain label, equilibrium count and kind list that exits 0 is the
+    # theory's: by gamma's 60-digit B* for B > 0, by the curvature signs for B = 0
     exc = write(tmp_path, "v.json", VERTICAL_DOC)
     rng = random.Random(20260)
     positive = [x for x in CORNERS if 0.0 < x < math.inf]
     argvs = [
         [command, f"--a-minus-c={a!r}", f"--b={b!r}"]
         for command in ("equilibria", "domain") for a in CORNERS for b in CORNERS
+    ]
+    # the planar edge next to the threshold |A - C| = 1, inside the
+    # degenerate band and outside it
+    argvs += [
+        ["equilibria", f"--a-minus-c={s * (1.0 + t * 10.0 ** -k)!r}", "--b=0.0"]
+        for k in range(1, 17) for s in (1.0, -1.0) for t in (1.0, -1.0)
     ]
     # every positive finite m, l, g, and a drawn p_alpha; then draws from all corners
     phys = [(m, l, g) for m in positive for l in positive for g in positive]
@@ -845,22 +926,33 @@ def test_scalar_subcommands_keep_the_exit_code_contract_at_the_float_corners(tmp
     def no_constants(name):
         raise ValueError(f"non-RFC JSON constant {name}")
 
+    b_stars = {}
+    labelled = 0
     for argv in argvs:
         code = main(argv)
         captured = capsys.readouterr()
         assert code in (0, 1, 2), argv
         if code == 1:
             assert captured.out == "" and captured.err.startswith("error: "), argv
+            continue
+        assert captured.err == "", argv
+        doc = json.loads(captured.out, parse_constant=no_constants)
+        if argv[0] == "moments":
+            continue
+        a, b = (float(arg.split("=")[1]) for arg in argv[1:])
+        if b == 0.0:
+            assert doc["domain"] is None, argv
+            assert [eq["kind"] for eq in doc["equilibria"]] == planar_kinds(a), argv
         else:
-            assert captured.err == "", argv
-            json.loads(captured.out, parse_constant=no_constants)
-
-
-# relative offsets of B from gamma's B*, on both sides of BOUNDARY_REL
-GAMMA_OFFSETS = (0.0, 1e-14, 1e-13, 5e-13, 2e-12, 1e-11, 1e-9)
-# what equilibria lists in each domain, in increasing phi
-KINDS = {"I": ["stable"], "II": ["stable", "unstable", "stable"],
-         "boundary": ["stable", "degenerate"]}
+            if a > 1.0 and a not in b_stars:
+                b_stars[a] = fold_b(a)
+            label = theory_label(a, b, b_stars.get(a))
+            assert label is not None, argv
+            assert doc["domain"] == label, argv
+            if argv[0] == "equilibria":
+                assert [eq["kind"] for eq in doc["equilibria"]] == KINDS[label], argv
+        labelled += 1
+    assert labelled > 500
 
 
 def test_domain_and_equilibria_label_points_next_to_gamma_exactly(capsys):
@@ -873,10 +965,9 @@ def test_domain_and_equilibria_label_points_next_to_gamma_exactly(capsys):
     for a in a_values:
         b_star = fold_b(a)
         for b in {b_star * (1.0 + s * d) for d in GAMMA_OFFSETS for s in (1.0, -1.0)}:
-            gap = (Fraction(b) - Fraction(b_star)) / Fraction(b_star)
-            if abs(abs(gap) - Fraction(BOUNDARY_REL)) < Fraction(BOUNDARY_REL) / 10:
+            label = theory_label(a, b, b_star)
+            if label is None:
                 continue
-            label = "boundary" if abs(gap) <= BOUNDARY_REL else "II" if gap < 0 else "I"
             argv = [f"--a-minus-c={a!r}", f"--b={b!r}"]
             code, out = run(capsys, ["domain", *argv])
             assert (code, json.loads(out)["domain"]) == (0, label), argv
@@ -971,6 +1062,20 @@ def test_moments_and_compare_keep_the_exit_code_contract_at_the_schema_edges(
             assert_exit_contract(code, capsys.readouterr(), (argv, doc))
             codes.add((argv[0], code))
     assert {(c, code) for c in ("moments", "compare") for code in (0, 1, 2)} <= codes
+
+    # a non-finite number is refused under its path in the document, and a
+    # moment past the float range by its name
+    for doc, error in (
+        ({**base, "eta": {"cos": [0.5], "sin": [0.0, math.inf]}},
+         "eta.sin[1] must be finite, got inf"),
+        ({**base, "xi": {"sin": [1e300]}},
+         "velocity moments overflow the float range: xi_xi = inf"),
+    ):
+        path = write(tmp_path, "edge.json", json.dumps(doc))
+        for argv in (["moments", "--excitation", path],
+                     ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"]):
+            code = main(argv)
+            assert (code, capsys.readouterr().err) == (1, f"error: {error}\n"), argv
 
 
 def test_writing_subcommands_keep_the_exit_code_contract_at_the_float_corners(

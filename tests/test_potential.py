@@ -1,6 +1,7 @@
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -440,6 +441,7 @@ def test_averaged_params_takes_a_product_in_range_past_an_intermediate_out_of_ra
     for m, l, g in ((1.0, 1e200, 1e-200), (1e-200, 1e-50, 1.0)):
         with pytest.raises(ValueError, match="outside the positive float range"):
             averaged_params(mm, 1.0, PhysicalParams(m, l, g))
-    # a product whose plain form is in range keeps its bits
+    # B is the exact quotient of the exact products, rounded once
     for m, l, g in ((2.0, 3.0, 9.81), (0.3, 1e-30, 7.0), (1e100, 1e30, 1e-5)):
-        assert averaged_params(mm, 1.5, PhysicalParams(m, l, g)).B == 1.5 * 1.5 / (m * m * l ** 3 * g)
+        exact = Fraction(1.5) ** 2 / (Fraction(m) ** 2 * Fraction(l) ** 3 * Fraction(g))
+        assert averaged_params(mm, 1.5, PhysicalParams(m, l, g)).B == float(exact)
