@@ -52,7 +52,6 @@ __all__ = [
     "rk4_step",
     "integrate",
     "compare_full_averaged",
-    "convergence_sweep",
 ]
 
 STEPS_PER_FAST_PERIOD = 64
@@ -189,8 +188,9 @@ def reduced_rhs(ap: AveragedParams) -> Callable[[float, float, float], tuple[flo
     return g
 
 
-class IntegrationBlowUpError(RuntimeError):
-    """A trajectory left the realm of finite floats."""
+class IntegrationBlowUpError(ValueError):
+    """A trajectory left the realm of finite floats: bad input, as a
+    :class:`pendulum_vib.potential.SingularConfigurationError` is."""
 
     def __init__(self, time: float):
         super().__init__(f"non-finite state reached at t = {time}")
@@ -254,9 +254,9 @@ def integrate(
     The general integrator, and the reference that :func:`compare_full_averaged`
     matches bit for bit.  ``rhs(t, *y)`` is a flow as :func:`full_rhs` or
     :func:`reduced_rhs` returns it, or any callable that takes the state's
-    floats as arguments and returns a sequence of floats.  A final
-    shorter step lands exactly on the end time when the span is not an
-    integer number of steps or is shorter than one step.  Deterministic for
+    floats as arguments and returns a sequence of floats.  The last recorded
+    time is exactly ``t_span[1]``: a final shorter step lands on it when the
+    whole steps fall short of it.  Deterministic for
     identical inputs; rejects a non-finite ``y0`` or ``t_span``, or a span of
     more than MAX_STEPS steps, with ValueError, and aborts with
     :class:`IntegrationBlowUpError` when the state, or a stage of a step,
@@ -268,10 +268,11 @@ def integrate(
     ys = array("d", y)
     for t_next, h in steps:
         try:
-            y = _finite(rk4_step(rhs, t, y, h), t_next)
+            y = rk4_step(rhs, t, y, h)
         except ValueError:
             _replay_checked(rhs, t, y, h, t_next)
             raise
+        _finite(y, t_next)
         ts.append(t_next)
         ys.extend(y)
         t = t_next
@@ -284,9 +285,9 @@ def _time_grid(
     """Check the inputs of a fixed-step run; return ``y0`` as floats, the start
     time and an iterator of the steps as ``(t_next, h)``.
 
-    Whole steps of ``step`` are followed by a shorter one that lands on the end
-    time, when the span is not an integer number of steps or is shorter than
-    one step.
+    The whole steps of ``step`` end at ``t0 + k * step`` for every k at which
+    that sum, as rounded, is at most the end time; when the last of them falls
+    short of the end time, one shorter step lands exactly on it.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
@@ -304,11 +305,15 @@ def _time_grid(
             f"integrating ({t0}, {t1}) at step {step} takes {n_steps:.6g} steps, "
             f"more than the limit of {MAX_STEPS}"
         )
-    n_full = int(math.floor(n_steps * (1.0 + 1e-12)))
-    remainder = t1 - (t0 + n_full * step)
+    n_full = int(n_steps)
+    while t0 + (n_full + 1) * step <= t1:
+        n_full += 1
+    while n_full and t0 + n_full * step > t1:
+        n_full -= 1
+    last = t0 + n_full * step
     steps = ((t0 + k * step, step) for k in range(1, n_full + 1))
-    if remainder > step * 1e-9 or n_full == 0:
-        steps = chain(steps, [(t1, remainder)])
+    if last < t1:
+        steps = chain(steps, [(t1, t1 - last)])
     return y, t0, steps
 
 
@@ -426,28 +431,3 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
         max_err_p_phi=err_p_phi,
         p_alpha_drift=drift,
     )
-
-
-def convergence_sweep(
-    e: Excitation,
-    epsilons,
-    initial: FullState,
-    t_end: float,
-) -> dict:
-    """Run :func:`compare_full_averaged` for each amplitude scale.
-
-    Returns the JSON-ready report; entries are ordered like ``epsilons``.
-    The moments do not depend on epsilon, so an asymmetric excitation raises
-    :class:`SymmetryViolationError` at the first amplitude, before any step.
-    """
-    epsilons = [float(x) for x in epsilons]
-    reports = [
-        compare_full_averaged(Excitation(eps, e.omega, e.tau, e.eta, e.xi), initial, t_end)
-        for eps in epsilons
-    ]
-    return {
-        "epsilons": epsilons,
-        "max_err_phi": [r.max_err_phi for r in reports],
-        "max_err_p_phi": [r.max_err_p_phi for r in reports],
-        "p_alpha_drift": [r.p_alpha_drift for r in reports],
-    }

@@ -117,8 +117,8 @@ def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> Aver
     the matching time unit is sqrt(l / g).  Each quotient, and each divisor,
     is a ratio of exact integer products (``float.as_integer_ratio``)
     rounded once, so no intermediate leaves the float range or rounds.  A
-    divisor that rounds to 0 or past the float range, or a p_alpha that is
-    not finite, raises ValueError.
+    divisor that rounds to 0 or past the float range, a quotient that rounds
+    past it, or a p_alpha that is not finite, raises ValueError.
     """
     if not math.isfinite(p_alpha):
         raise ValueError(f"p_alpha must be finite, got {p_alpha!r}")
@@ -130,11 +130,17 @@ def averaged_params(mm: MomentMatrix, p_alpha: float, p: PhysicalParams) -> Aver
         if not (0.0 < value < math.inf):
             raise ValueError(f"{name} = {value!r} is outside the positive float range for {p!r}")
     (an, ad), (cn, cd) = map(float.as_integer_ratio, (mm.xi_xi, mm.eta_eta))
-    return AveragedParams(
-        A=_rounded(an * gl_den, ad * gl_num),
-        B=_rounded(pn * pn * ml_den, pd * pd * ml_num),
-        C=_rounded(cn * gl_den, cd * gl_num),
-    )
+    quotients = []
+    for name, arg, value, num, den in (
+        ("xi_xi / (g l)", "xi_xi", mm.xi_xi, an * gl_den, ad * gl_num),
+        ("p_alpha^2 / (m^2 l^3 g)", "p_alpha", p_alpha, pn * pn * ml_den, pd * pd * ml_num),
+        ("eta_eta / (g l)", "eta_eta", mm.eta_eta, cn * gl_den, cd * gl_num),
+    ):
+        q = _rounded(num, den)
+        if q == math.inf:
+            raise ValueError(f"{name} overflows the float range for {arg}={value!r}, {p!r}")
+        quotients.append(q)
+    return AveragedParams(*quotients)
 
 
 def _rounded(num: int, den: int) -> float:

@@ -101,9 +101,10 @@ def test_moments_vertical(tmp_path, capsys):
 
 def test_moments_in_phase_horizontal_fails_symmetry(tmp_path, capsys):
     path = write(tmp_path, "p.json", IN_PHASE_DOC)
-    code, out = run(capsys, ["moments", "--excitation", path])
+    code, out = run(capsys, ["moments", "--excitation", path, "--out", str(tmp_path / "m.json")])
     doc = json.loads(out)
     assert code == 2
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == out
     assert doc["symmetry"]["residuals"]["tau_eta"] == pytest.approx(0.5)
 
 
@@ -250,15 +251,39 @@ def test_moments_are_the_exact_quotients_rounded_once(tmp_path, capsys):
         assert (ap.A, ap.B, ap.C) == exact_quotients(a, c, p_alpha, m, l, g), (a, c, p_alpha, m, l, g)
 
 
-@pytest.mark.parametrize("argv", [["moments"], ["compare", "--eps-sweep", "0.1,0.05"]])
-def test_moments_that_overflow_are_refused_as_such(tmp_path, capsys, argv):
+PHYS_OVERFLOW = "PhysicalParams(m=1e+200, l=1e-155, g=1e-155)"
+OVERFLOWS = [
     # omega^2 is inf, and inf * 0 puts NaN off the diagonal: not an asymmetry
-    path = write(tmp_path, "x.json", '{"epsilon": 0.1, "omega": 1e200, "xi": {"sin": [1.0]}}')
-    code = main([argv[0], "--excitation", path, *argv[1:]])
+    (["moments", "--excitation", "x.json"], "error: velocity moments overflow"),
+    (["compare", "--excitation", "x.json", "--eps-sweep", "0.1,0.05"],
+     "error: velocity moments overflow"),
+    # finite moments and divisors, and a quotient A, B or C past the float range
+    (["moments", "--excitation", "v.json", "--phys", "1e-100,1,1", "--p-alpha", "1e300"],
+     "error: p_alpha^2 / (m^2 l^3 g) overflows the float range for p_alpha=1e+300, "
+     "PhysicalParams(m=1e-100, l=1.0, g=1.0)\n"),
+    (["moments", "--excitation", "v.json", "--phys", "1e200,1e-155,1e-155"],
+     f"error: xi_xi / (g l) overflows the float range for xi_xi=2.0, {PHYS_OVERFLOW}\n"),
+    (["moments", "--excitation", "c.json", "--phys", "1e200,1e-155,1e-155"],
+     "error: eta_eta / (g l) overflows the float range for eta_eta=0.9248000000000001, "
+     f"{PHYS_OVERFLOW}\n"),
+    (["compare", "--excitation", "v.json", "--eps-sweep", "0.1,0.05", "--initial", "2,0,0,1e200"],
+     "error: p_alpha^2 / (m^2 l^3 g) overflows the float range for p_alpha=1e+200, "
+     "PhysicalParams(m=1.0, l=1.0, g=1.0)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OVERFLOWS,
+                         ids=[f"argv{i}" for i in range(len(OVERFLOWS))])
+def test_moments_that_overflow_are_refused_as_such(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "x.json", '{"epsilon": 0.1, "omega": 1e200, "xi": {"sin": [1.0]}}')
+    write(tmp_path, "v.json", VERTICAL_DOC)
+    write(tmp_path, "c.json", CIRCULAR_DOC)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: velocity moments overflow")
+    assert captured.err.startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -596,9 +621,12 @@ def test_compare_stdout_is_pinned(tmp_path, capsys, doc, pin):
 def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):
     path = write(tmp_path, "p.json", IN_PHASE_DOC)
     code, out = run(
-        capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"]
+        capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05",
+                 "--out", str(tmp_path / "c.json")]
     )
     assert code == 2
+    # the violation document is written to --out as it is printed
+    assert (tmp_path / "c.json").read_text(encoding="utf-8") == out
     doc = json.loads(out)
     assert doc["error"] == "symmetry violation"
     assert doc["residuals"]["tau_eta"] == pytest.approx(0.5)
@@ -633,12 +661,13 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
     # a finer error of exactly 0 gives an infinite ratio, which fails the band
     assert _ratio_verdict([1.0, 0.0]) == ([math.inf], False)
 
-    def sweep(e, epsilons, initial, t_end):
-        errs = [1.0, 0.0]
-        return {"epsilons": epsilons, "max_err_phi": errs, "max_err_p_phi": errs,
-                "p_alpha_drift": [0.0, 0.0]}
+    errs = iter([1.0, 0.0])
 
-    monkeypatch.setattr(dynamics, "convergence_sweep", sweep)
+    def compare(e, initial, t_end):
+        err = next(errs)
+        return dynamics.ComparisonReport(e.epsilon, t_end, err, err, 0.0)
+
+    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
     path = write(tmp_path, "v.json", VERTICAL_DOC)
     code, out = run(capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"])
     assert code == 2
@@ -681,10 +710,10 @@ def test_compare_requires_decreasing_sweep(tmp_path, capsys):
 def test_compare_refuses_a_sweep_of_one_amplitude(tmp_path, capsys, monkeypatch):
     # one amplitude gives no ratio to check: the sweep used to print
     # "ratios_phi": [] and "passed": true having checked nothing
-    def sweep(*args):
+    def compare(*args):
         raise AssertionError("a sweep of one amplitude was integrated")
 
-    monkeypatch.setattr(dynamics, "convergence_sweep", sweep)
+    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
     path = write(tmp_path, "v.json", VERTICAL_DOC)
     code = main(["compare", "--excitation", path, "--eps-sweep", "0.1"])
     captured = capsys.readouterr()
@@ -758,7 +787,8 @@ def test_linspace_equals_numpy_bit_for_bit():
 
 # every name the package exported before its names were loaded lazily, less
 # velocity_moments_quadrature, eval_displacement and excitation_to_dict (now
-# test helpers in conftest) and the deleted trajectory_to_csv
+# test helpers in conftest) and the deleted trajectory_to_csv and
+# convergence_sweep (the compare command sweeps epsilon itself)
 PACKAGE_EXPORTS = (
     "Excitation HarmonicSeries MomentMatrix SymmetryReport check_symmetry "
     "eval_velocity excitation_from_dict load_excitation velocity_moments "
@@ -766,7 +796,7 @@ PACKAGE_EXPORTS = (
     "SingularConfigurationError classify_domain d2v dv find_equilibria gamma_curve "
     "gamma_point v_bar ComparisonReport FullState IntegrationBlowUpError PhysicalParams "
     "SymmetryViolationError Trajectory averaged_hamiltonian averaged_params "
-    "compare_full_averaged convergence_sweep full_hamiltonian full_rhs integrate "
+    "compare_full_averaged full_hamiltonian full_rhs integrate "
     "reduced_rhs LevelContours PortraitGrid build_grid contours_to_csv extract_contours "
     "grid_to_csv render_svg __version__"
 ).split()
@@ -778,11 +808,17 @@ def test_package_names_resolve_on_first_access():
     assert sorted(pendulum_vib.__all__) == sorted(set(PACKAGE_EXPORTS) - {"__version__"})
     # test-only helpers stay in the tests
     for name in ("trajectory_to_csv", "velocity_moments_quadrature", "make_full_rhs",
-                 "eval_displacement", "excitation_to_dict"):
+                 "eval_displacement", "excitation_to_dict", "convergence_sweep"):
         assert getattr(pendulum_vib, name, None) is None
     for cls, name in ((pendulum_vib.HarmonicSeries, "value"), (pendulum_vib.MomentMatrix, "zero"),
                       (pendulum_vib.PortraitGrid, "nx"), (pendulum_vib.PortraitGrid, "ny")):
         assert not hasattr(cls, name), (cls, name)
+
+
+def test_input_errors_raised_past_the_cli_are_value_errors():
+    # main alone maps a ValueError to exit 1; no subcommand catches these
+    for cls in (pendulum_vib.SingularConfigurationError, pendulum_vib.IntegrationBlowUpError):
+        assert issubclass(cls, ValueError), cls
 
 
 def test_module_exports_resolve_and_cover_the_package():
