@@ -129,9 +129,8 @@ def full_rhs(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
     """The full flow as ``f(t, phi, alpha, p_phi, p_alpha)``, which returns
     Hamilton's equations (dphi, dalpha, dp_phi, dp_alpha).
 
-    The closure holds the one copy of the full flow's equations.  The pivot
-    velocity depends on ``t`` alone, so a call at the same ``t`` as the
-    previous one to the same closure reuses it: RK4's two midpoint stages
+    The pivot velocity depends on ``t`` alone, so a call at the same ``t`` as
+    the previous one to the same closure reuses it: RK4's two midpoint stages
     share a time, and a step's last stage often shares one with the next
     step's first.  Build one closure per run and step it.  Each
     evaluation costs one sine or cosine per distinct harmonic and family that
@@ -148,34 +147,40 @@ def full_rhs(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
         if t != last_t:
             last_t = t
             vel = eval_velocity(e, t)
-        td, ed, xd = vel
-        s = math.sin(phi)
-        c = math.cos(phi)
-        sa = math.sin(alpha)
-        ca = math.cos(alpha)
-        # the pivot velocity resolved along the two angular directions
-        u_phi = c * ca * td + c * sa * ed + s * xd
-        u_alpha = -s * sa * td + s * ca * ed
-        d_phi = p_phi - u_phi
-
-        du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
-        horiz = -sa * td + ca * ed
-        du_alpha_dphi = c * horiz
-        du_phi_dalpha = c * horiz
-        du_alpha_dalpha = -s * ca * td - s * sa * ed
-
-        if s == 0.0:
-            if p_alpha != 0.0 or horiz != 0.0:
-                raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
-            return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
-
-        w = (p_alpha - u_alpha) / s
-        dalpha = w / s
-        dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
-        dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
-        return (d_phi, dalpha, dp_phi, dp_alpha)
+        return _full_slopes(vel, phi, alpha, p_phi, p_alpha)
 
     return f
+
+
+def _full_slopes(vel: tuple[float, float, float], phi: float, alpha: float, p_phi: float,
+                 p_alpha: float) -> tuple[float, float, float, float]:
+    """The one copy of the full flow's equations, at pivot velocity ``vel``."""
+    td, ed, xd = vel
+    s = math.sin(phi)
+    c = math.cos(phi)
+    sa = math.sin(alpha)
+    ca = math.cos(alpha)
+    # the pivot velocity resolved along the two angular directions
+    u_phi = c * ca * td + c * sa * ed + s * xd
+    u_alpha = -s * sa * td + s * ca * ed
+    d_phi = p_phi - u_phi
+
+    du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
+    horiz = -sa * td + ca * ed
+    du_alpha_dphi = c * horiz
+    du_phi_dalpha = c * horiz
+    du_alpha_dalpha = -s * ca * td - s * sa * ed
+
+    if s == 0.0:
+        if p_alpha != 0.0 or horiz != 0.0:
+            raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
+        return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
+
+    w = (p_alpha - u_alpha) / s
+    dalpha = w / s
+    dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
+    dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
+    return (d_phi, dalpha, dp_phi, dp_alpha)
 
 
 def reduced_rhs(ap: AveragedParams) -> Callable[[float, float, float], tuple[float, float]]:
@@ -252,7 +257,7 @@ def integrate(
     """Classical fixed-step RK4 over t_span, recording every step.
 
     The general integrator, and the reference that :func:`compare_full_averaged`
-    matches bit for bit.  ``rhs(t, *y)`` is a flow as :func:`full_rhs` or
+    is checked against.  ``rhs(t, *y)`` is a flow as :func:`full_rhs` or
     :func:`reduced_rhs` returns it, or any callable that takes the state's
     floats as arguments and returns a sequence of floats.  The last recorded
     time is exactly ``t_span[1]``: a final shorter step lands on it when the
@@ -352,55 +357,65 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
     flows are in units m = l = g = 1 (time unit sqrt(l / g)), so (A, B, C)
     come from :func:`averaged_params` at unit physical values.  They are
     stepped as one product system (phi, alpha, p_phi, p_alpha, phi_r, p_r)
-    at the full flow's step of 1/STEPS_PER_FAST_PERIOD fast periods, in one
-    scalar RK4 loop over six floats that keeps running maxima of the three
-    norms and records no trajectory.  Each stage calls the full flow and
-    then :func:`pendulum_vib.potential.dv`, and every operation is that of
-    :func:`rk4_step` in the same order, so each flow's states are bit for bit
-    what :func:`integrate` gives it alone, on the same time grid, and the
-    norms compare states at identical times with no resampling.  Input
-    checks, the time grid and the blow-up errors are those of
-    :func:`integrate`.
+    from t = 0 at the full flow's step of 1/STEPS_PER_FAST_PERIOD fast
+    periods, in one scalar RK4 loop over six floats that keeps running maxima
+    of the three norms and records no trajectory.  Whole steps read the pivot
+    velocity at their stages from a table at the times ``j * step / 2``, whose
+    fast phases are theirs; a final shorter step evaluates it directly.  Every
+    operation is that of :func:`rk4_step` in the same order, so each flow's
+    states are bit for bit what :func:`integrate` gives it alone at the same
+    velocities, and differ from :func:`full_rhs`'s in the last digits, as a
+    table phase differs from ``omega * t / epsilon`` by rounding.  Input
+    checks, the time grid and the blow-up errors are those of :func:`integrate`.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
     if not report.passed:
         raise SymmetryViolationError(report)
 
-    f = full_rhs(e)
     ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
-    y, t, steps = _time_grid(
-        (*initial, initial.phi, initial.p_phi), (0.0, t_end),
-        e.fast_period / STEPS_PER_FAST_PERIOD,
-    )
+    step = e.fast_period / STEPS_PER_FAST_PERIOD
+    y, t, steps = _time_grid((*initial, initial.phi, initial.p_phi), (0.0, t_end), step)
+    n = 2 * STEPS_PER_FAST_PERIOD
+    table = [eval_velocity(e, j * (0.5 * step)) for j in range(n)]
+    j = 0
     phi, alpha, p_phi, p_alpha, phi_r, p_r = y
     p_alpha0 = p_alpha
     err_phi = err_p_phi = drift = 0.0
     isfinite = math.isfinite
+    f = _full_slopes
     for t_next, h in steps:
         hh = 0.5 * h
-        t_mid = t + hh
+        v1 = table[j]  # a final shorter step too starts where a whole step ended
+        if h == step:
+            v2 = table[j + 1]
+            j = (j + 2) % n
+            v4 = table[j]
+        else:
+            v2 = eval_velocity(e, t + hh)
+            v4 = eval_velocity(e, t + h)
         try:
             # reduced_rhs's (p_r, -dV(phi_r)), inline to save a call a stage:
             # the p_r argument of a stage is that stage's slope of phi_r
-            a1, b1, c1, d1 = f(t, phi, alpha, p_phi, p_alpha)
+            a1, b1, c1, d1 = f(v1, phi, alpha, p_phi, p_alpha)
             q1 = -dv(phi_r, ap)
-            a2, b2, c2, d2 = f(t_mid, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
+            a2, b2, c2, d2 = f(v2, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
                                p_alpha + hh * d1)
             p2 = p_r + hh * q1
             q2 = -dv(phi_r + hh * p_r, ap)
-            a3, b3, c3, d3 = f(t_mid, phi + hh * a2, alpha + hh * b2, p_phi + hh * c2,
+            a3, b3, c3, d3 = f(v2, phi + hh * a2, alpha + hh * b2, p_phi + hh * c2,
                                p_alpha + hh * d2)
             p3 = p_r + hh * q2
             q3 = -dv(phi_r + hh * p2, ap)
-            a4, b4, c4, d4 = f(t + h, phi + h * a3, alpha + h * b3, p_phi + h * c3,
+            a4, b4, c4, d4 = f(v4, phi + h * a3, alpha + h * b3, p_phi + h * c3,
                                p_alpha + h * d3)
             p4 = p_r + h * q3
             q4 = -dv(phi_r + h * p3, ap)
         except ValueError:
             g = reduced_rhs(ap)
+            vels = iter((v1, v2, v2, v4))
             _replay_checked(
-                lambda s, *z: (*f(s, *z[:4]), *g(s, *z[4:])),
+                lambda s, *z: (*f(next(vels), *z[:4]), *g(s, *z[4:])),
                 t, [phi, alpha, p_phi, p_alpha, phi_r, p_r], h, t_next,
             )
             raise

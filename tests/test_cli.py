@@ -600,10 +600,10 @@ def test_compare_vertical_band(tmp_path, capsys):
 # sha256 of compare's stdout over the README sweep; any change to the flows'
 # arithmetic moves the last digits of the errors
 COMPARE_PINS = [
-    (README_VERTICAL_DOC, "93da65f6470518b9f80efa7dbe3dab227654b7b16094f610d6a8d8ac61116480"),
-    (VERTICAL_DOC, "6c90be127e86f9b4f5b1b6dc23e2cbf90bb98c4f681e72f8cf9d594df200ffab"),
-    (CIRCULAR_DOC, "7a13a1362c75deca2dd9af3b493042e72ac41af26234d492b4248df67dfc231d"),
-    (BENCH_LIKE_DOC, "652ec379ce70c0af9c3254409795dcfad5738a4a4af959acf0c26f38f99df0c4"),
+    (README_VERTICAL_DOC, "4621f6a129bc12529800815eed9dc8a0ab38ee3e1087a4d99856a04f13d5ed06"),
+    (VERTICAL_DOC, "ee856c091a9087c34a3b30818de77d462116de394b8d5f3f3cdba702d86f9ac0"),
+    (CIRCULAR_DOC, "5716e0484d97acbfd1d7cd869e75f6d88e16cb49df47cccd49d5e8d2e1cda7c1"),
+    (BENCH_LIKE_DOC, "cc959ae3e3fd1bbf127f553384774df82c9847c16f0d23d9535d426339a92808"),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -266,7 +267,7 @@ def test_integrate_refuses_too_many_steps():
         integrate(lambda t, *y: y, [1.0], (-1e308, 1e308), 1.0)
 
 
-def test_make_full_rhs_matches_full_rhs_bit_for_bit():
+def test_full_rhs_cache_matches_a_fresh_closure_bit_for_bit():
     # the pivot velocity is reused between stages at the same time; the
     # result must be what a fresh full_rhs closure gives at every stage
     for e in (VERTICAL, CIRCULAR):
@@ -278,7 +279,7 @@ def test_make_full_rhs_matches_full_rhs_bit_for_bit():
         assert np.array_equal(fast.y, plain.y)
 
 
-def test_make_full_rhs_evaluates_the_velocity_under_three_times_a_step(monkeypatch):
+def test_full_rhs_evaluates_the_velocity_under_three_times_a_step(monkeypatch):
     calls = []
 
     def counting(e, t):
@@ -311,10 +312,34 @@ def bench_like_excitation(rng):
     )
 
 
-def reference_norms(e, initial, t_end):
-    """The three norms from each flow integrated alone by integrate."""
+def table_full_rhs(e, t_end):
+    """The full flow as compare_full_averaged steps it over (0, t_end): its
+    equations at the table velocity ``eval_velocity(e, j * step / 2)`` at each
+    whole step's stage times, as integrate computes them, and at its end, and
+    at eval_velocity's own velocity at any other time."""
+    step = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    n = 2 * dynamics.STEPS_PER_FAST_PERIOD
+    table = [eval_velocity(e, j * (0.5 * step)) for j in range(n)]
+    at = {}
+    t = 0.0
+    for k, (t_next, h) in enumerate(dynamics._time_grid([], (0.0, t_end), step)[2]):
+        if h == step:
+            at.update({t: table[2 * k % n], t + 0.5 * h: table[(2 * k + 1) % n],
+                       t + h: table[(2 * k + 2) % n], t_next: table[(2 * k + 2) % n]})
+        t = t_next
+
+    def f(t, *y):
+        vel = at.get(t)
+        return dynamics._full_slopes(eval_velocity(e, t) if vel is None else vel, *y)
+
+    return f
+
+
+def reference_norms(e, initial, t_end, full_flow):
+    """The three norms from each flow integrated alone by integrate, the full
+    flow as ``full_flow(e, t_end)`` returns it."""
     span, h = (0.0, t_end), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    full = integrate(full_rhs(e), initial, span, h)
+    full = integrate(full_flow(e, t_end), initial, span, h)
     ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
     red = integrate(reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
     assert np.array_equal(full.t, red.t)
@@ -327,7 +352,8 @@ def reference_norms(e, initial, t_end):
 
 def test_compare_steps_both_flows_as_one_product_system():
     # RK4 acts on each component separately, so the product system's norms
-    # are bit-identical to those of each flow integrated alone
+    # are bit-identical to those of each flow integrated alone, the full one
+    # at the table's pivot velocities
     rng = np.random.default_rng(12)
     cases = [(e, FullState(2.0, 0.0, 0.0, 0.3)) for e in (VERTICAL, CIRCULAR)]
     cases += [
@@ -342,7 +368,7 @@ def test_compare_steps_both_flows_as_one_product_system():
         # a span ending in a shorter final step, and one shorter than a step
         for t_end in (3.0, h / 3.0):
             report = compare_full_averaged(e, initial, t_end)
-            full, norms = reference_norms(e, initial, t_end)
+            full, norms = reference_norms(e, initial, t_end, table_full_rhs)
             assert 0.0 < full.t[-1] - full.t[-2] < h
             assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
 
@@ -367,9 +393,10 @@ def test_compare_gap_matches_a_finer_reduced_flow(eps):
 
 def product_reference(e, initial, t_end):
     """compare_full_averaged's norms from integrate on the product system
-    (phi, alpha, p_phi, p_alpha, phi_r, p_r), or the exception it raises."""
-    full = full_rhs(e)
+    (phi, alpha, p_phi, p_alpha, phi_r, p_r), the full flow at the table's
+    pivot velocities, or the exception it raises."""
     try:
+        full = table_full_rhs(e, t_end)
         reduced = reduced_rhs(averaged_params(velocity_moments(e), initial.p_alpha,
                                               PhysicalParams()))
         y = integrate(lambda t, *z: (*full(t, *z[:4]), *reduced(t, *z[4:])),
@@ -404,6 +431,34 @@ def test_compare_fails_and_answers_as_the_product_reference_at_the_float_corners
             assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == expected
 
 
+def test_compare_replays_a_failing_step_at_its_own_velocities(monkeypatch):
+    # the replay that tells a blow-up from the flow's own ValueError must see
+    # the pivot velocities that the failing step's stages saw
+    slopes, replay = dynamics._full_slopes, dynamics._replay_checked
+    vels, starts = [], []
+    monkeypatch.setattr(dynamics, "_full_slopes",
+                        lambda vel, *y: (vels.append(vel), slopes(vel, *y))[1])
+    monkeypatch.setattr(dynamics, "_replay_checked",
+                        lambda *args: (starts.append(len(vels)), replay(*args))[1])
+    longest = 0
+    for e, phi, p_phi, p_alpha in itertools.product(
+        (VERTICAL, CIRCULAR), CORNER_PHI, CORNER_MOMENTA, CORNER_MOMENTA
+    ):
+        vels.clear()
+        starts.clear()
+        try:
+            compare_full_averaged(e, FullState(phi, 0.0, p_phi, p_alpha), e.fast_period)
+        except ValueError:
+            pass
+        if starts:
+            # the failing step's own stages begin at a multiple of four
+            step_start = (starts[0] - 1) // 4 * 4
+            replayed = vels[starts[0]:]
+            assert replayed == vels[step_start:step_start + len(replayed)]
+            longest = max(longest, len(replayed))
+    assert longest >= 2
+
+
 def test_compare_readme_sweep_is_pinned():
     # the README default sweep; any change to the integrator's arithmetic
     # moves these last digits
@@ -412,7 +467,61 @@ def test_compare_readme_sweep_is_pinned():
         compare_full_averaged(Excitation(epsilon=eps, omega=1.0, xi=SIN), initial, 10.0).max_err_phi
         for eps in (0.1, 0.05, 0.025)
     ]
-    assert errs == [0.14062310670028966, 0.05629476893964136, 0.026580604698659638]
+    assert errs == [0.1406231067002821, 0.05629476893962004, 0.026580604698629884]
+
+
+def test_compare_table_stays_within_1e_9_of_full_rhs():
+    # a table phase differs from omega * t / epsilon by rounding alone, so the
+    # norms stay within 1e-9 relative of those of full_rhs(e) integrated alone
+    # (4.7e-11 measured), and a zero norm stays exactly zero; the shapes of
+    # the README sweep, test_cli's four compare pins and three drawn
+    # bench-like excitations, at the README sweep's amplitudes
+    rng = np.random.default_rng(19)
+    start = FullState(2.0, 0.0, 0.0, 0.3)
+    cases = [(start, shape) for shape in (
+        VERTICAL,
+        Excitation(epsilon=0.1, omega=2.0, xi=SIN),
+        Excitation(epsilon=0.1, omega=1.7, tau=HarmonicSeries((0.8,)),
+                   eta=HarmonicSeries((), (0.8,))),
+        Excitation(epsilon=0.1, omega=1.0, tau=HarmonicSeries((0.35,)),
+                   eta=HarmonicSeries((), (0.35,)),
+                   xi=HarmonicSeries((0.0, 0.15), (0.0, 0.12, 0.06))),
+    )]
+    cases += [
+        (FullState(float(rng.uniform(0.8, 2.3)), float(rng.uniform(0.0, 2.0 * math.pi)),
+                   float(rng.uniform(-0.3, 0.3)), float(rng.uniform(0.2, 0.6))),
+         bench_like_excitation(rng))
+        for _ in range(3)
+    ]
+    for initial, shape in cases:
+        for eps in (0.1, 0.05, 0.025):
+            e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
+            report = compare_full_averaged(e, initial, 10.0)
+            _, norms = reference_norms(e, initial, 10.0, lambda e, t_end: full_rhs(e))
+            got = (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift)
+            for new, old in zip(got, norms):
+                if old == 0.0:
+                    assert new == 0.0, (initial, e, got, norms)
+                else:
+                    assert abs(new - old) <= 1e-9 * old, (initial, e, got, norms)
+
+
+def test_compare_evaluates_the_velocity_once_a_table_phase(monkeypatch):
+    calls = []
+
+    def counting(e, t):
+        calls.append(t)
+        return eval_velocity(e, t)
+
+    monkeypatch.setattr(dynamics, "eval_velocity", counting)
+    step = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    # a span ending in a shorter final step, and one of whole steps only
+    for t_end, whole in ((10.0, False), (2.0 * VERTICAL.fast_period, True)):
+        grid = list(dynamics._time_grid([], (0.0, t_end), step)[2])
+        assert (grid[-1][1] == step) is whole
+        calls.clear()
+        compare_full_averaged(VERTICAL, FullState(2.0, 0.0, 0.0, 0.3), t_end)
+        assert len(calls) <= 2 * dynamics.STEPS_PER_FAST_PERIOD + 3
 
 
 def test_compare_zero_excitation_flows_coincide():
