@@ -3,8 +3,8 @@
 These deliberately re-derive results with the dumbest method available
 (finite differences, dense sign scans, plain bisection) so they stay
 independent of the library code paths they audit.  ``written`` reads what
-a portrait writer writes, and ``excitation_doc`` and ``ZERO_MOMENTS`` build
-test inputs.
+a portrait writer writes, ``excitation_doc`` and ``ZERO_MOMENTS`` build
+test inputs, and ``full_slopes`` writes the full flow's equations term by term.
 """
 
 import io
@@ -15,9 +15,10 @@ import numpy as np
 
 QUADRATURE_INTERVALS = 4096
 # initial compare states at the poles and next to them, with momenta at the
-# float range's edges
-CORNER_PHI = (0.0, math.pi, 5e-324, math.nextafter(math.pi, 0.0))
-CORNER_MOMENTA = (0.0, 1e150, -1e150, 1e300, -1e300, math.nan, math.inf)
+# float range's edges; at 1e-90 sin^4 underflows to 0 but sin^3 does not,
+# and 0.3 is a moderate momentum that a step survives
+CORNER_PHI = (0.0, math.pi, 5e-324, math.nextafter(math.pi, 0.0), 1e-90)
+CORNER_MOMENTA = (0.0, 1e150, -1e150, 1e300, -1e300, math.nan, math.inf, 0.3)
 # the rows of the all-zero MomentMatrix
 ZERO_MOMENTS = ((0.0,) * 3,) * 3
 
@@ -127,6 +128,32 @@ def displacement(e, t: float) -> tuple[float, float, float]:
             x += b * math.sin(k * s)
         out.append(e.epsilon * x)
     return tuple(out)
+
+
+def full_slopes(vel, phi, alpha, p_phi, p_alpha):
+    """Hamilton's equations of the full flow at pivot velocity ``vel``, each
+    partial derivative of the resolved pivot velocity written out term by
+    term, in the operation order the kernel must reproduce bit for bit."""
+    td, ed, xd = vel
+    s, c = math.sin(phi), math.cos(phi)
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    u_phi = c * ca * td + c * sa * ed + s * xd
+    u_alpha = -s * sa * td + s * ca * ed
+    d_phi = p_phi - u_phi
+    du_phi_dphi = -s * ca * td - s * sa * ed + c * xd
+    horiz = -sa * td + ca * ed
+    du_alpha_dphi = c * horiz
+    du_phi_dalpha = c * horiz
+    du_alpha_dalpha = -s * ca * td - s * sa * ed
+    if s == 0.0:
+        if p_alpha != 0.0 or horiz != 0.0:
+            raise ValueError("sin(phi) = 0 is a coordinate singularity here")
+        return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
+    w = (p_alpha - u_alpha) / s
+    dalpha = w / s
+    dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
+    dp_alpha = d_phi * du_phi_dalpha + dalpha * du_alpha_dalpha
+    return (d_phi, dalpha, dp_phi, dp_alpha)
 
 
 def excitation_doc(e) -> dict:

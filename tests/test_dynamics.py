@@ -5,7 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import CORNER_MOMENTA, CORNER_PHI, ZERO_MOMENTS, central_diff, close_rel
+from conftest import (
+    CORNER_MOMENTA,
+    CORNER_PHI,
+    ZERO_MOMENTS,
+    central_diff,
+    close_rel,
+    full_slopes,
+)
 
 from pendulum_vib import dynamics
 from pendulum_vib.dynamics import (
@@ -293,6 +300,41 @@ def test_full_rhs_evaluates_the_velocity_under_three_times_a_step(monkeypatch):
     assert len(calls) < 3 * steps
 
 
+def test_full_slopes_matches_the_term_by_term_equations_bit_for_bit():
+    # the kernel shares sub-expressions of the term-by-term equations; every
+    # output keeps their bits, the sign of a zero included (float.hex tells
+    # -0.0 from 0.0)
+    rng = random.Random(2001)
+
+    def draw(scale):
+        return rng.choice((0.0, -0.0, rng.uniform(-scale, scale), rng.gauss(0.0, scale)))
+
+    for _ in range(4000):
+        vel = (draw(3.0), draw(3.0), draw(3.0))
+        state = (rng.choice((rng.uniform(-4.0, 4.0), rng.uniform(-1e-6, 1e-6))),
+                 rng.uniform(-7.0, 7.0), draw(2.0), draw(2.0))
+        got = dynamics._full_slopes(vel, *state)
+        assert list(map(float.hex, got)) == list(map(float.hex, full_slopes(vel, *state))), (
+            vel, state)
+
+    # the s == 0 branch: a vertical pivot and p_alpha = 0 return, a nonzero
+    # p_alpha or a horizontal velocity refuse with the same message
+    for phi, alpha, p_phi, xd in itertools.product(
+        (0.0, -0.0), (0.0, -0.0, 0.5, 3.0), (0.0, -0.0, 0.7, -2.0), (0.0, -0.0, 1.0, -1.5)
+    ):
+        for vel, p_alpha in (((0.0, 0.0, xd), 0.0), ((0.0, 0.0, xd), -0.0),
+                             ((0.0, 0.0, xd), 0.3), ((0.4, 0.0, xd), 0.0)):
+            try:
+                expected = list(map(float.hex, full_slopes(vel, phi, alpha, p_phi, p_alpha)))
+            except ValueError as exc:
+                with pytest.raises(SingularConfigurationError) as err:
+                    dynamics._full_slopes(vel, phi, alpha, p_phi, p_alpha)
+                assert str(err.value) == str(exc)
+                continue
+            got = dynamics._full_slopes(vel, phi, alpha, p_phi, p_alpha)
+            assert list(map(float.hex, got)) == expected, (vel, phi, alpha, p_phi, p_alpha)
+
+
 def test_reduced_energy_conservation():
     ap = AveragedParams.from_a_minus_c(0.5, 0.09)
     rhs = reduced_rhs(ap)
@@ -522,6 +564,29 @@ def test_compare_evaluates_the_velocity_once_a_table_phase(monkeypatch):
         calls.clear()
         compare_full_averaged(VERTICAL, FullState(2.0, 0.0, 0.0, 0.3), t_end)
         assert len(calls) <= 2 * dynamics.STEPS_PER_FAST_PERIOD + 3
+
+
+def test_compare_computes_dv_inline_and_the_kernel_four_times_a_step(monkeypatch):
+    # the README vertical sweep: the reduced stages never call dv, and every
+    # step calls the full-flow kernel once a stage
+    calls = {"dv": 0, "slopes": 0}
+    dv, slopes = dynamics.dv, dynamics._full_slopes
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "dv", counting("dv", dv))
+    monkeypatch.setattr(dynamics, "_full_slopes", counting("slopes", slopes))
+    for eps in (0.1, 0.05, 0.025):
+        e = Excitation(epsilon=eps, omega=1.0, xi=SIN)
+        step = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        n_steps = len(list(dynamics._time_grid([], (0.0, 10.0), step)[2]))
+        calls.update(dv=0, slopes=0)
+        compare_full_averaged(e, FullState(2.0, 0.0, 0.0, 0.3), 10.0)
+        assert calls == {"dv": 0, "slopes": 4 * n_steps}, eps
 
 
 def test_compare_zero_excitation_flows_coincide():
