@@ -223,6 +223,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if any(b >= a for a, b in zip(sweep, sweep[1:])):
         raise ValueError("--eps-sweep must be strictly decreasing")
     initial = _parse_float_list(args.initial, expect=4, what="--initial")
+    if not all(map(math.isfinite, initial)):
+        raise ValueError(f"--initial must be finite, got {initial}")
     from .excitation import Excitation, SymmetryViolationError, load_excitation
 
     e = load_excitation(args.excitation)

@@ -154,34 +154,29 @@ def full_rhs(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
 
 def _full_slopes(vel: tuple[float, float, float], phi: float, alpha: float, p_phi: float,
                  p_alpha: float) -> tuple[float, float, float, float]:
-    """The one copy of the full flow's equations, at pivot velocity ``vel``."""
+    """The one copy of the full flow's equations, at pivot velocity ``vel``.
+
+    ``r`` and ``t`` are the horizontal pivot velocity's parts along the bob's
+    azimuth and across it, so the pivot velocity resolved along the two
+    angular directions is ``(c r + s xd, s t)``; with ``q = p_alpha / s``,
+    ``w = q - t`` is ``s dalpha``.
+    """
     td, ed, xd = vel
     s = math.sin(phi)
     c = math.cos(phi)
     sa = math.sin(alpha)
     ca = math.cos(alpha)
-    # the pivot velocity resolved along the two angular directions
-    u_phi = c * ca * td + c * sa * ed + s * xd
-    u_alpha = -s * sa * td + s * ca * ed
-    d_phi = p_phi - u_phi
-
-    # d u_phi / d alpha is d u_alpha / d phi, and d u_phi / d phi is
-    # d u_alpha / d alpha + c xd, each summed in the same order
-    du_alpha_dalpha = -s * ca * td - s * sa * ed
-    du_phi_dphi = du_alpha_dalpha + c * xd
-    horiz = -sa * td + ca * ed
-    du_alpha_dphi = c * horiz
-
+    r = ca * td + sa * ed
+    t = ca * ed - sa * td
+    dphi = p_phi - (c * r + s * xd)
     if s == 0.0:
-        if p_alpha != 0.0 or horiz != 0.0:
+        if p_alpha != 0.0 or t != 0.0:
             raise SingularConfigurationError("sin(phi) = 0 is a coordinate singularity here")
-        return (d_phi, 0.0, d_phi * du_phi_dphi - s, 0.0)
-
-    w = (p_alpha - u_alpha) / s
+        return (dphi, 0.0, dphi * (c * xd - s * r) - s, 0.0)
+    q = p_alpha / s
+    w = q - t
     dalpha = w / s
-    dp_phi = d_phi * du_phi_dphi + dalpha * du_alpha_dphi + w * w * c / s - s
-    dp_alpha = d_phi * du_alpha_dphi + dalpha * du_alpha_dalpha
-    return (d_phi, dalpha, dp_phi, dp_alpha)
+    return (dphi, dalpha, dphi * (c * xd - s * r) + c * q * dalpha - s, c * dphi * t - w * r)
 
 
 def reduced_rhs(ap: AveragedParams) -> Callable[[float, float, float], tuple[float, float]]:
@@ -405,33 +400,37 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
             # The p_r argument of a stage is that stage's slope of phi_r.
             a1, b1, c1, d1 = f(v1, phi, alpha, p_phi, p_alpha)
             s, c = sin(phi_r), cos(phi_r)
-            if s * s * s * s == 0.0 and b != 0.0:
+            s3 = s * s * s
+            if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
-            q1 = -((-b * c / (s * s * s) if b != 0.0 else 0.0) + a * s * c + s)
+            q1 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
             a2, b2, c2, d2 = f(v2, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
                                p_alpha + hh * d1)
             p2 = p_r + hh * q1
             x = phi_r + hh * p_r
             s, c = sin(x), cos(x)
-            if s * s * s * s == 0.0 and b != 0.0:
+            s3 = s * s * s
+            if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
-            q2 = -((-b * c / (s * s * s) if b != 0.0 else 0.0) + a * s * c + s)
+            q2 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
             a3, b3, c3, d3 = f(v2, phi + hh * a2, alpha + hh * b2, p_phi + hh * c2,
                                p_alpha + hh * d2)
             p3 = p_r + hh * q2
             x = phi_r + hh * p2
             s, c = sin(x), cos(x)
-            if s * s * s * s == 0.0 and b != 0.0:
+            s3 = s * s * s
+            if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
-            q3 = -((-b * c / (s * s * s) if b != 0.0 else 0.0) + a * s * c + s)
+            q3 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
             a4, b4, c4, d4 = f(v4, phi + h * a3, alpha + h * b3, p_phi + h * c3,
                                p_alpha + h * d3)
             p4 = p_r + h * q3
             x = phi_r + h * p3
             s, c = sin(x), cos(x)
-            if s * s * s * s == 0.0 and b != 0.0:
+            s3 = s * s * s
+            if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
-            q4 = -((-b * c / (s * s * s) if b != 0.0 else 0.0) + a * s * c + s)
+            q4 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
         except ValueError:
             g = reduced_rhs(ap)
             vels = iter((v1, v2, v2, v4))

@@ -71,17 +71,22 @@ def build_grid(
 ) -> PortraitGrid:
     """Sample the reduced energy over a regular (phi, p_phi) window.
 
-    The phi window is inset from the poles when B > 0 (where V diverges) and
-    the full [0, pi] otherwise.  By default p_max covers the sampled energy
-    span, so every auto-selected level intersects the window.  Levels are the
+    The phi window is inset from the poles by POLE_INSET when B > 0 (where V
+    diverges), or by half the distance of an equilibrium that lies inside
+    that inset, and is the full [0, pi] otherwise.  By default p_max covers
+    the sampled energy span, so every auto-selected level intersects the window.  Levels are the
     saddle energies, if any, plus AUTO_LEVEL_COUNT values evenly spaced
     strictly between the extremes of V over the window.  ValueError when the
     p axis is not finite and strictly increasing or an energy is not finite.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx, ny >= 2")
+    eqs = tuple(find_equilibria(ap))
     if ap.B > 0.0:
-        phi_lo, phi_hi = POLE_INSET, math.pi - POLE_INSET
+        # an equilibrium inside the inset moves that edge to half its distance from the pole
+        near, far = eqs[0].phi, math.pi - eqs[-1].phi
+        phi_lo = POLE_INSET if near >= POLE_INSET else 0.5 * near
+        phi_hi = math.pi - (POLE_INSET if far >= POLE_INSET else 0.5 * far)
     else:
         phi_lo, phi_hi = 0.0, math.pi
     phi = np.linspace(phi_lo, phi_hi, nx)
@@ -102,7 +107,6 @@ def build_grid(
     if not np.isfinite(values).all():
         raise ValueError("the sampled energies are not all finite")
 
-    eqs = tuple(find_equilibria(ap))
     separatrix = tuple(sorted({eq.v_value for eq in eqs if eq.kind == "unstable"}))
     spaced = [
         v_min + k * (v_max - v_min) / (AUTO_LEVEL_COUNT + 1.0)

@@ -4,12 +4,15 @@ These deliberately re-derive results with the dumbest method available
 (finite differences, dense sign scans, plain bisection) so they stay
 independent of the library code paths they audit.  ``written`` reads what
 a portrait writer writes, ``excitation_doc`` and ``ZERO_MOMENTS`` build
-test inputs, and ``full_slopes`` writes the full flow's equations term by term.
+test inputs, ``full_slopes`` writes the full flow's equations term by term,
+and ``Bounded`` evaluates them exactly, with the magnitude that bounds their
+rounding error.
 """
 
 import io
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -130,13 +133,51 @@ def displacement(e, t: float) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def full_slopes(vel, phi, alpha, p_phi, p_alpha):
+class Bounded:
+    """An exact rational value together with the magnitude of its expression.
+
+    The magnitude is the same expression evaluated with every operand taken
+    in absolute value, so a subtraction adds magnitudes.  Built from floats,
+    whose values are taken as exact.  A division uses the divisor's own
+    absolute value, which is that magnitude only for a divisor built
+    directly from a float, as every divisor in :func:`full_slopes` is.
+    """
+
+    __slots__ = ("value", "magnitude")
+
+    def __init__(self, value, magnitude=None):
+        self.value = Fraction(value)
+        self.magnitude = abs(self.value) if magnitude is None else magnitude
+
+    def __add__(self, other):
+        return Bounded(self.value + other.value, self.magnitude + other.magnitude)
+
+    def __sub__(self, other):
+        return Bounded(self.value - other.value, self.magnitude + other.magnitude)
+
+    def __mul__(self, other):
+        return Bounded(self.value * other.value, self.magnitude * other.magnitude)
+
+    def __truediv__(self, other):
+        return Bounded(self.value / other.value, self.magnitude / abs(other.value))
+
+    def __neg__(self):
+        return Bounded(-self.value, self.magnitude)
+
+    def __eq__(self, other):
+        return self.value == other
+
+
+def full_slopes(vel, phi, alpha, p_phi, p_alpha, num=float):
     """Hamilton's equations of the full flow at pivot velocity ``vel``, each
     partial derivative of the resolved pivot velocity written out term by
-    term, in the operation order the kernel must reproduce bit for bit."""
-    td, ed, xd = vel
-    s, c = math.sin(phi), math.cos(phi)
-    sa, ca = math.sin(alpha), math.cos(alpha)
+    term.  ``num`` converts every float operand, ``math.sin`` and
+    ``math.cos`` of the angles included: ``float`` evaluates the equations in
+    floats, :class:`Bounded` exactly and with their magnitudes."""
+    td, ed, xd = map(num, vel)
+    s, c = num(math.sin(phi)), num(math.cos(phi))
+    sa, ca = num(math.sin(alpha)), num(math.cos(alpha))
+    p_phi, p_alpha = num(p_phi), num(p_alpha)
     u_phi = c * ca * td + c * sa * ed + s * xd
     u_alpha = -s * sa * td + s * ca * ed
     d_phi = p_phi - u_phi

@@ -222,7 +222,7 @@ def test_criterion_6_averaging_convergence():
     report(
         6,
         elapsed,
-        1.0,
+        0.5,
         f"phi errors {['%.3e' % e for e in errs]} ratios {['%.2f' % r for r in ratios]} "
         f"drift {['%.1e' % d for d in drifts]}",
     )

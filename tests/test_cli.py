@@ -494,6 +494,24 @@ def test_portrait_bytes_are_pinned(tmp_path, capsys, args, pins):
     assert digests == pins
 
 
+@pytest.mark.parametrize("a_minus_c, kinds", [("0", ["stable"]),
+                                              ("3.5", ["stable", "unstable", "stable"])])
+def test_portrait_draws_the_equilibria_inside_the_pole_inset(tmp_path, capsys, a_minus_c, kinds):
+    # at B = 1e-7 each minimum lies within POLE_INSET of a pole; its window
+    # edge moves to half its distance from the pole, and it is drawn
+    argv = ["portrait", "--a-minus-c", a_minus_c, "--b", "1e-7", "--nx", "128", "--ny", "128"]
+    code, out = run(capsys, [*argv, "--out", str(tmp_path)])
+    assert code == 0
+    svg = (tmp_path / "portrait.svg").read_text(encoding="utf-8")
+    printed = [line.split("kind=")[1].split()[0] for line in out.splitlines()]
+    assert printed == [part.split('"')[0] for part in svg.split('class="equilibrium-')[1:]]
+    assert printed == kinds
+    grid = build_grid(AveragedParams.from_a_minus_c(float(a_minus_c), 1e-7), nx=128, ny=128)
+    lo, hi = grid.phi_range
+    assert all(lo < eq.phi < hi for eq in grid.equilibria)
+    assert lo == 0.5 * grid.equilibria[0].phi < 0.01
+
+
 @pytest.mark.parametrize("a_minus_c, b", [(0.0, 0.1), (3.5, 0.01)])
 def test_portrait_files_are_written_in_under_a_megabyte(tmp_path, capsys, a_minus_c, b):
     # the 4.9 MB grid.csv goes out a row at a time, not as one string
@@ -600,10 +618,10 @@ def test_compare_vertical_band(tmp_path, capsys):
 # sha256 of compare's stdout over the README sweep; any change to the flows'
 # arithmetic moves the last digits of the errors
 COMPARE_PINS = [
-    (README_VERTICAL_DOC, "4621f6a129bc12529800815eed9dc8a0ab38ee3e1087a4d99856a04f13d5ed06"),
-    (VERTICAL_DOC, "ee856c091a9087c34a3b30818de77d462116de394b8d5f3f3cdba702d86f9ac0"),
-    (CIRCULAR_DOC, "5716e0484d97acbfd1d7cd869e75f6d88e16cb49df47cccd49d5e8d2e1cda7c1"),
-    (BENCH_LIKE_DOC, "cc959ae3e3fd1bbf127f553384774df82c9847c16f0d23d9535d426339a92808"),
+    (README_VERTICAL_DOC, "1541b75a5e09300d87eef1b4fc10b1086773ee51c5dcac060a252ea548dd62d6"),
+    (VERTICAL_DOC, "2166fe42fef3c8d32a435d83414f1c32f0f61e4718e2bed89129e6621e78897d"),
+    (CIRCULAR_DOC, "b6505bcb80957e7c93e7b0a9392665eb64af43256391ed43d43ba6a8e8b8e466"),
+    (BENCH_LIKE_DOC, "f79944ddc44c21b0834d36a59b06f1f0c4df47340fdff33c63ecb196d1333cf9"),
 ]
 
 
@@ -616,6 +634,25 @@ def test_compare_stdout_is_pinned(tmp_path, capsys, doc, pin):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("initial, shown", [
+    ("nan,0,0,0", "[nan, 0.0, 0.0, 0.0]"),
+    ("2,inf,0,0.3", "[2.0, inf, 0.0, 0.3]"),
+    ("2,0,-inf,0.3", "[2.0, 0.0, -inf, 0.3]"),
+])
+def test_compare_names_the_given_initial_state_when_it_is_not_finite(tmp_path, capsys,
+                                                                     initial, shown):
+    # the four values given, not the six-float state the two flows step; a
+    # non-finite state is bad input even with an asymmetric excitation
+    for doc in (VERTICAL_DOC, IN_PHASE_DOC):
+        path = write(tmp_path, "e.json", doc)
+        code = main(["compare", "--excitation", path, "--eps-sweep", "0.1,0.05",
+                     "--initial", initial])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --initial must be finite, got {shown}\n"
 
 
 def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):
