@@ -10,7 +10,7 @@ option it reads before it reads or writes any file.  Only portrait, and a
 read of ``Trajectory.t`` or ``.y``, loads numpy; portrait and dynamics are
 imported only by the subcommands that use them, so every subcommand but
 portrait and reproduce runs without numpy.  Likewise excitation is imported
-only by moments and compare.
+only by moments and compare, and the forked sweep of compare only by compare.
 """
 
 from __future__ import annotations
@@ -238,11 +238,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"--t-end {args.t_end!r} is shorter than one fast period ({period!r}) "
             f"of the largest epsilon {sweep[0]!r}"
         )
-    from .dynamics import FullState, compare_full_averaged
+    from ._sweep import compare_sweep
+    from .dynamics import FullState
 
-    start = FullState(*initial)
     try:
-        reports = [compare_full_averaged(run, start, args.t_end) for run in runs]
+        reports = compare_sweep(runs, FullState(*initial), args.t_end)
     except SymmetryViolationError as exc:
         # the moments do not depend on epsilon: the first run raises it, before any step
         rep = exc.report

@@ -48,6 +48,11 @@ BENCH_LIKE_DOC = (
     '{"epsilon": 0.1, "omega": 1.0, "tau": {"cos": [0.35]}, "eta": {"sin": [0.35]}, '
     '"xi": {"cos": [0.0, 0.15], "sin": [0.0, 0.12, 0.06]}}'
 )
+# ROADMAP item 10's symmetric circular horizontal motion, whose full flow
+# breaks down near the pole
+ROADMAP_CIRCULAR_DOC = (
+    '{"epsilon": 0.1, "omega": 1.0, "tau": {"cos": [0.8]}, "eta": {"sin": [0.8]}}'
+)
 # zero dynamics; small epsilon keeps the full integrator step small
 ZERO_COMPARE_DOC = '{"epsilon": 0.02, "omega": 1.0}'
 
@@ -618,10 +623,16 @@ def test_compare_vertical_band(tmp_path, capsys):
 # sha256 of compare's stdout over the README sweep; any change to the flows'
 # arithmetic moves the last digits of the errors
 COMPARE_PINS = [
-    (README_VERTICAL_DOC, "1541b75a5e09300d87eef1b4fc10b1086773ee51c5dcac060a252ea548dd62d6"),
-    (VERTICAL_DOC, "2166fe42fef3c8d32a435d83414f1c32f0f61e4718e2bed89129e6621e78897d"),
-    (CIRCULAR_DOC, "b6505bcb80957e7c93e7b0a9392665eb64af43256391ed43d43ba6a8e8b8e466"),
-    (BENCH_LIKE_DOC, "f79944ddc44c21b0834d36a59b06f1f0c4df47340fdff33c63ecb196d1333cf9"),
+    pytest.param(README_VERTICAL_DOC,
+                 "1541b75a5e09300d87eef1b4fc10b1086773ee51c5dcac060a252ea548dd62d6",
+                 id="readme-vertical"),
+    pytest.param(VERTICAL_DOC, "2166fe42fef3c8d32a435d83414f1c32f0f61e4718e2bed89129e6621e78897d",
+                 id="vertical-omega-2"),
+    pytest.param(CIRCULAR_DOC, "b6505bcb80957e7c93e7b0a9392665eb64af43256391ed43d43ba6a8e8b8e466",
+                 id="circular"),
+    pytest.param(BENCH_LIKE_DOC,
+                 "f79944ddc44c21b0834d36a59b06f1f0c4df47340fdff33c63ecb196d1333cf9",
+                 id="bench-like"),
 ]
 
 
@@ -698,10 +709,12 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
     # a finer error of exactly 0 gives an infinite ratio, which fails the band
     assert _ratio_verdict([1.0, 0.0]) == ([math.inf], False)
 
-    errs = iter([1.0, 0.0])
+    # keyed on epsilon, not on call order: the sweep's runs may each run in
+    # another process
+    errs = {0.1: 1.0, 0.05: 0.0}
 
     def compare(e, initial, t_end):
-        err = next(errs)
+        err = errs[e.epsilon]
         return dynamics.ComparisonReport(e.epsilon, t_end, err, err, 0.0)
 
     monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
@@ -715,6 +728,152 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
     doc = json.loads(out, parse_constant=no_constants)
     assert doc["ratios_phi"] == [None]
     assert doc["passed"] is False
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that ``os.fork`` makes during a test."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def run_on_cpus(monkeypatch, capsys, argv, cpus):
+    """``main(argv)`` as a process that may run on ``cpus`` CPUs (None: this
+    host's own count); exit code, stdout and stderr."""
+    with monkeypatch.context() as m:
+        if cpus is not None:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("doc, pin", COMPARE_PINS)
+def test_compare_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsys, monkeypatch,
+                                                                  forks, doc, pin):
+    path = write(tmp_path, "exc.json", doc)
+    outs = []
+    for cpus, children in ((1, 0), (None, None), (8, 2)):
+        out_file = tmp_path / f"out-{cpus}.json"
+        argv = ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025",
+                "--t-end", "10", "--out", str(out_file)]
+        del forks[:]
+        code, out, err = run_on_cpus(monkeypatch, capsys, argv, cpus)
+        assert (code, err) == (0, "")
+        assert out_file.read_text(encoding="utf-8") == out
+        if children is not None:
+            # on 8 CPUs the 0.1 and 0.05 runs each go to a child
+            assert len(forks) == children
+        outs.append(out)
+        assert_no_child_left()
+    assert outs[0] == outs[1] == outs[2]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("doc, sweep, initial, err", [
+    (README_VERTICAL_DOC, "0.1,1e-300", "2,0,0,0.3",
+     "error: integrating (0.0, 10.0) at step 9.817477042468103e-302 takes 1.01859e+302 steps, "
+     "more than the limit of 1000000\n"),
+    # the circular horizontal motion near the pole: only the 0.025 run fails
+    (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.5,0,0,0",
+     "error: non-finite state reached at t = 9.967193567365742\n"),
+    # every run fails, the finer ones sooner: the first run's error is reported
+    (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.001,0,0,0",
+     "error: non-finite state reached at t = 4.516039439535327\n"),
+])
+def test_compare_reports_the_first_failing_run_of_the_sweep_in_one_process_and_in_many(
+        tmp_path, capsys, monkeypatch, forks, doc, sweep, initial, err):
+    path = write(tmp_path, "exc.json", doc)
+    argv = ["compare", "--excitation", path, "--eps-sweep", sweep, "--initial", initial,
+            "--out", str(tmp_path / "c.json")]
+    for cpus in (1, None, 8):
+        assert run_on_cpus(monkeypatch, capsys, argv, cpus) == (1, "", err)
+        assert not (tmp_path / "c.json").exists()
+        assert_no_child_left()
+    assert forks
+
+
+def test_compare_leaves_no_child_behind(tmp_path, capsys, monkeypatch, forks):
+    passing = write(tmp_path, "v.json", README_VERTICAL_DOC)
+    in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
+    for argv, code in (
+        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025"], 0),
+        (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05,0.025"], 2),
+        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025",
+          "--t-end", "1e9"], 1),
+    ):
+        del forks[:]
+        assert run_on_cpus(monkeypatch, capsys, argv, 8)[0] == code
+        assert len(forks) == 2
+        assert_no_child_left()
+
+
+def test_compare_forks_nothing_while_other_threads_run(tmp_path, capsys, monkeypatch, forks):
+    # a fork copies only the calling thread, so a threaded caller gets the
+    # serial loop
+    import threading
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        doc, pin = COMPARE_PINS[0].values
+        path = write(tmp_path, "v.json", doc)
+        code, out, _ = run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
+                                                         "--eps-sweep", "0.1,0.05,0.025"], 8)
+    finally:
+        release.set()
+        waiter.join(30.0)
+    assert not waiter.is_alive()
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == pin
+    assert forks == []
+
+
+def test_compare_runs_the_sweep_itself_when_it_cannot_fork(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    doc, pin = COMPARE_PINS[0].values
+    path = write(tmp_path, "v.json", doc)
+    code, out, err = run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
+                                                       "--eps-sweep", "0.1,0.05,0.025"], 8)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, monkeypatch,
+                                                             forks):
+    parent = os.getpid()
+
+    def compare(e, initial, t_end):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
+    path = write(tmp_path, "v.json", README_VERTICAL_DOC)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
+                                          "--eps-sweep", "0.1,0.05,0.025"], 8)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -914,6 +1073,31 @@ def test_array_subcommands_do_not_import_dataclasses(tmp_path):
         numpy = {m for m in imported if m.split(".")[0] == "numpy"}
         assert bool(numpy) == (argv[0] == "portrait"), argv
         assert "dataclasses" not in imported, argv
+
+
+def test_compare_and_the_cli_import_no_process_pool(tmp_path):
+    # compare forks its workers itself: multiprocessing and concurrent.futures
+    # each cost more to import than a short sweep takes, and start threads
+    pools = {"multiprocessing", "concurrent.futures", "pickle"}
+    passing = write(tmp_path, "v.json", README_VERTICAL_DOC)
+    in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
+    for argv, code in (
+        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025"], 0),
+        (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05"], 2),
+        (["compare", "--excitation", passing, "--eps-sweep", "0.1,1e-300"], 1),
+    ):
+        assert not pools & imported_modules(argv, code), argv
+    # importing the CLI loads nothing for the workers: the sweep's module and
+    # array load only when compare runs, and signal when it is interrupted
+    src = str(Path(pendulum_vib.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import pendulum_vib.cli"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "pendulum_vib.cli" in imported
+    assert not (pools | {"pendulum_vib._sweep", "array", "signal"}) & imported
 
 
 def test_a_failing_scalar_subcommand_imports_neither_excitation_nor_numpy():
