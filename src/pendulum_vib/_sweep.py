@@ -10,36 +10,22 @@ other subcommand.
 from __future__ import annotations
 
 import os
-import sys
 from array import array
 
-from . import dynamics
+from . import dynamics, excitation
+from ._fork import workers
 
 
-def _workers(n_runs: int) -> int:
-    """How many processes share a sweep of ``n_runs`` runs: one per CPU that
-    this process may run on, but one alone where the CPUs cannot be counted or
-    other threads run, as a fork copies only the calling thread."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    return min(n_runs, cpus)
-
-
-def _split(runs: list, workers: int) -> list[list[int]]:
-    """The indices of ``runs`` in ``workers`` groups of about equal cost, each
+def _split(runs: list, n_groups: int) -> list[list[int]]:
+    """The indices of ``runs`` in ``n_groups`` groups of about equal cost, each
     in sweep order; the first group holds the last (finest) run.
 
     A run's step count is proportional to 1/epsilon (the step is a fixed
     fraction of the fast period), so the runs go costliest first, each to the
     least-loaded group.
     """
-    loads = [0.0] * workers
-    groups = [[] for _ in range(workers)]
+    loads = [0.0] * n_groups
+    groups = [[] for _ in range(n_groups)]
     for i in reversed(range(len(runs))):  # the sweep decreases: finest last
         k = loads.index(min(loads))
         groups[k].append(i)
@@ -57,10 +43,15 @@ def compare_sweep(runs: list, start, t_end: float) -> list:
     norms, bit for bit; a run whose norms did not arrive is run again here, so
     the first run in sweep order that fails raises its own error.  Every child
     is reaped before this returns or raises, and killed first if this process
-    is interrupted.  With one worker nothing is forked.
+    is interrupted.  With one worker nothing is forked.  An excitation that
+    fails the symmetry check raises ``SymmetryViolationError`` before any run:
+    the moments do not depend on epsilon.
     """
+    report = excitation.check_symmetry(excitation.velocity_moments(runs[0]))
+    if not report.passed:
+        raise excitation.SymmetryViolationError(report)
     compare = dynamics.compare_full_averaged
-    groups = _split(runs, _workers(len(runs)))
+    groups = _split(runs, workers(len(runs)))
     done = {}
     children = []
     try:

@@ -244,7 +244,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         reports = compare_sweep(runs, FullState(*initial), args.t_end)
     except SymmetryViolationError as exc:
-        # the moments do not depend on epsilon: the first run raises it, before any step
+        # compare_sweep checks it once, before any run or fork
         rep = exc.report
         doc = {"error": "symmetry violation", "residuals": _residuals(rep), "tol": rep.tol}
         _emit_json(doc, args.out)

@@ -13,6 +13,7 @@ from typing import TextIO
 
 import numpy as np
 
+from ._fork import write_in_order
 from ._frozen import Frozen
 from .potential import AveragedParams, Equilibrium, find_equilibria, v_bar
 
@@ -380,8 +381,9 @@ def render_svg(grid: PortraitGrid, contours: list[LevelContours], out: TextIO) -
 def grid_to_csv(grid: PortraitGrid, out: TextIO) -> None:
     """Write the sampled energies as CSV to the text stream ``out``.
 
-    Header row of p values, first column phi; each row is written as soon
-    as it is joined.  Each row is formatted for its first half only and
+    Header row of p values, first column phi; the rows are formatted by
+    :func:`write_in_order`, in this process or in forked ones, and written in
+    order as each is joined.  Each row is formatted for its first half only and
     mirrored, so the grid must be exactly (bit for bit) symmetric in p, as
     build_grid makes it; ValueError otherwise, before anything is written.
     """
@@ -390,26 +392,33 @@ def grid_to_csv(grid: PortraitGrid, out: TextIO) -> None:
         raise ValueError("grid values are not exactly mirror-symmetric in p")
     ny = values.shape[1]
     mirrored = ny // 2
-    out.write("phi," + ",".join(map(repr, grid.p.tolist())) + "\n")
-    for phi, row in zip(grid.phi.tolist(), values[:, : ny - mirrored]):
-        cells = [repr(phi), *map(repr, row.tolist())]
+    phis, half = grid.phi.tolist(), values[:, : ny - mirrored]
+
+    def row(i: int) -> str:
+        cells = [repr(phis[i]), *map(repr, half[i].tolist())]
         cells += cells[mirrored:0:-1]
-        out.write(",".join(cells))
-        out.write("\n")
+        return ",".join(cells) + "\n"
+
+    out.write("phi," + ",".join(map(repr, grid.p.tolist())) + "\n")
+    write_in_order(out, len(phis), row)
 
 
 def contours_to_csv(contours: list[LevelContours], out: TextIO) -> None:
     """Write the polylines as CSV to the text stream ``out``.
 
-    Columns: level, per-level polyline id, phi, p_phi; each polyline is
-    written as soon as it is formatted.
+    Columns: level, per-level polyline id, phi, p_phi; the polylines are
+    formatted by :func:`write_in_order`, in this process or in forked ones,
+    and written in order as each is formatted.
     """
+    items = [(lc.level, pid, poly) for lc in contours for pid, poly in enumerate(lc.polylines)]
+
+    def polyline(i: int) -> str:
+        level, pid, poly = items[i]
+        prefix = f"{level!r},{pid},"
+        # one string per polyline and flat column lists: keeping a small
+        # object per vertex alive raised peak RSS ~1 MB over repeated runs
+        phis, ps = poly[:, 0].tolist(), poly[:, 1].tolist()
+        return "".join([f"{prefix}{x!r},{y!r}\n" for x, y in zip(phis, ps)])
+
     out.write("level,polyline_id,phi,p_phi\n")
-    for lc in contours:
-        for pid, poly in enumerate(lc.polylines):
-            prefix = f"{lc.level!r},{pid},"
-            # one string per polyline and flat column lists: keeping a small
-            # object per vertex alive raised peak RSS ~1 MB over repeated runs
-            phis, ps = poly[:, 0].tolist(), poly[:, 1].tolist()
-            out.write("\n".join([f"{prefix}{x!r},{y!r}" for x, y in zip(phis, ps)]))
-            out.write("\n")
+    write_in_order(out, len(items), polyline)

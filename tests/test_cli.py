@@ -1,9 +1,11 @@
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ import pytest
 from conftest import CORNER_MOMENTA, CORNER_PHI, fold_b, written
 
 import pendulum_vib
-from pendulum_vib import cli, dynamics
+from pendulum_vib import _fork, cli, dynamics
 from pendulum_vib.cli import _ratio_verdict, main
 from pendulum_vib.portrait import (
     build_grid,
@@ -518,20 +520,28 @@ def test_portrait_draws_the_equilibria_inside_the_pole_inset(tmp_path, capsys, a
 
 
 @pytest.mark.parametrize("a_minus_c, b", [(0.0, 0.1), (3.5, 0.01)])
-def test_portrait_files_are_written_in_under_a_megabyte(tmp_path, capsys, a_minus_c, b):
-    # the 4.9 MB grid.csv goes out a row at a time, not as one string
+def test_portrait_files_are_written_in_under_a_megabyte(tmp_path, capsys, monkeypatch, forks,
+                                                        a_minus_c, b):
+    # the 4.9 MB grid.csv goes out a row at a time, not as one string, by the
+    # serial writer on 1 CPU and by the parent of the forked writers on 8
     grid = build_grid(AveragedParams.from_a_minus_c(a_minus_c, b), nx=512, ny=512)
     portrait = (grid, extract_contours(grid))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        cli._write_portrait(portrait, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert (tmp_path / "grid.csv").stat().st_size > 4_000_000
-    assert peak - start < 1_000_000
+    for cpus in (1, 8):
+        out_dir = tmp_path / str(cpus)
+        del forks[:]
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli._write_portrait(portrait, out_dir)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert bool(forks) == (cpus > 1)
+        assert (out_dir / "grid.csv").stat().st_size > 4_000_000
+        assert peak - start < 1_000_000, cpus
 
 
 def test_portrait_writers_write_the_same_text_to_a_file_and_to_a_string(tmp_path, capsys):
@@ -732,7 +742,8 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children that ``os.fork`` makes during a test."""
+    """The pids of the children that ``os.fork`` makes during a test, every
+    one of which must be reaped when the test ends."""
     made = []
     fork = os.fork
 
@@ -743,7 +754,8 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
-    return made
+    yield made
+    assert_no_child_left()
 
 
 def run_on_cpus(monkeypatch, capsys, argv, cpus):
@@ -810,15 +822,16 @@ def test_compare_reports_the_first_failing_run_of_the_sweep_in_one_process_and_i
 def test_compare_leaves_no_child_behind(tmp_path, capsys, monkeypatch, forks):
     passing = write(tmp_path, "v.json", README_VERTICAL_DOC)
     in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
-    for argv, code in (
-        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025"], 0),
-        (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05,0.025"], 2),
+    # a symmetry violation is found before the sweep, and nothing is forked
+    for argv, code, children in (
+        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025"], 0, 2),
+        (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05,0.025"], 2, 0),
         (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025",
-          "--t-end", "1e9"], 1),
+          "--t-end", "1e9"], 1, 2),
     ):
         del forks[:]
         assert run_on_cpus(monkeypatch, capsys, argv, 8)[0] == code
-        assert len(forks) == 2
+        assert len(forks) == children
         assert_no_child_left()
 
 
@@ -874,6 +887,154 @@ def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, m
     assert time.perf_counter() - t0 < 30.0
     assert len(forks) == 2
     assert_no_child_left()
+
+
+def portrait_digests(out, out_dir):
+    """sha256 of a portrait's stdout and of each file it wrote, as PORTRAIT_PINS holds them."""
+    digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for name in ("grid.csv", "contours.csv", "portrait.svg"):
+        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("args, pins", PORTRAIT_PINS)
+def test_portrait_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsys, monkeypatch,
+                                                                   forks, args, pins):
+    for cpus in (1, None, 8):
+        out_dir = tmp_path / str(cpus)
+        del forks[:]
+        code, out, err = run_on_cpus(monkeypatch, capsys,
+                                     ["portrait", *args, "--out", str(out_dir)], cpus)
+        assert (code, err) == (0, "")
+        assert portrait_digests(out, out_dir) == pins, cpus
+        if cpus is not None:
+            # on 8 CPUs each CSV writer forks 7 children
+            assert len(forks) == 2 * (cpus - 1)
+
+
+def test_reproduce_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsys, monkeypatch,
+                                                                   forks):
+    written_by = {}
+    for cpus in (1, None, 8):
+        out_dir = tmp_path / str(cpus)
+        argv = ["reproduce", "--out", str(out_dir), "--nx", "48", "--ny", "48", "--samples", "50"]
+        code, out, err = run_on_cpus(monkeypatch, capsys, argv, cpus)
+        assert (code, err) == (0, "")
+        files = {str(f.relative_to(out_dir)): f.read_bytes()
+                 for f in sorted(out_dir.rglob("*")) if f.is_file()}
+        written_by[cpus] = (out.replace(str(out_dir), "<out>"), files)
+    assert len(written_by[1][1]) == 8
+    assert written_by[1] == written_by[None] == written_by[8]
+    assert forks
+
+
+@pytest.mark.parametrize("kept", [lambda size: 0, lambda size: 4, lambda size: size // 2],
+                         ids=["nothing", "half-the-length", "half-the-record"])
+def test_a_portrait_child_killed_after_its_first_record_gives_the_pinned_bytes(
+        tmp_path, capsys, monkeypatch, forks, kept):
+    # each child writes its first record whole, then dies having written
+    # nothing, half the length or half the record of its second; the parent
+    # formats the rest itself
+    parent = os.getpid()
+    write = os.write
+    sent = []
+
+    def dying(fd, data):
+        if os.getpid() != parent:
+            if sent:
+                write(fd, data[:kept(len(data))])
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", dying)
+    args, pins = PORTRAIT_PINS[3]
+    code, out, err = run_on_cpus(monkeypatch, capsys, ["portrait", *args, "--out", str(tmp_path)],
+                                 8)
+    assert (code, err) == (0, "")
+    assert portrait_digests(out, tmp_path) == pins
+    assert len(forks) == 14
+
+
+@pytest.mark.parametrize("forked", [0, 1])
+def test_portrait_formats_the_rows_itself_when_it_cannot_fork(tmp_path, capsys, monkeypatch,
+                                                              forks, forked):
+    # in each writer os.fork fails at once, or after one child: the items of
+    # the children not made are formatted in the parent
+    counted = os.fork
+    attempts = []
+
+    def failing():
+        attempts.append(None)
+        if len(attempts) % (forked + 1) == 0:  # a writer stops forking at the first failure
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", failing)
+    args, pins = PORTRAIT_PINS[3]
+    code, out, err = run_on_cpus(monkeypatch, capsys, ["portrait", *args, "--out", str(tmp_path)],
+                                 8)
+    assert (code, err) == (0, "")
+    assert portrait_digests(out, tmp_path) == pins
+    assert (len(attempts), len(forks)) == (2 * (forked + 1), 2 * forked)
+
+
+def test_portrait_forks_nothing_while_other_threads_run(tmp_path, capsys, monkeypatch, forks):
+    import threading
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30.0,))
+    waiter.start()
+    try:
+        args, pins = PORTRAIT_PINS[3]
+        code, out, _ = run_on_cpus(monkeypatch, capsys,
+                                   ["portrait", *args, "--out", str(tmp_path)], 8)
+    finally:
+        release.set()
+        waiter.join(30.0)
+    assert not waiter.is_alive()
+    assert code == 0 and portrait_digests(out, tmp_path) == pins
+    assert forks == []
+
+
+def test_an_interrupted_writer_kills_and_reaps_its_children(monkeypatch, forks):
+    parent = os.getpid()
+
+    def text(i):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _fork.write_in_order(io.StringIO(), 16, text)
+    assert time.perf_counter() - t0 < 30.0
+    assert len(forks) == 7
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [0, 3, 11, 15])
+def test_an_item_that_raises_in_a_child_raises_the_serial_loops_exception(monkeypatch, forks,
+                                                                          bad):
+    # item 0 is the parent's, 3 and 11 the first and second of one child's,
+    # and 15 the last item
+    def text(i):
+        if i == bad:
+            raise ValueError(f"item {i} cannot be formatted")
+        return f"item {i}\n"
+
+    outcomes = []
+    for cpus in (1, 8):
+        out = io.StringIO()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(ValueError) as raised:
+            _fork.write_in_order(out, 16, text)
+        outcomes.append((out.getvalue(), str(raised.value)))
+        assert_no_child_left()
+    assert outcomes[0] == outcomes[1] == ("".join(f"item {i}\n" for i in range(bad)),
+                                          f"item {bad} cannot be formatted")
+    assert len(forks) == 7
 
 
 @pytest.mark.parametrize(
@@ -1075,9 +1236,21 @@ def test_array_subcommands_do_not_import_dataclasses(tmp_path):
         assert "dataclasses" not in imported, argv
 
 
+def imported_by(code: str) -> set[str]:
+    """Every module that a fresh interpreter running ``code`` on this checkout imports."""
+    src = str(Path(pendulum_vib.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_compare_and_the_cli_import_no_process_pool(tmp_path):
-    # compare forks its workers itself: multiprocessing and concurrent.futures
-    # each cost more to import than a short sweep takes, and start threads
+    # compare, portrait and reproduce fork their workers themselves:
+    # multiprocessing and concurrent.futures each cost more to import than a
+    # short sweep takes, and start threads
     pools = {"multiprocessing", "concurrent.futures", "pickle"}
     passing = write(tmp_path, "v.json", README_VERTICAL_DOC)
     in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
@@ -1087,17 +1260,24 @@ def test_compare_and_the_cli_import_no_process_pool(tmp_path):
         (["compare", "--excitation", passing, "--eps-sweep", "0.1,1e-300"], 1),
     ):
         assert not pools & imported_modules(argv, code), argv
-    # importing the CLI loads nothing for the workers: the sweep's module and
-    # array load only when compare runs, and signal when it is interrupted
-    src = str(Path(pendulum_vib.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import pendulum_vib.cli"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    # numpy imports pickle itself; the writers add none of the three
+    numpy = imported_by("import numpy")
+    assert "pickle" in numpy
+    for argv in (
+        ["portrait", "--a-minus-c", "3.5", "--b", "0.01", "--nx", "64", "--ny", "64",
+         "--out", str(tmp_path / "portrait")],
+        ["reproduce", "--nx", "48", "--ny", "48", "--samples", "50",
+         "--out", str(tmp_path / "reproduce")],
+    ):
+        imported = imported_modules(argv)
+        assert "pendulum_vib._fork" in imported, argv
+        assert not pools & (imported - numpy), argv
+    # importing the CLI loads nothing for the workers: the sweep's and the
+    # writers' modules and array load only when a subcommand that forks runs,
+    # and signal when it is interrupted
+    imported = imported_by("import pendulum_vib.cli")
     assert "pendulum_vib.cli" in imported
-    assert not (pools | {"pendulum_vib._sweep", "array", "signal"}) & imported
+    assert not (pools | {"pendulum_vib._sweep", "pendulum_vib._fork", "array", "signal"}) & imported
 
 
 def test_a_failing_scalar_subcommand_imports_neither_excitation_nor_numpy():
