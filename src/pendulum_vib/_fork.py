@@ -1,9 +1,9 @@
-"""Work spread over forked processes, with the bytes of a serial run.
+"""Work spread over forked processes, with the results of a serial run.
 
-The global interpreter lock keeps threads from formatting text side by side,
-so items that share no state go to processes made with a plain ``os.fork``.
-Only the subcommands that fork import this module, which keeps it out of the
-import of every other subcommand.
+The global interpreter lock keeps threads from computing side by side, so
+items that share no state go to processes made with a plain ``os.fork``.
+This is the only module that forks, and only the subcommands that fork import
+it, which keeps it out of the import of every other subcommand.
 """
 
 from __future__ import annotations
@@ -27,58 +27,68 @@ def workers(n_items: int) -> int:
     return min(n_items, cpus)
 
 
-def write_in_order(out: TextIO, n: int, text: Callable[[int], str]) -> None:
-    """Write ``text(i)`` for ``i in range(n)`` to ``out``, in order.
+def in_order(n: int, item: Callable[[int], bytes], use: Callable[[bytes], None],
+             cost: Callable[[int], float] = lambda i: 1.0) -> None:
+    """Call ``use(item(i))`` for ``i in range(n)``, in order.
 
-    With ``w = workers(n)``, item ``i`` is formatted by worker ``i % w``:
-    worker 0 is this process, and each other worker a child made with
-    ``os.fork``.  A child sends each item as it formats it down its own pipe,
-    as the item's UTF-8 length in 8 bytes and then the bytes, stops at its
-    first exception and leaves through ``os._exit``.  This process writes
-    every item to ``out`` in turn, its own or a child's, so each process holds
-    one item at a time.  An item whose record is missing or short is formatted
-    here, as is every later item of that child: the first item that fails
-    raises its own exception after the bytes of the items before it.  Every
-    child is reaped before this returns or raises, and killed first if this
-    process raises.  With one worker nothing is forked.
+    With ``w = workers(n)``, each item in turn goes to the least-loaded of
+    ``w`` workers by ``cost``, the first one on a tie, so with equal costs
+    item ``i`` goes to worker ``i % w``.  Worker 0 is this process, and each
+    other worker a child made with ``os.fork``.  A child sends each item as
+    it makes it down its own pipe, as the item's length in 8 bytes and then
+    the bytes, stops at its first exception and leaves through ``os._exit``.
+    This process hands every item to ``use`` in turn, its own or a child's,
+    so each process holds one item at a time.  An item whose record is missing
+    or short is made here, as is every later item of that child: the first
+    item that fails raises its own exception after the items before it are
+    used.  Where a pipe or a process cannot be made, the items left are made
+    here.  Every child is reaped before this returns or raises, and killed
+    first if this process raises.  With one worker nothing is forked.
     """
     w = workers(n)
-    pipes = [None] * w  # per worker, the pipe its records arrive on; None: formatted here
+    loads = [0.0] * w
+    owner = []  # per item, its worker
+    for i in range(n):
+        owner.append(loads.index(min(loads)))
+        loads[owner[-1]] += cost(i)
+    pipes = [None] * w  # per worker, the pipe its records arrive on; None: made here
     children = []
     try:
         for k in range(1, w):
-            r, wfd = os.pipe()
+            fds = ()
             try:
+                fds = r, wfd = os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to spare: the items left are formatted here
-                os.close(r)
-                os.close(wfd)
+            except OSError:  # no descriptor or process to spare
+                for fd in fds:
+                    os.close(fd)
                 break
             if pid == 0:
                 try:
-                    for i in range(k, n, w):
-                        data = text(i).encode()
-                        record = memoryview(len(data).to_bytes(8, "little") + data)
-                        while record:  # a write to a pipe may take part of it
-                            record = record[os.write(wfd, record):]
+                    for i in range(n):
+                        if owner[i] == k:
+                            data = item(i)
+                            record = memoryview(len(data).to_bytes(8, "little") + data)
+                            while record:  # a write to a pipe may take part of it
+                                record = record[os.write(wfd, record):]
                 finally:
                     os._exit(0)
             os.close(wfd)
             pipes[k] = open(r, "rb")
             children.append((pid, pipes[k]))
         for i in range(n):
-            pipe = pipes[i % w]
+            pipe = pipes[owner[i]]
             if pipe is not None:
                 head = pipe.read(8)
                 if len(head) == 8:
                     size = int.from_bytes(head, "little")
                     data = pipe.read(size)
                     if len(data) == size:
-                        out.write(data.decode())
+                        use(data)
                         continue
                 # the child stopped: its pipe is at its end, and this item
-                # and every later one of the child are formatted here
-            out.write(text(i))
+                # and every later one of the child are made here
+            use(item(i))
     except BaseException:
         import signal
 
@@ -89,3 +99,9 @@ def write_in_order(out: TextIO, n: int, text: Callable[[int], str]) -> None:
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
+
+
+def write_in_order(out: TextIO, n: int, text: Callable[[int], str]) -> None:
+    """Write ``text(i)`` for ``i in range(n)`` to ``out``, in order, with the
+    items formatted by :func:`in_order`, each sent as its UTF-8 bytes."""
+    in_order(n, lambda i: text(i).encode(), lambda data: out.write(data.decode()))

@@ -10,7 +10,8 @@ option it reads before it reads or writes any file.  Only portrait, and a
 read of ``Trajectory.t`` or ``.y``, loads numpy; portrait and dynamics are
 imported only by the subcommands that use them, so every subcommand but
 portrait and reproduce runs without numpy.  Likewise excitation is imported
-only by moments and compare, and the forked sweep of compare only by compare.
+only by moments and compare, and the forking module _fork only by compare,
+portrait and reproduce.
 """
 
 from __future__ import annotations
@@ -238,8 +239,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"--t-end {args.t_end!r} is shorter than one fast period ({period!r}) "
             f"of the largest epsilon {sweep[0]!r}"
         )
-    from ._sweep import compare_sweep
-    from .dynamics import FullState
+    from .dynamics import FullState, compare_sweep
 
     try:
         reports = compare_sweep(runs, FullState(*initial), args.t_end)

@@ -468,3 +468,46 @@ def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> Co
         max_err_p_phi=err_p_phi,
         p_alpha_drift=drift,
     )
+
+
+def compare_sweep(
+    runs: list[Excitation], start: FullState, t_end: float,
+) -> list[ComparisonReport]:
+    """:func:`compare_full_averaged` at each run of a decreasing epsilon
+    sweep, as a serial loop gives them.
+
+    The runs go to :func:`pendulum_vib._fork.in_order` finest first, each at
+    a cost of 1/epsilon (its step count is proportional to it), so this
+    process runs the finest.  An item is a run's three norms as doubles, and
+    each report is rebuilt from them bit for bit.  A run that failed in a
+    child sends no norms and is run again here, in sweep order, so the first
+    run in sweep order that fails raises its own error.  An excitation that
+    fails the symmetry check raises ``SymmetryViolationError`` before any run:
+    the moments do not depend on epsilon.
+    """
+    report = check_symmetry(velocity_moments(runs[0]))
+    if not report.passed:
+        raise SymmetryViolationError(report)
+    from ._fork import in_order
+
+    finest_first = runs[::-1]
+    failed = {}  # per item, the exception its run raised in this process
+    norms = []
+
+    def item(j: int) -> bytes:
+        try:
+            rep = compare_full_averaged(finest_first[j], start, t_end)
+        except Exception as exc:  # raised in sweep order below
+            failed[j] = exc
+            return b""
+        return array("d", (rep.max_err_phi, rep.max_err_p_phi, rep.p_alpha_drift)).tobytes()
+
+    in_order(len(runs), item, norms.append, lambda j: 1.0 / finest_first[j].epsilon)
+    reports = []
+    for j in reversed(range(len(runs))):
+        if j in failed:
+            raise failed[j]
+        run = finest_first[j]
+        reports.append(ComparisonReport(run.epsilon, t_end, *array("d", norms[j])) if norms[j]
+                       else compare_full_averaged(run, start, t_end))
+    return reports

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import io
@@ -743,7 +744,8 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the children that ``os.fork`` makes during a test, every
-    one of which must be reaped when the test ends."""
+    one of which must be reaped when the test ends, with every pipe end
+    closed: the test ends with the file descriptors it began with."""
     made = []
     fork = os.fork
 
@@ -754,8 +756,19 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
+    fds = open_fds()
     yield made
     assert_no_child_left()
+    assert open_fds() == fds
+
+
+def open_fds():
+    """How many file descriptors this process has open; None where /proc
+    cannot tell."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 def run_on_cpus(monkeypatch, capsys, argv, cpus):
@@ -856,7 +869,8 @@ def test_compare_forks_nothing_while_other_threads_run(tmp_path, capsys, monkeyp
     assert forks == []
 
 
-def test_compare_runs_the_sweep_itself_when_it_cannot_fork(tmp_path, capsys, monkeypatch):
+def test_compare_runs_the_sweep_itself_when_it_cannot_fork(tmp_path, capsys, monkeypatch,
+                                                           forks):
     def refuse():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
@@ -887,6 +901,46 @@ def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, m
     assert time.perf_counter() - t0 < 30.0
     assert len(forks) == 2
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("sweep, split", [
+    # step counts 10 : 20 : 40, finest first to the least-loaded worker: the
+    # parent's 40 against the child's 20 + 10, where alternating runs would
+    # give 50 against 20
+    ("0.1,0.05,0.025", [[0.025], [0.05, 0.1]]),
+    # 25 to the parent, 20 and 12.5 to the child, then 10 to the parent
+    ("0.1,0.08,0.05,0.04", [[0.04, 0.1], [0.05, 0.08]]),
+])
+def test_compare_splits_the_sweep_by_step_count(tmp_path, capsys, monkeypatch, forks, sweep,
+                                                split):
+    log = tmp_path / "runs.log"
+
+    def compare(e, initial, t_end):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {e.epsilon!r}\n")
+        return dynamics.ComparisonReport(e.epsilon, t_end, e.epsilon, e.epsilon, e.epsilon)
+
+    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
+    path = write(tmp_path, "v.json", README_VERTICAL_DOC)
+    code, _, err = run_on_cpus(monkeypatch, capsys,
+                               ["compare", "--excitation", path, "--eps-sweep", sweep], 2)
+    assert code in (0, 2) and err == ""
+    by_pid = {}
+    for line in log.read_text().splitlines():
+        pid, eps = line.split()
+        by_pid.setdefault(int(pid), []).append(float(eps))
+    assert [by_pid.pop(os.getpid())] + list(by_pid.values()) == split
+    assert list(by_pid) == forks
+
+
+def test_equal_costs_give_item_i_to_worker_i_mod_w(monkeypatch, forks):
+    for n, w in product((1, 2, 7, 16, 67), (1, 2, 3, 8)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+        pids = []
+        _fork.in_order(n, lambda i: str(os.getpid()).encode(), lambda data: pids.append(int(data)))
+        workers = pids[:w]
+        assert workers[0] == os.getpid() and len(set(workers)) == min(n, w)
+        assert pids == [workers[i % w] for i in range(n)]
 
 
 def portrait_digests(out, out_dir):
@@ -977,6 +1031,39 @@ def test_portrait_formats_the_rows_itself_when_it_cannot_fork(tmp_path, capsys, 
     assert (code, err) == (0, "")
     assert portrait_digests(out, tmp_path) == pins
     assert (len(attempts), len(forks)) == (2 * (forked + 1), 2 * forked)
+
+
+@pytest.mark.parametrize("forked", [0, 1])
+def test_portrait_and_compare_make_the_items_themselves_when_no_pipe_is_left(
+        tmp_path, capsys, monkeypatch, forks, forked):
+    # os.pipe fails at once, or after one child, as where every file
+    # descriptor is in use: the items of the children not made are made in
+    # the parent
+    counted = os.pipe
+    attempts = []
+
+    def failing():
+        attempts.append(None)
+        if len(attempts) % (forked + 1) == 0:  # each run stops forking at the first failure
+            raise OSError(errno.EMFILE, "Too many open files")
+        return counted()
+
+    monkeypatch.setattr(os, "pipe", failing)
+    args, pins = PORTRAIT_PINS[3]
+    out_dir = tmp_path / "portrait"
+    code, out, err = run_on_cpus(monkeypatch, capsys, ["portrait", *args, "--out", str(out_dir)],
+                                 8)
+    assert (code, err) == (0, "")
+    assert portrait_digests(out, out_dir) == pins
+    assert (len(attempts), len(forks)) == (2 * (forked + 1), 2 * forked)
+    del attempts[:], forks[:]
+    doc, pin = COMPARE_PINS[0].values
+    path = write(tmp_path, "v.json", doc)
+    code, out, err = run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
+                                                       "--eps-sweep", "0.1,0.05,0.025"], 8)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+    assert (len(attempts), len(forks)) == (forked + 1, forked)
 
 
 def test_portrait_forks_nothing_while_other_threads_run(tmp_path, capsys, monkeypatch, forks):
@@ -1272,12 +1359,12 @@ def test_compare_and_the_cli_import_no_process_pool(tmp_path):
         imported = imported_modules(argv)
         assert "pendulum_vib._fork" in imported, argv
         assert not pools & (imported - numpy), argv
-    # importing the CLI loads nothing for the workers: the sweep's and the
-    # writers' modules and array load only when a subcommand that forks runs,
-    # and signal when it is interrupted
+    # importing the CLI loads nothing for the workers: the forking module and
+    # array load only when a subcommand that forks runs, and signal when it is
+    # interrupted
     imported = imported_by("import pendulum_vib.cli")
     assert "pendulum_vib.cli" in imported
-    assert not (pools | {"pendulum_vib._sweep", "pendulum_vib._fork", "array", "signal"}) & imported
+    assert not (pools | {"pendulum_vib._fork", "array", "signal"}) & imported
 
 
 def test_a_failing_scalar_subcommand_imports_neither_excitation_nor_numpy():
