@@ -14,29 +14,26 @@ _setattr = object.__setattr__
 
 
 class Frozen:
-    """Equality, hash and a ``Name(field=value, ...)`` repr over ``_fields``.
+    """Equality, hash and a ``Name(field=value, ...)`` repr over ``__slots__``.
 
-    ``_fields`` is the class's ``__slots__`` unless the class sets it, to
-    leave out a slot derived from the others.  Assigning or deleting an
-    attribute raises :class:`AttributeError`.  A copy or an unpickled record
-    is rebuilt by the constructor from ``_fields``.  A record compared by
-    identity sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``.
+    Assigning or deleting an attribute raises :class:`AttributeError`.  A
+    copy or an unpickled record is rebuilt by the constructor from its
+    fields.  A record compared by identity sets ``__eq__ = object.__eq__`` and
+    ``__hash__ = object.__hash__``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            cls._fields = cls.__slots__
-        cls.__match_args__ = cls._fields
+        cls.__match_args__ = cls.__slots__
 
     def _freeze(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             _setattr(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -47,7 +44,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

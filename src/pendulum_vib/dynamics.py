@@ -127,27 +127,13 @@ Rhs = Callable[..., Sequence[float]]
 
 def full_rhs(e: Excitation) -> Callable[..., tuple[float, float, float, float]]:
     """The full flow as ``f(t, phi, alpha, p_phi, p_alpha)``, which returns
-    Hamilton's equations (dphi, dalpha, dp_phi, dp_alpha).
-
-    The pivot velocity depends on ``t`` alone, so a call at the same ``t`` as
-    the previous one to the same closure reuses it: RK4's two midpoint stages
-    share a time, and a step's last stage often shares one with the next
-    step's first.  Build one closure per run and step it.  Each
-    evaluation costs one sine or cosine per distinct harmonic and family that
-    some axis of ``e`` needs (see :func:`pendulum_vib.excitation.eval_velocity`),
-    with the same bits as the term-by-term series.
-    """
-    last_t = None
-    vel = None
+    Hamilton's equations (dphi, dalpha, dp_phi, dp_alpha) at the pivot
+    velocity :func:`pendulum_vib.excitation.eval_velocity` gives at ``t``."""
 
     def f(
         t: float, phi: float, alpha: float, p_phi: float, p_alpha: float
     ) -> tuple[float, float, float, float]:
-        nonlocal last_t, vel
-        if t != last_t:
-            last_t = t
-            vel = eval_velocity(e, t)
-        return _full_slopes(vel, phi, alpha, p_phi, p_alpha)
+        return _full_slopes(eval_velocity(e, t), phi, alpha, p_phi, p_alpha)
 
     return f
 

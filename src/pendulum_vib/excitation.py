@@ -57,38 +57,14 @@ class HarmonicSeries(Frozen):
 _ZERO_SERIES = HarmonicSeries()
 
 
-def _velocity_table(axes: tuple[HarmonicSeries, ...]) -> tuple[tuple, tuple]:
-    slots: dict = {}
-    terms = []
-    for series in axes:
-        axis = []
-        for k, a in enumerate(series.cosine_coeffs, start=1):
-            if a != 0.0:
-                axis.append((slots.setdefault((k, math.sin), len(slots)), -(k * a)))
-        for k, b in enumerate(series.sine_coeffs, start=1):
-            if b != 0.0:
-                axis.append((slots.setdefault((k, math.cos), len(slots)), k * b))
-        terms.append(tuple(axis))
-    return tuple(slots), tuple(terms)
-
-
 class Excitation(Frozen):
     """Fast periodic pivot motion with amplitude scale epsilon and frequency scale omega.
 
     Axis order is (tau, eta, xi): two horizontal directions, then vertical.
     Displacement along an axis at time t is ``epsilon * f(omega * t / epsilon)``.
-
-    ``velocity_table`` is built once, at construction, for
-    :func:`eval_velocity`, and takes no part in equality or ``repr``.  It is
-    ``(slots, axes)``: ``slots`` lists once each ``(k, math.sin)`` or
-    ``(k, math.cos)`` whose value at ``k * s`` some axis needs, and ``axes``
-    holds per axis its nonzero terms, ``(slot, -k * a)`` for a cosine
-    coefficient ``a`` and then ``(slot, k * b)`` for a sine coefficient ``b``,
-    each family in increasing ``k``.
     """
 
-    __slots__ = ("epsilon", "omega", "tau", "eta", "xi", "velocity_table")
-    _fields = __slots__[:-1]
+    __slots__ = ("epsilon", "omega", "tau", "eta", "xi")
 
     def __init__(
         self,
@@ -101,7 +77,7 @@ class Excitation(Frozen):
         for name, value in (("epsilon", epsilon), ("omega", omega)):
             if not (0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        self._freeze(epsilon, omega, tau, eta, xi, _velocity_table((tau, eta, xi)))
+        self._freeze(epsilon, omega, tau, eta, xi)
 
     @property
     def fast_period(self) -> float:
@@ -116,26 +92,24 @@ class Excitation(Frozen):
 def eval_velocity(e: Excitation, t: float) -> tuple[float, float, float]:
     """Pivot velocity (tau', eta', xi') at time t; epsilon cancels.
 
-    Each axis is ``omega`` times the sum, from ``+0.0``, of its terms in
-    ``e.velocity_table`` at the phase ``s = omega * t / epsilon``; each
-    ``sin(k s)`` or ``cos(k s)`` is evaluated once, whichever axes share it.
-    At a finite phase this is bit for bit the term-by-term derivative
-    ``out -= k*a*sin(k*s)`` then ``out += k*b*cos(k*s)``: ``x + (-y) == x - y``
-    in IEEE arithmetic, ``k * a`` is the same product, and a sum from ``+0.0``
-    is never ``-0.0``, so the ``±0.0`` terms the table drops change no bit.
+    Each axis is ``omega`` times the term-by-term derivative at the phase
+    ``s = omega * t / epsilon``, summed from ``0.0``: ``out -= k*a*sin(k*s)``
+    for each cosine coefficient ``a``, then ``out += k*b*cos(k*s)`` for each
+    sine coefficient ``b``.  A ``±0.0`` coefficient is skipped: at a finite
+    phase its term changes no bit of a sum from ``0.0``.
     """
     s = e.omega * t / e.epsilon
-    slots, (tau, eta, xi) = e.velocity_table
-    v = [f(k * s) for k, f in slots]
-    w = e.omega
-    return (w * _term_sum(tau, v), w * _term_sum(eta, v), w * _term_sum(xi, v))
-
-
-def _term_sum(terms: tuple[tuple[int, float], ...], v: list[float]) -> float:
-    out = 0.0
-    for slot, coeff in terms:
-        out += coeff * v[slot]
-    return out
+    out = []
+    for series in e.axes:
+        v = 0.0
+        for k, a in enumerate(series.cosine_coeffs, start=1):
+            if a != 0.0:
+                v -= k * a * math.sin(k * s)
+        for k, b in enumerate(series.sine_coeffs, start=1):
+            if b != 0.0:
+                v += k * b * math.cos(k * s)
+        out.append(e.omega * v)
+    return tuple(out)
 
 
 class MomentMatrix(Frozen):

@@ -114,20 +114,14 @@ def test_velocity_is_the_term_by_term_sum_bit_for_bit():
             assert [x.hex() for x in got] == [x.hex() for x in want], (e, t)
 
 
-def test_velocity_table_evaluates_each_shared_harmonic_once():
-    # circular harmonic 1 plus vertical harmonics 2 and 3 with zero
-    # coefficients: 7 sines and cosines term by term, 5 distinct ones
-    e = Excitation(
-        epsilon=0.1,
-        omega=1.0,
-        tau=HarmonicSeries((0.35,)),
-        eta=HarmonicSeries((), (0.35,)),
-        xi=HarmonicSeries((0.0, 0.15), (0.0, 0.12, 0.06)),
-    )
-    slots, axes = e.velocity_table
-    assert slots == ((1, math.sin), (1, math.cos), (2, math.sin), (2, math.cos), (3, math.cos))
-    assert axes == (((0, -0.35),), ((1, 0.35),), ((2, -0.3), (3, 0.24), (4, 0.18)))
-    assert Excitation(0.1, 1.0).velocity_table == ((), ((), (), ()))
+def test_velocity_skips_zero_coefficients():
+    # at an infinite phase math.sin and math.cos refuse, so a term evaluated
+    # for a +-0.0 coefficient would raise where a skipped one does not
+    zeros = HarmonicSeries((0.0, -0.0), (-0.0,))
+    e = Excitation(0.1, 1.0, tau=zeros, eta=zeros, xi=zeros)
+    assert [x.hex() for x in eval_velocity(e, math.inf)] == [(0.0).hex()] * 3
+    with pytest.raises(ValueError, match="math domain error"):
+        eval_velocity(Excitation(0.1, 1.0, xi=HarmonicSeries((0.0,), (0.0, 1.0))), math.inf)
 
 
 def test_moments_zero_excitation():
