@@ -635,14 +635,14 @@ def test_compare_vertical_band(tmp_path, capsys):
 # arithmetic moves the last digits of the errors
 COMPARE_PINS = [
     pytest.param(README_VERTICAL_DOC,
-                 "1541b75a5e09300d87eef1b4fc10b1086773ee51c5dcac060a252ea548dd62d6",
+                 "434d62e1c222beef2dea2fdb27c784dc85e88082995f3aadd5f433d6f67b9821",
                  id="readme-vertical"),
-    pytest.param(VERTICAL_DOC, "2166fe42fef3c8d32a435d83414f1c32f0f61e4718e2bed89129e6621e78897d",
+    pytest.param(VERTICAL_DOC, "61b7cc8cae9bb83495b450750f5e031180f73be62472bd8ceb0cf3cb9fe7daba",
                  id="vertical-omega-2"),
-    pytest.param(CIRCULAR_DOC, "b6505bcb80957e7c93e7b0a9392665eb64af43256391ed43d43ba6a8e8b8e466",
+    pytest.param(CIRCULAR_DOC, "eadda9fef1b9380058ab232607644b8fd4587fd197d69f6c15f9bb6df6d5402a",
                  id="circular"),
     pytest.param(BENCH_LIKE_DOC,
-                 "f79944ddc44c21b0834d36a59b06f1f0c4df47340fdff33c63ecb196d1333cf9",
+                 "0c54384cd687b821cf161be1965778a05c5e72b9b6c6c7de81ac64a674ccf10a",
                  id="bench-like"),
 ]
 
@@ -724,7 +724,7 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
     # another process
     errs = {0.1: 1.0, 0.05: 0.0}
 
-    def compare(e, initial, t_end):
+    def compare(e, initial, t_end, max_step):
         err = errs[e.epsilon]
         return dynamics.ComparisonReport(e.epsilon, t_end, err, err, 0.0)
 
@@ -814,8 +814,8 @@ def test_compare_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsy
      "error: integrating (0.0, 10.0) at step 9.817477042468103e-302 takes 1.01859e+302 steps, "
      "more than the limit of 1000000\n"),
     # the circular horizontal motion near the pole: only the 0.025 run fails
-    (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.5,0,0,0",
-     "error: non-finite state reached at t = 9.967193567365742\n"),
+    (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.05,0,0,0",
+     "error: non-finite state reached at t = 2.8863382504856223\n"),
     # every run fails, the finer ones sooner: the first run's error is reported
     (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.001,0,0,0",
      "error: non-finite state reached at t = 4.516039439535327\n"),
@@ -887,7 +887,7 @@ def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, m
                                                              forks):
     parent = os.getpid()
 
-    def compare(e, initial, t_end):
+    def compare(e, initial, t_end, max_step):
         if os.getpid() != parent:
             time.sleep(60)
         raise KeyboardInterrupt
@@ -904,18 +904,23 @@ def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("sweep, split", [
-    # step counts 10 : 20 : 40, finest first to the least-loaded worker: the
-    # parent's 40 against the child's 20 + 10, where alternating runs would
-    # give 50 against 20
+    # a run's cost is twice its full steps plus its reduced steps, at 64, 32
+    # and 16 full steps a fast period: 30 : 40 : 60, finest first to the
+    # least-loaded worker: the parent's 60 against the child's 40 + 30, where
+    # alternating runs would give 90 against 40
     ("0.1,0.05,0.025", [[0.025], [0.05, 0.1]]),
-    # 25 to the parent, 20 and 12.5 to the child, then 10 to the parent
+    # at 64, 64, 32 and 32 a period: 50 to the parent, 40 and 37.5 to the
+    # child, then 30 to the parent
     ("0.1,0.08,0.05,0.04", [[0.04, 0.1], [0.05, 0.08]]),
+    # at 64, 64 and 32 a period: 40 to the parent, 42.9 to the child, then
+    # 30 to the parent, where a cost of 1/eps would give 0.1 to the child
+    ("0.1,0.07,0.05", [[0.05, 0.1], [0.07]]),
 ])
 def test_compare_splits_the_sweep_by_step_count(tmp_path, capsys, monkeypatch, forks, sweep,
                                                 split):
     log = tmp_path / "runs.log"
 
-    def compare(e, initial, t_end):
+    def compare(e, initial, t_end, max_step):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {e.epsilon!r}\n")
         return dynamics.ComparisonReport(e.epsilon, t_end, e.epsilon, e.epsilon, e.epsilon)
@@ -1514,7 +1519,8 @@ def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, cap
         for path in paths for phi in CORNER_PHI
         for p_phi in CORNER_MOMENTA for p_alpha in CORNER_MOMENTA
     ]
-    # a state that blows up after many steps, not in the first
+    # a state that blows up after many steps, not in the first: the 0.05
+    # run, at 32 full steps a fast period, at its 46th
     argvs.append(["compare", "--excitation", write(tmp_path, "r.json", README_VERTICAL_DOC),
                   "--eps-sweep", "0.1,0.05", "--t-end", "1", "--initial", "2,0,0,1e150"])
 
@@ -1522,7 +1528,7 @@ def test_compare_keeps_the_exit_code_contract_at_the_float_corners(tmp_path, cap
         code = main(argv)
         captured = capsys.readouterr()
         assert_exit_contract(code, captured, argv)
-    assert captured.err == "error: non-finite state reached at t = 0.9326603190344698\n"
+    assert captured.err == "error: non-finite state reached at t = 0.45160394395353276\n"
 
     # malformed lists and spans, alone and together, each refused before a
     # step: exit 1 and one "error:" line; -inf as its own token is a usage error

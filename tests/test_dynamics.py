@@ -49,6 +49,18 @@ COS = HarmonicSeries(cosine_coeffs=(1.0,))
 
 VERTICAL = Excitation(epsilon=0.1, omega=1.0, xi=SIN)
 CIRCULAR = Excitation(epsilon=0.1, omega=1.0, tau=COS, eta=SIN)
+# the shapes of test_cli's four compare pins, at the README sweep's first
+# amplitude; the pins start at --initial's default
+PIN_SHAPES = {
+    "readme-vertical": VERTICAL,
+    "vertical-omega-2": Excitation(epsilon=0.1, omega=2.0, xi=SIN),
+    "circular": Excitation(epsilon=0.1, omega=1.7, tau=HarmonicSeries((0.8,)),
+                           eta=HarmonicSeries((), (0.8,))),
+    "bench-like": Excitation(epsilon=0.1, omega=1.0, tau=HarmonicSeries((0.35,)),
+                             eta=HarmonicSeries((), (0.35,)),
+                             xi=HarmonicSeries((0.0, 0.15), (0.0, 0.12, 0.06))),
+}
+README_SWEEP = (0.1, 0.05, 0.025)
 
 
 def random_excitation(rng):
@@ -360,13 +372,14 @@ def bench_like_excitation(rng):
     )
 
 
-def table_full_rhs(e, t_end):
-    """The full flow as compare_full_averaged steps it over (0, t_end): its
-    equations at the table velocity ``eval_velocity(e, j * step / 2)`` at each
-    whole step's stage times, as integrate computes them, and at its end, and
-    at eval_velocity's own velocity at any other time."""
-    step = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    n = 2 * dynamics.STEPS_PER_FAST_PERIOD
+def table_full_rhs(e, t_end, sub=1):
+    """The full flow as compare_full_averaged steps it over (0, t_end) at
+    ``sub`` reduced steps a full step: its equations at the table velocity
+    ``eval_velocity(e, j * step / 2)`` at each whole step's stage times, as
+    integrate computes them, and at its end, and at eval_velocity's own
+    velocity at any other time."""
+    step = sub * (e.fast_period / dynamics.STEPS_PER_FAST_PERIOD)
+    n = 2 * dynamics.STEPS_PER_FAST_PERIOD // sub
     table = [eval_velocity(e, j * (0.5 * step)) for j in range(n)]
     at = {}
     t = 0.0
@@ -383,17 +396,19 @@ def table_full_rhs(e, t_end):
     return f
 
 
-def reference_norms(e, initial, t_end, full_flow):
+def reference_norms(e, initial, t_end, full_flow, sub=1):
     """The three norms from each flow integrated alone by integrate, the full
-    flow as ``full_flow(e, t_end)`` returns it."""
-    span, h = (0.0, t_end), e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    full = integrate(full_flow(e, t_end), initial, span, h)
+    flow as ``full_flow(e, t_end)`` returns it at ``sub`` reduced steps a
+    step, sampled at the full flow's times."""
+    h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    full = integrate(full_flow(e, t_end), initial, (0.0, t_end), sub * h)
     ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
-    red = integrate(reduced_rhs(ap), [initial.phi, initial.p_phi], span, h)
-    assert np.array_equal(full.t, red.t)
+    red = integrate(reduced_rhs(ap), [initial.phi, initial.p_phi], (0.0, t_end), h)
+    at = np.searchsorted(red.t, full.t)
+    assert np.array_equal(red.t[at], full.t)
     return full, (
-        np.max(np.abs(full.y[:, 0] - red.y[:, 0])),
-        np.max(np.abs(full.y[:, 2] - red.y[:, 1])),
+        np.max(np.abs(full.y[:, 0] - red.y[at, 0])),
+        np.max(np.abs(full.y[:, 2] - red.y[at, 1])),
         np.max(np.abs(full.y[:, 3] - initial.p_alpha)),
     )
 
@@ -439,6 +454,157 @@ def test_compare_gap_matches_a_finer_reduced_flow(eps):
     assert report.max_err_phi == pytest.approx(gap, rel=1e-4)
 
 
+@pytest.mark.parametrize("sweep, per_period", [
+    (README_SWEEP, (64, 32, 16)),
+    ((0.1, 0.08, 0.05, 0.04), (64, 64, 32, 32)),
+])
+def test_compare_steps_each_run_at_the_fewest_steps_a_period_within_the_coarsest_step(
+        monkeypatch, sweep, per_period):
+    # 0.05 and 0.025 share 0.1's mantissa, so their steps at 32 and 16 a
+    # period equal the coarsest step in floats, and the tie is taken
+    assert (Excitation(0.05, 1.0).fast_period / 32 == Excitation(0.025, 1.0).fast_period / 16
+            == Excitation(0.1, 1.0).fast_period / 64)
+    calls = {"velocity": 0, "slopes": 0}
+    velocity, slopes = dynamics.eval_velocity, dynamics._full_slopes
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "eval_velocity", counting("velocity", velocity))
+    monkeypatch.setattr(dynamics, "_full_slopes", counting("slopes", slopes))
+    max_step = Excitation(sweep[0], 1.0).fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    for eps, n in zip(sweep, per_period):
+        e = Excitation(eps, 1.0, xi=SIN)
+        # a lone run keeps 64 steps a fast period
+        for max_step_given, steps_a_period in ((max_step, n), (None, 64)):
+            grid = list(dynamics._time_grid([], (0.0, 10.0), e.fast_period / steps_a_period)[2])
+            calls.update(velocity=0, slopes=0)
+            compare_full_averaged(e, FullState(2.0, 0.0, 0.0, 0.3), 10.0, max_step_given)
+            # a table of 2 n phases, and two velocities for the final shorter step
+            assert calls == {"velocity": 2 * steps_a_period + 2, "slopes": 4 * len(grid)}, eps
+            assert grid[-1][1] < e.fast_period / steps_a_period
+
+
+def test_compare_steps_a_sweep_run_as_each_flow_alone():
+    # at 2 or 4 reduced steps a full step, the norms are bit-identical to
+    # those of each flow integrated alone at its own step, the full one at
+    # the table's pivot velocities, sampled at the full flow's times: the
+    # reduced states there are integrate's at fast_period / 64
+    rng = np.random.default_rng(2611)
+    cases = [(e, FullState(2.0, 0.0, 0.0, 0.3)) for e in PIN_SHAPES.values()]
+    cases += [
+        (bench_like_excitation(rng), FullState(float(rng.uniform(0.8, 2.3)),
+                                               float(rng.uniform(0.0, 2.0 * math.pi)),
+                                               float(rng.uniform(-0.3, 0.3)),
+                                               float(rng.uniform(0.2, 0.6))))
+        for _ in range(2)
+    ]
+    for shape, initial in cases:
+        max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        for eps, sub in ((0.05, 2), (0.025, 4)):
+            e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
+            h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+            # whole steps that end where a reduced one does not, where the
+            # full grid's last whole step ends before the reduced grid's,
+            # and a span shorter than one full step
+            for t_end in (3.0, 3 * sub * h + 1.5 * h, 5 * sub * h, 1.5 * h):
+                report = compare_full_averaged(e, initial, t_end, max_step)
+                _, norms = reference_norms(e, initial, t_end,
+                                           lambda e, t_end: table_full_rhs(e, t_end, sub), sub)
+                assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
+
+
+@pytest.mark.parametrize("shape", PIN_SHAPES.values(), ids=PIN_SHAPES.keys())
+def test_compare_sweep_runs_stay_within_a_hundredth_of_their_gap_of_a_fine_full_flow(shape):
+    # each README-sweep run's full flow, as compare steps it (its norms are
+    # those of this trajectory, bit for bit), against full_rhs(e) at 512
+    # steps a fast period, at every full-step time.  Its error under 1% of
+    # the gap moves a halving ratio by under ~2%; measured up to 3.7e-3 of
+    # the gap, at 16 steps a period for vertical-omega-2 at 0.025
+    initial = FullState(2.0, 0.0, 0.0, 0.3)
+    max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    for eps, sub in zip(README_SWEEP, (1, 2, 4)):
+        e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
+        report = compare_full_averaged(e, initial, 10.0, max_step)
+        full, norms = reference_norms(e, initial, 10.0,
+                                      lambda e, t_end: table_full_rhs(e, t_end, sub), sub)
+        assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
+        fine = integrate(full_rhs(e), initial, (0.0, 10.0), e.fast_period / 512)
+        at = np.searchsorted(fine.t, full.t)
+        assert np.array_equal(fine.t[at], full.t)
+        err = np.max(np.abs(full.y[:, 0] - fine.y[at, 0]))
+        assert err <= 1e-2 * report.max_err_phi, (eps, err, report.max_err_phi)
+
+
+def flows_alone(e, initial, t_end, sub):
+    """Each flow of compare_full_averaged at ``sub`` reduced steps a full
+    step, integrated alone: a trajectory, or the exception it raises."""
+    h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    try:
+        ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
+    except ValueError as exc:
+        return [exc]
+    out = []
+    for rhs, y0, step in ((table_full_rhs(e, t_end, sub), initial, sub * h),
+                          (reduced_rhs(ap), [initial.phi, initial.p_phi], h)):
+        try:
+            out.append(integrate(rhs, y0, (0.0, t_end), step))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def test_compare_sweep_runs_fail_as_one_of_their_flows_alone_at_the_float_corners():
+    # a run at 16 full steps a fast period fails with the exception type,
+    # message and blow-up time that one of its flows alone fails with, or
+    # gives the norms of the two trajectories when neither fails
+    rng = random.Random(2612)
+    corners = [(phi, p_phi, p_alpha) for phi in CORNER_PHI
+               for p_phi in CORNER_MOMENTA for p_alpha in CORNER_MOMENTA]
+    failures = 0
+    for shape in (VERTICAL, CIRCULAR):
+        e = Excitation(0.025, shape.omega, shape.tau, shape.eta, shape.xi)
+        max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        for phi, p_phi, p_alpha in corners:
+            if not (math.isfinite(p_phi) and math.isfinite(p_alpha)):
+                continue  # refused before any step, whatever the step
+            initial = FullState(phi, rng.choice((0.0, 0.5)), p_phi, p_alpha)
+            # a final group of two whole reduced steps and a shorter one
+            t_end = rng.choice((e.fast_period / 10.0, e.fast_period))
+            alone = flows_alone(e, initial, t_end, 4)
+            failed = [x for x in alone if isinstance(x, Exception)]
+            try:
+                report = compare_full_averaged(e, initial, t_end, max_step)
+            except ValueError as exc:
+                failures += 1
+                assert any(type(exc) is type(x) and str(exc) == str(x)
+                           and getattr(exc, "time", None) == getattr(x, "time", None)
+                           for x in failed), (initial, t_end, exc, failed)
+                continue
+            assert not failed, (initial, t_end, failed)
+            full, red = alone
+            at = np.searchsorted(red.t, full.t)
+            assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == (
+                np.max(np.abs(full.y[:, 0] - red.y[at, 0])),
+                np.max(np.abs(full.y[:, 2] - red.y[at, 1])),
+                np.max(np.abs(full.y[:, 3] - initial.p_alpha)))
+    assert failures > 0
+
+
+def test_compare_reports_a_reduced_blow_up_at_the_end_of_its_own_step():
+    # a p_phi near the float range's end overflows the reduced flow's first
+    # step, which a sweep run checks before its full step of 2 or 4 ends
+    max_step = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    for eps in README_SWEEP:
+        e = Excitation(eps, 1.0, xi=SIN)
+        with pytest.raises(IntegrationBlowUpError) as err:
+            compare_full_averaged(e, FullState(2.0, 0.0, 5e307, 0.0), e.fast_period, max_step)
+        assert err.value.time == e.fast_period / dynamics.STEPS_PER_FAST_PERIOD, eps
+
+
 def product_reference(e, initial, t_end):
     """compare_full_averaged's norms from integrate on the product system
     (phi, alpha, p_phi, p_alpha, phi_r, p_r), the full flow at the table's
@@ -481,21 +647,26 @@ def test_compare_fails_and_answers_as_the_product_reference_at_the_float_corners
 
 def test_compare_replays_a_failing_step_at_its_own_velocities(monkeypatch):
     # the replay that tells a blow-up from the flow's own ValueError must see
-    # the pivot velocities that the failing step's stages saw
+    # the pivot velocities that the failing step's stages saw, a lone run's
+    # and a sweep run's at 16 full steps a fast period alike
     slopes, replay = dynamics._full_slopes, dynamics._replay_checked
     vels, starts = [], []
     monkeypatch.setattr(dynamics, "_full_slopes",
                         lambda vel, *y: (vels.append(vel), slopes(vel, *y))[1])
     monkeypatch.setattr(dynamics, "_replay_checked",
                         lambda *args: (starts.append(len(vels)), replay(*args))[1])
+    coarsest = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    runs = [(e, None) for e in (VERTICAL, CIRCULAR)]
+    runs += [(Excitation(0.025, e.omega, e.tau, e.eta, e.xi), coarsest)
+             for e in (VERTICAL, CIRCULAR)]
     longest = 0
-    for e, phi, p_phi, p_alpha in itertools.product(
-        (VERTICAL, CIRCULAR), CORNER_PHI, CORNER_MOMENTA, CORNER_MOMENTA
+    for (e, max_step), phi, p_phi, p_alpha in itertools.product(
+        runs, CORNER_PHI, CORNER_MOMENTA, CORNER_MOMENTA
     ):
         vels.clear()
         starts.clear()
         try:
-            compare_full_averaged(e, FullState(phi, 0.0, p_phi, p_alpha), e.fast_period)
+            compare_full_averaged(e, FullState(phi, 0.0, p_phi, p_alpha), e.fast_period, max_step)
         except ValueError:
             pass
         if starts:
@@ -526,15 +697,7 @@ def test_compare_table_stays_within_1e_9_of_full_rhs():
     # bench-like excitations, at the README sweep's amplitudes
     rng = np.random.default_rng(19)
     start = FullState(2.0, 0.0, 0.0, 0.3)
-    cases = [(start, shape) for shape in (
-        VERTICAL,
-        Excitation(epsilon=0.1, omega=2.0, xi=SIN),
-        Excitation(epsilon=0.1, omega=1.7, tau=HarmonicSeries((0.8,)),
-                   eta=HarmonicSeries((), (0.8,))),
-        Excitation(epsilon=0.1, omega=1.0, tau=HarmonicSeries((0.35,)),
-                   eta=HarmonicSeries((), (0.35,)),
-                   xi=HarmonicSeries((0.0, 0.15), (0.0, 0.12, 0.06))),
-    )]
+    cases = [(start, shape) for shape in PIN_SHAPES.values()]
     cases += [
         (FullState(float(rng.uniform(0.8, 2.3)), float(rng.uniform(0.0, 2.0 * math.pi)),
                    float(rng.uniform(-0.3, 0.3)), float(rng.uniform(0.2, 0.6))),
