@@ -11,7 +11,9 @@ read of ``Trajectory.t`` or ``.y``, loads numpy; portrait and dynamics are
 imported only by the subcommands that use them, so every subcommand but
 portrait and reproduce runs without numpy.  Likewise excitation is imported
 only by moments and compare, and the forking module _fork only by compare,
-portrait and reproduce.
+portrait and reproduce.  portrait and reproduce build and check every grid
+before they make a directory; each portrait's contours are then traced and
+written in a forked child while grid.csv is written (see _write_portrait).
 """
 
 from __future__ import annotations
@@ -153,43 +155,54 @@ def cmd_domain(args: argparse.Namespace) -> int:
 
 
 def _build_portrait(a_minus_c: float, b: float, args: argparse.Namespace):
-    """The validated energy grid and its level sets; nothing is written."""
+    """The validated energy grid; nothing is traced or written."""
     for name in ("nx", "ny"):
         n = getattr(args, name)
         if not (2 <= n <= MAX_GRID):
             raise ValueError(f"--{name} must be between 2 and {MAX_GRID}, got {n}")
-    from .portrait import build_grid, extract_contours
+    from .portrait import build_grid
 
     ap = AveragedParams.from_a_minus_c(a_minus_c, b)
-    grid = build_grid(ap, nx=args.nx, ny=args.ny, p_max=args.p_max)
-    return grid, extract_contours(grid)
+    return build_grid(ap, nx=args.nx, ny=args.ny, p_max=args.p_max)
 
 
-def _write_portrait(portrait, out_dir: Path) -> None:
+def _write_portrait(grid, out_dir: Path) -> None:
     """Write grid.csv, contours.csv and portrait.svg into ``out_dir``, then
     print the equilibria.
 
-    Each file is opened as ``Path.write_text`` opens it and handed to its
-    writer, which writes every row, polyline or element as it is formatted,
-    so no whole document is held in memory.
+    The files are the two items of one :func:`_fork.in_order` call: grid.csv,
+    and the contours, traced and written to contours.csv and then
+    portrait.svg.  Where in_order forks, the second item runs in a child that
+    writes its files itself while this process and grid_to_csv's row children
+    write grid.csv; an item returns no bytes once its files are closed, and
+    one whose child dies first is made again here.  Each writer writes every
+    row, polyline or element as it is formatted, to a file opened as
+    ``Path.write_text`` opens it, so no whole document is held in memory.
     """
-    from .portrait import contours_to_csv, grid_to_csv, render_svg
+    from ._fork import in_order
+    from .portrait import contours_to_csv, extract_contours, grid_to_csv, render_svg
 
-    grid, contours = portrait
+    def item(i: int) -> bytes:
+        if i == 0:
+            with open(out_dir / "grid.csv", "w", encoding="utf-8") as out:
+                grid_to_csv(grid, out)
+        else:
+            contours = extract_contours(grid)
+            with open(out_dir / "contours.csv", "w", encoding="utf-8") as out:
+                contours_to_csv(contours, out)
+            with open(out_dir / "portrait.svg", "w", encoding="utf-8") as out:
+                render_svg(grid, contours, out)
+        return b""
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "grid.csv", "w", encoding="utf-8") as out:
-        grid_to_csv(grid, out)
-    with open(out_dir / "contours.csv", "w", encoding="utf-8") as out:
-        contours_to_csv(contours, out)
-    with open(out_dir / "portrait.svg", "w", encoding="utf-8") as out:
-        render_svg(grid, contours, out)
+    in_order(2, item, lambda data: None)
     for eq in grid.equilibria:
         print(f"equilibrium phi={eq.phi:.6f} kind={eq.kind} V={eq.v_value:.6f}")
 
 
 def cmd_portrait(args: argparse.Namespace) -> int:
-    portrait = _build_portrait(args.a_minus_c, args.b, args)
-    _write_portrait(portrait, Path(args.out) if args.out else Path("."))
+    grid = _build_portrait(args.a_minus_c, args.b, args)
+    _write_portrait(grid, Path(args.out) if args.out else Path("."))
     return EXIT_OK
 
 
@@ -275,7 +288,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         for b in _linspace(0.05, 1.5, 30):
             label = classify_domain(AveragedParams.from_a_minus_c(amc, b))
             lines.append(f"{amc!r},{b!r},{label}")
-    portraits = {
+    grids = {
         name: _build_portrait(amc, b, args)
         for name, amc, b in (("domain_I", 0.0, 0.1), ("domain_II", 3.5, 0.01))
     }
@@ -286,9 +299,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     print(f"wrote {out_dir / 'gamma.csv'}")
     (out_dir / "domains.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out_dir / 'domains.csv'}")
-    for name, portrait in portraits.items():
+    for name, grid in grids.items():
         sub = out_dir / f"portrait_{name}"
-        _write_portrait(portrait, sub)
+        _write_portrait(grid, sub)
         print(f"wrote {sub}")
     return EXIT_OK
 

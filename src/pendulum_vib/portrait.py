@@ -406,19 +406,15 @@ def grid_to_csv(grid: PortraitGrid, out: TextIO) -> None:
 def contours_to_csv(contours: list[LevelContours], out: TextIO) -> None:
     """Write the polylines as CSV to the text stream ``out``.
 
-    Columns: level, per-level polyline id, phi, p_phi; the polylines are
-    formatted by :func:`write_in_order`, in this process or in forked ones,
-    and written in order as each is formatted.
+    Columns: level, per-level polyline id, phi, p_phi; each polyline is
+    written as soon as it is formatted, in this process: the CLI writes this
+    file beside grid.csv, whose rows keep the other CPUs busy.
     """
-    items = [(lc.level, pid, poly) for lc in contours for pid, poly in enumerate(lc.polylines)]
-
-    def polyline(i: int) -> str:
-        level, pid, poly = items[i]
-        prefix = f"{level!r},{pid},"
-        # one string per polyline and flat column lists: keeping a small
-        # object per vertex alive raised peak RSS ~1 MB over repeated runs
-        phis, ps = poly[:, 0].tolist(), poly[:, 1].tolist()
-        return "".join([f"{prefix}{x!r},{y!r}\n" for x, y in zip(phis, ps)])
-
     out.write("level,polyline_id,phi,p_phi\n")
-    write_in_order(out, len(items), polyline)
+    for lc in contours:
+        for pid, poly in enumerate(lc.polylines):
+            prefix = f"{lc.level!r},{pid},"
+            # one string per polyline and flat column lists: keeping a small
+            # object per vertex alive raised peak RSS ~1 MB over repeated runs
+            phis, ps = poly[:, 0].tolist(), poly[:, 1].tolist()
+            out.write("".join([f"{prefix}{x!r},{y!r}\n" for x, y in zip(phis, ps)]))

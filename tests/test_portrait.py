@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,22 @@ def test_grid_csv_refuses_a_grid_that_is_not_mirror_symmetric():
         with pytest.raises(ValueError, match="mirror"):
             grid_to_csv(grid, out)
         assert out.getvalue() == ""  # refused before the first byte
+
+
+@pytest.mark.parametrize("ap", [DOMAIN_I, DOMAIN_II, PLANAR_II])
+def test_tracing_a_512_grid_takes_under_two_megabytes(ap):
+    # the CLI traces the contours in the process that writes them, beside
+    # grid.csv's writers, whose own bound is a megabyte
+    grid = build_grid(ap, nx=512, ny=512)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        contours = extract_contours(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert contours
+    assert peak - start < 2_000_000
 
 
 def test_contours_csv_layout():
