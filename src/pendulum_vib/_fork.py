@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, TextIO
+from typing import Callable
 
 
 def workers(n_items: int) -> int:
@@ -99,9 +99,3 @@ def in_order(n: int, item: Callable[[int], bytes], use: Callable[[bytes], None],
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-
-
-def write_in_order(out: TextIO, n: int, text: Callable[[int], str]) -> None:
-    """Write ``text(i)`` for ``i in range(n)`` to ``out``, in order, with the
-    items formatted by :func:`in_order`, each sent as its UTF-8 bytes."""
-    in_order(n, lambda i: text(i).encode(), lambda data: out.write(data.decode()))

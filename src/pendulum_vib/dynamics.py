@@ -351,33 +351,31 @@ def compare_full_averaged(
     come from :func:`averaged_params` at unit physical values.  They are
     stepped from t = 0 in one scalar RK4 loop over six floats
     (phi, alpha, p_phi, p_alpha, phi_r, p_r) that keeps running maxima of the
-    three norms at the full flow's step ends and records no trajectory.
+    three norms at the step ends and records no trajectory.
 
-    The reduced flow's step is 1/STEPS_PER_FAST_PERIOD fast periods; the full
-    flow's is the most of 1, 2 or 4 of them that is no longer than
-    ``max_step`` (64, 32 or 16 steps a fast period; 64 when it is None).  At
-    a fixed number of steps a period the full flow's RK4 error falls like
-    epsilon**4, so :func:`compare_sweep` passes its coarsest run's step.
-    Each full step takes the reduced steps that end within it, and each grid
-    ends in its own shorter step where its whole steps fall short of t_end.
-    Whole full steps read the pivot velocity at their stages from a table at
-    the times ``j * step / 2``, whose fast phases are theirs; a final shorter
-    step evaluates it directly.
+    Both flows step on one grid of ``fast_period / n``, with ``n`` the fewest
+    of 16, 32 and 64 steps a fast period whose step is no longer than
+    ``max_step`` (64 when it is None); it ends in a shorter step where its
+    whole steps fall short of t_end.  At a fixed number of steps a period
+    the full flow's RK4 error falls like epsilon**4, and the reduced flow
+    has no time scale tied to epsilon, so :func:`compare_sweep` passes its
+    coarsest run's step.  Whole steps read the pivot velocity at their
+    stages from a table at the times ``j * step / 2``, whose fast phases are
+    theirs; a final shorter step evaluates it directly.
 
     Every operation is that of :func:`rk4_step` in the same order, so each
-    flow's states are bit for bit what :func:`integrate` gives it alone at its
-    own step, the full flow at the same velocities; those differ from
+    flow's states are bit for bit what :func:`integrate` gives it alone at
+    the run's step, the full flow at the same velocities; those differ from
     :func:`full_rhs`'s in the last digits, as a table phase differs from
     ``omega * t / epsilon`` by rounding.  The reduced stages compute dV
     inline, with (A - C, B) read once per call and
     :func:`pendulum_vib.potential.dv`'s operations in its order, and raise
-    where dv refuses.  A step that raises is replayed with its stages
-    checked, a reduced step that starts a full step stage by stage with it,
-    so an overflowed stage raises IntegrationBlowUpError and otherwise the
-    first failing call raises its own error.  A state that turns non-finite
-    raises IntegrationBlowUpError at the end of its flow's step.  Input checks
-    and the step-count limit are those of :func:`integrate` at the reduced
-    flow's step.
+    where dv refuses.  A step that raises is replayed with both flows'
+    stages checked, stage by stage, so an overflowed stage raises
+    IntegrationBlowUpError and otherwise the first failing call raises its
+    own error.  A state that turns non-finite raises IntegrationBlowUpError
+    at the end of its step.  Input checks and the step-count limit are those
+    of :func:`integrate` at the run's step.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
@@ -385,14 +383,10 @@ def compare_full_averaged(
         raise SymmetryViolationError(report)
 
     ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
-    step = e.fast_period / STEPS_PER_FAST_PERIOD
-    sub = _sub_steps(step, max_step)
-    # the finer grid first: its step is the one the step-count limit names
-    y, t, reduced_steps = _time_grid((*initial, initial.phi, initial.p_phi), (0.0, t_end), step)
-    full_step = sub * step
-    full_steps = _time_grid((), (0.0, t_end), full_step)[2]
-    n = 2 * STEPS_PER_FAST_PERIOD // sub
-    table = [eval_velocity(e, j * (0.5 * full_step)) for j in range(n)]
+    n = _steps_a_period(e, max_step)
+    step = e.fast_period / n
+    y, t, steps = _time_grid((*initial, initial.phi, initial.p_phi), (0.0, t_end), step)
+    table = [eval_velocity(e, j * (0.5 * step)) for j in range(2 * n)]
     j = 0
     phi, alpha, p_phi, p_alpha, phi_r, p_r = y
     p_alpha0 = p_alpha
@@ -400,35 +394,25 @@ def compare_full_averaged(
     a, b = ap.a_minus_c, ap.B
     sin, cos = math.sin, math.cos
     f = _full_slopes
-    t_r = t_next = t  # the reduced step's start, and the full step's end
-    for tr_next, hr in reduced_steps:
-        if t_r == t_next:  # this reduced step starts a full step
-            t = t_next
-            t_next, h = next(full_steps)
-            hh = 0.5 * h
-            v1 = table[j]  # a final shorter step too starts where a whole step ended
-            if h == full_step:
-                v2 = table[j + 1]
-                j = (j + 2) % n
-                v4 = table[j]
-            else:
-                v2 = eval_velocity(e, t + hh)
-                v4 = eval_velocity(e, t + h)
-            try:
-                a1, b1, c1, d1 = f(v1, phi, alpha, p_phi, p_alpha)
-                a2, b2, c2, d2 = f(v2, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
-                                   p_alpha + hh * d1)
-                a3, b3, c3, d3 = f(v2, phi + hh * a2, alpha + hh * b2, p_phi + hh * c2,
-                                   p_alpha + hh * d2)
-                a4, b4, c4, d4 = f(v4, phi + h * a3, alpha + h * b3, p_phi + h * c3,
-                                   p_alpha + h * d3)
-            except ValueError:
-                _replay_compare(ap, (v1, v2, v2, v4), t, [phi, alpha, p_phi, p_alpha], h,
-                                t_next, t_r, [phi_r, p_r], hr, tr_next)
-                raise
-        hhr = 0.5 * hr
+    for t_next, h in steps:
+        hh = 0.5 * h
+        v1 = table[j]  # a final shorter step too starts where a whole step ended
+        if h == step:
+            v2 = table[j + 1]
+            j = (j + 2) % (2 * n)
+            v4 = table[j]
+        else:
+            v2 = eval_velocity(e, t + hh)
+            v4 = eval_velocity(e, t + h)
         try:
-            # the stages q_k are -dv's operations in dv's order, and a
+            a1, b1, c1, d1 = f(v1, phi, alpha, p_phi, p_alpha)
+            a2, b2, c2, d2 = f(v2, phi + hh * a1, alpha + hh * b1, p_phi + hh * c1,
+                               p_alpha + hh * d1)
+            a3, b3, c3, d3 = f(v2, phi + hh * a2, alpha + hh * b2, p_phi + hh * c2,
+                               p_alpha + hh * d2)
+            a4, b4, c4, d4 = f(v4, phi + h * a3, alpha + h * b3, p_phi + h * c3,
+                               p_alpha + h * d3)
+            # the reduced stages q_k are -dv's operations in dv's order, and a
             # ValueError where dv refuses: the replay then raises dv's error.
             # The p_r argument of a stage is that stage's slope of phi_r.
             s, c = sin(phi_r), cos(phi_r)
@@ -436,58 +420,54 @@ def compare_full_averaged(
             if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
             q1 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
-            p2 = p_r + hhr * q1
-            x = phi_r + hhr * p_r
+            p2 = p_r + hh * q1
+            x = phi_r + hh * p_r
             s, c = sin(x), cos(x)
             s3 = s * s * s
             if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
             q2 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
-            p3 = p_r + hhr * q2
-            x = phi_r + hhr * p2
+            p3 = p_r + hh * q2
+            x = phi_r + hh * p2
             s, c = sin(x), cos(x)
             s3 = s * s * s
             if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
             q3 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
-            p4 = p_r + hr * q3
-            x = phi_r + hr * p3
+            p4 = p_r + h * q3
+            x = phi_r + h * p3
             s, c = sin(x), cos(x)
             s3 = s * s * s
             if s3 * s == 0.0 and b != 0.0:
                 raise ValueError
             q4 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
         except ValueError:
-            _replay_compare(ap, (v1, v2, v2, v4), t, [phi, alpha, p_phi, p_alpha], h, t_next,
-                            t_r, [phi_r, p_r], hr, tr_next)
+            vels = iter((v1, v2, v2, v4))
+            full_flow = (lambda _, *w: f(next(vels), *w), [phi, alpha, p_phi, p_alpha], h, t_next)
+            _replay_checked(t, full_flow, (reduced_rhs(ap), [phi_r, p_r], h, t_next))
             raise
-        hr6 = hr / 6.0
-        phi_r = phi_r + hr6 * (p_r + 2.0 * p2 + 2.0 * p3 + p4)
-        p_r = p_r + hr6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        h6 = h / 6.0
+        phi = phi + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        alpha = alpha + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        p_phi = p_phi + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        p_alpha = p_alpha + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        phi_r = phi_r + h6 * (p_r + 2.0 * p2 + 2.0 * p3 + p4)
+        p_r = p_r + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
         # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
-        if (phi_r - phi_r) + (p_r - p_r) != 0.0:
-            raise IntegrationBlowUpError(tr_next)
-        t_r = tr_next
-        # the grids' times agree exactly: a whole full step is sub whole
-        # reduced ones, and both grids end at t_end
-        if t_r == t_next:  # this reduced step ends the full step
-            h6 = h / 6.0
-            phi = phi + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            alpha = alpha + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            p_phi = p_phi + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            p_alpha = p_alpha + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            if (phi - phi) + (alpha - alpha) + (p_phi - p_phi) + (p_alpha - p_alpha) != 0.0:
-                raise IntegrationBlowUpError(t_next)
-            # the running maxima of |d|, without a call
-            d = phi - phi_r
-            if d > err_phi or -d > err_phi:
-                err_phi = d if d > 0.0 else -d
-            d = p_phi - p_r
-            if d > err_p_phi or -d > err_p_phi:
-                err_p_phi = d if d > 0.0 else -d
-            d = p_alpha - p_alpha0
-            if d > drift or -d > drift:
-                drift = d if d > 0.0 else -d
+        if ((phi - phi) + (alpha - alpha) + (p_phi - p_phi) + (p_alpha - p_alpha)
+                + (phi_r - phi_r) + (p_r - p_r) != 0.0):
+            raise IntegrationBlowUpError(t_next)
+        # the running maxima of |d|, without a call
+        d = phi - phi_r
+        if d > err_phi or -d > err_phi:
+            err_phi = d if d > 0.0 else -d
+        d = p_phi - p_r
+        if d > err_p_phi or -d > err_p_phi:
+            err_p_phi = d if d > 0.0 else -d
+        d = p_alpha - p_alpha0
+        if d > drift or -d > drift:
+            drift = d if d > 0.0 else -d
+        t = t_next
     return ComparisonReport(
         epsilon=e.epsilon,
         t_end=t_end,
@@ -497,25 +477,11 @@ def compare_full_averaged(
     )
 
 
-def _sub_steps(step: float, max_step: float | None) -> int:
-    """How many reduced steps of ``step`` make one full step in
-    :func:`compare_full_averaged`: the most of 4, 2 and 1 whose full step is
-    no longer than ``max_step``, and 1 for None."""
-    if max_step is None:
-        return 1
-    return next((k for k in (4, 2) if k * step <= max_step), 1)
-
-
-def _replay_compare(ap: AveragedParams, vels: tuple, t: float, y: list[float], h: float,
-                    t_next: float, t_r: float, z: list[float], hr: float, tr_next: float) -> None:
-    """Replay a step of :func:`compare_full_averaged`'s loop that raised: the
-    reduced step from ``(t_r, z)``, stage by stage with the full step from
-    ``(t, y)`` at the velocities ``vels`` when it starts that step."""
-    flows = [(reduced_rhs(ap), z, hr, tr_next)]
-    if t_r == t:
-        stage_vels = iter(vels)
-        flows.insert(0, (lambda s, *w: _full_slopes(next(stage_vels), *w), y, h, t_next))
-    _replay_checked(t_r, *flows)
+def _steps_a_period(e: Excitation, max_step: float | None) -> int:
+    """The fewest of 16, 32 and 64 steps a fast period of ``e`` whose step is
+    no longer than ``max_step``, and 64 when it is None."""
+    fits = (k for k in (16, 32) if max_step is not None and e.fast_period / k <= max_step)
+    return next(fits, STEPS_PER_FAST_PERIOD)
 
 
 def compare_sweep(
@@ -524,15 +490,14 @@ def compare_sweep(
     """:func:`compare_full_averaged` at each run of a decreasing epsilon
     sweep, as a serial loop gives them.
 
-    Every run's full flow steps at most the coarsest run's step,
+    Every run steps at most the coarsest run's step,
     ``runs[0].fast_period / STEPS_PER_FAST_PERIOD``.  The runs go to
-    :func:`pendulum_vib._fork.in_order` finest first, each at a cost of twice
-    its full steps plus its reduced steps (a full stage evaluates two sine and
-    cosine pairs, a reduced stage one), so this process runs the finest.  An
-    item is a run's three norms as doubles, and each report is rebuilt from
-    them bit for bit.  A run that failed in a child sends no norms and is run
-    again here, in sweep order, so the first run in sweep order that fails
-    raises its own error.  An excitation that fails the symmetry check raises
+    :func:`pendulum_vib._fork.in_order` finest first, each at a cost of its
+    steps per unit time, so this process runs the finest.  An item is a
+    run's three norms as doubles, and each report is rebuilt from them bit
+    for bit.  Where a run fails, the runs are made again here in sweep
+    order, so the first run in sweep order that fails raises its own error.
+    An excitation that fails the symmetry check raises
     ``SymmetryViolationError`` before any run: the moments do not depend on
     epsilon.
     """
@@ -543,28 +508,20 @@ def compare_sweep(
 
     max_step = runs[0].fast_period / STEPS_PER_FAST_PERIOD
     finest_first = runs[::-1]
-    failed = {}  # per item, the exception its run raised in this process
     norms = []
 
     def item(j: int) -> bytes:
-        try:
-            rep = compare_full_averaged(finest_first[j], start, t_end, max_step)
-        except Exception as exc:  # raised in sweep order below
-            failed[j] = exc
-            return b""
+        rep = compare_full_averaged(finest_first[j], start, t_end, max_step)
         return array("d", (rep.max_err_phi, rep.max_err_p_phi, rep.p_alpha_drift)).tobytes()
 
     def cost(j: int) -> float:
-        # per unit of time: 2 per full step of sub * step, 1 per reduced step
-        step = finest_first[j].fast_period / STEPS_PER_FAST_PERIOD
-        return (2.0 / _sub_steps(step, max_step) + 1.0) / step
+        return _steps_a_period(finest_first[j], max_step) / finest_first[j].fast_period
 
-    in_order(len(runs), item, norms.append, cost)
-    reports = []
-    for j in reversed(range(len(runs))):
-        if j in failed:
-            raise failed[j]
-        run = finest_first[j]
-        reports.append(ComparisonReport(run.epsilon, t_end, *array("d", norms[j])) if norms[j]
-                       else compare_full_averaged(run, start, t_end, max_step))
-    return reports
+    try:
+        in_order(len(runs), item, norms.append, cost)
+    except Exception:
+        for run in runs:
+            compare_full_averaged(run, start, t_end, max_step)
+        raise
+    return [ComparisonReport(run.epsilon, t_end, *array("d", data))
+            for run, data in zip(runs, reversed(norms))]

@@ -13,7 +13,7 @@ from typing import TextIO
 
 import numpy as np
 
-from ._fork import write_in_order
+from ._fork import in_order
 from ._frozen import Frozen
 from .potential import AveragedParams, Equilibrium, find_equilibria, v_bar
 
@@ -382,10 +382,11 @@ def grid_to_csv(grid: PortraitGrid, out: TextIO) -> None:
     """Write the sampled energies as CSV to the text stream ``out``.
 
     Header row of p values, first column phi; the rows are formatted by
-    :func:`write_in_order`, in this process or in forked ones, and written in
-    order as each is joined.  Each row is formatted for its first half only and
-    mirrored, so the grid must be exactly (bit for bit) symmetric in p, as
-    build_grid makes it; ValueError otherwise, before anything is written.
+    :func:`pendulum_vib._fork.in_order`, in this process or in forked ones,
+    each sent as its UTF-8 bytes, and written in order as each is joined.
+    Each row is formatted for its first half only and mirrored, so the grid
+    must be exactly (bit for bit) symmetric in p, as build_grid makes it;
+    ValueError otherwise, before anything is written.
     """
     values = np.asarray(grid.values, dtype=np.float64)
     if not np.array_equal(values.view(np.int64), values[:, ::-1].view(np.int64)):
@@ -400,7 +401,7 @@ def grid_to_csv(grid: PortraitGrid, out: TextIO) -> None:
         return ",".join(cells) + "\n"
 
     out.write("phi," + ",".join(map(repr, grid.p.tolist())) + "\n")
-    write_in_order(out, len(phis), row)
+    in_order(len(phis), lambda i: row(i).encode(), lambda data: out.write(data.decode()))
 
 
 def contours_to_csv(contours: list[LevelContours], out: TextIO) -> None:

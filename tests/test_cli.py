@@ -652,14 +652,14 @@ def test_compare_vertical_band(tmp_path, capsys):
 # arithmetic moves the last digits of the errors
 COMPARE_PINS = [
     pytest.param(README_VERTICAL_DOC,
-                 "434d62e1c222beef2dea2fdb27c784dc85e88082995f3aadd5f433d6f67b9821",
+                 "61d247387201692193b0f545799959b6873b261fec7b84d8a43d249f85427dd8",
                  id="readme-vertical"),
-    pytest.param(VERTICAL_DOC, "61b7cc8cae9bb83495b450750f5e031180f73be62472bd8ceb0cf3cb9fe7daba",
+    pytest.param(VERTICAL_DOC, "9a8f6ba124c7d9eeec907be0cf12ca3fd6b85d68b14af5a78670a0f61b63db2c",
                  id="vertical-omega-2"),
-    pytest.param(CIRCULAR_DOC, "eadda9fef1b9380058ab232607644b8fd4587fd197d69f6c15f9bb6df6d5402a",
+    pytest.param(CIRCULAR_DOC, "fc6cd8b0dceb4ad5e30a693f42ffda8c1945cc1f30d3dc994da6b62c84185070",
                  id="circular"),
     pytest.param(BENCH_LIKE_DOC,
-                 "0c54384cd687b821cf161be1965778a05c5e72b9b6c6c7de81ac64a674ccf10a",
+                 "53a4148705992635e1432fea9b403aa3aff8c4861303811f57940df0ac22db97",
                  id="bench-like"),
 ]
 
@@ -828,7 +828,7 @@ def test_compare_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsy
 
 @pytest.mark.parametrize("doc, sweep, initial, err", [
     (README_VERTICAL_DOC, "0.1,1e-300", "2,0,0,0.3",
-     "error: integrating (0.0, 10.0) at step 9.817477042468103e-302 takes 1.01859e+302 steps, "
+     "error: integrating (0.0, 10.0) at step 3.926990816987241e-301 takes 2.54648e+301 steps, "
      "more than the limit of 1000000\n"),
     # the circular horizontal motion near the pole: only the 0.025 run fails
     (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.05,0,0,0",
@@ -921,16 +921,15 @@ def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("sweep, split", [
-    # a run's cost is twice its full steps plus its reduced steps, at 64, 32
-    # and 16 full steps a fast period: 30 : 40 : 60, finest first to the
-    # least-loaded worker: the parent's 60 against the child's 40 + 30, where
-    # alternating runs would give 90 against 40
-    ("0.1,0.05,0.025", [[0.025], [0.05, 0.1]]),
-    # at 64, 64, 32 and 32 a period: 50 to the parent, 40 and 37.5 to the
-    # child, then 30 to the parent
+    # a run's cost is its steps per unit time, at 64, 32 and 16 steps a fast
+    # period: equal, so finest first to the least-loaded worker alternates
+    ("0.1,0.05,0.025", [[0.025, 0.1], [0.05]]),
+    # at 64, 64, 32 and 32 a period, 640 : 800 : 640 : 800: 800 to the
+    # parent, 640 and 800 to the child, then 640 to the parent
     ("0.1,0.08,0.05,0.04", [[0.04, 0.1], [0.05, 0.08]]),
-    # at 64, 64 and 32 a period: 40 to the parent, 42.9 to the child, then
-    # 30 to the parent, where a cost of 1/eps would give 0.1 to the child
+    # at 64, 64 and 32 a period, 640 : 914 : 640: 640 to the parent, 914 to
+    # the child, then 640 to the parent, where a cost of 1/eps would give 0.1
+    # to the child
     ("0.1,0.07,0.05", [[0.05, 0.1], [0.07]]),
 ])
 def test_compare_splits_the_sweep_by_step_count(tmp_path, capsys, monkeypatch, forks, sweep,
@@ -1189,7 +1188,7 @@ def test_an_interrupted_writer_kills_and_reaps_its_children(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        _fork.write_in_order(io.StringIO(), 16, text)
+        _fork.in_order(16, lambda i: text(i).encode(), lambda data: None)
     assert time.perf_counter() - t0 < 30.0
     assert len(forks) == 7
     assert_no_child_left()
@@ -1210,7 +1209,7 @@ def test_an_item_that_raises_in_a_child_raises_the_serial_loops_exception(monkey
         out = io.StringIO()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         with pytest.raises(ValueError) as raised:
-            _fork.write_in_order(out, 16, text)
+            _fork.in_order(16, lambda i: text(i).encode(), lambda data: out.write(data.decode()))
         outcomes.append((out.getvalue(), str(raised.value)))
         assert_no_child_left()
     assert outcomes[0] == outcomes[1] == ("".join(f"item {i}\n" for i in range(bad)),

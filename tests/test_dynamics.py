@@ -372,21 +372,21 @@ def bench_like_excitation(rng):
     )
 
 
-def table_full_rhs(e, t_end, sub=1):
+def table_full_rhs(e, t_end, n=dynamics.STEPS_PER_FAST_PERIOD):
     """The full flow as compare_full_averaged steps it over (0, t_end) at
-    ``sub`` reduced steps a full step: its equations at the table velocity
+    ``n`` steps a fast period: its equations at the table velocity
     ``eval_velocity(e, j * step / 2)`` at each whole step's stage times, as
     integrate computes them, and at its end, and at eval_velocity's own
     velocity at any other time."""
-    step = sub * (e.fast_period / dynamics.STEPS_PER_FAST_PERIOD)
-    n = 2 * dynamics.STEPS_PER_FAST_PERIOD // sub
-    table = [eval_velocity(e, j * (0.5 * step)) for j in range(n)]
+    step = e.fast_period / n
+    m = 2 * n
+    table = [eval_velocity(e, j * (0.5 * step)) for j in range(m)]
     at = {}
     t = 0.0
     for k, (t_next, h) in enumerate(dynamics._time_grid([], (0.0, t_end), step)[2]):
         if h == step:
-            at.update({t: table[2 * k % n], t + 0.5 * h: table[(2 * k + 1) % n],
-                       t + h: table[(2 * k + 2) % n], t_next: table[(2 * k + 2) % n]})
+            at.update({t: table[2 * k % m], t + 0.5 * h: table[(2 * k + 1) % m],
+                       t + h: table[(2 * k + 2) % m], t_next: table[(2 * k + 2) % m]})
         t = t_next
 
     def f(t, *y):
@@ -396,19 +396,17 @@ def table_full_rhs(e, t_end, sub=1):
     return f
 
 
-def reference_norms(e, initial, t_end, full_flow, sub=1):
-    """The three norms from each flow integrated alone by integrate, the full
-    flow as ``full_flow(e, t_end)`` returns it at ``sub`` reduced steps a
-    step, sampled at the full flow's times."""
-    h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    full = integrate(full_flow(e, t_end), initial, (0.0, t_end), sub * h)
+def reference_norms(e, initial, t_end, full_flow, n=dynamics.STEPS_PER_FAST_PERIOD):
+    """The three norms from each flow integrated alone by integrate at ``n``
+    steps a fast period, the full flow as ``full_flow(e, t_end)`` returns it."""
+    step = e.fast_period / n
+    full = integrate(full_flow(e, t_end), initial, (0.0, t_end), step)
     ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
-    red = integrate(reduced_rhs(ap), [initial.phi, initial.p_phi], (0.0, t_end), h)
-    at = np.searchsorted(red.t, full.t)
-    assert np.array_equal(red.t[at], full.t)
+    red = integrate(reduced_rhs(ap), [initial.phi, initial.p_phi], (0.0, t_end), step)
+    assert np.array_equal(red.t, full.t)
     return full, (
-        np.max(np.abs(full.y[:, 0] - red.y[at, 0])),
-        np.max(np.abs(full.y[:, 2] - red.y[at, 1])),
+        np.max(np.abs(full.y[:, 0] - red.y[:, 0])),
+        np.max(np.abs(full.y[:, 2] - red.y[:, 1])),
         np.max(np.abs(full.y[:, 3] - initial.p_alpha)),
     )
 
@@ -489,10 +487,9 @@ def test_compare_steps_each_run_at_the_fewest_steps_a_period_within_the_coarsest
 
 
 def test_compare_steps_a_sweep_run_as_each_flow_alone():
-    # at 2 or 4 reduced steps a full step, the norms are bit-identical to
-    # those of each flow integrated alone at its own step, the full one at
-    # the table's pivot velocities, sampled at the full flow's times: the
-    # reduced states there are integrate's at fast_period / 64
+    # at 32 or 16 steps a fast period, the norms are bit-identical to those
+    # of each flow integrated alone at the run's step, the full one at the
+    # table's pivot velocities
     rng = np.random.default_rng(2611)
     cases = [(e, FullState(2.0, 0.0, 0.0, 0.3)) for e in PIN_SHAPES.values()]
     cases += [
@@ -504,16 +501,15 @@ def test_compare_steps_a_sweep_run_as_each_flow_alone():
     ]
     for shape, initial in cases:
         max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-        for eps, sub in ((0.05, 2), (0.025, 4)):
+        for eps, n in ((0.05, 32), (0.025, 16)):
             e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
-            h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-            # whole steps that end where a reduced one does not, where the
-            # full grid's last whole step ends before the reduced grid's,
-            # and a span shorter than one full step
-            for t_end in (3.0, 3 * sub * h + 1.5 * h, 5 * sub * h, 1.5 * h):
+            h = e.fast_period / n
+            # spans ending in a shorter final step, one of whole steps, and
+            # one shorter than a step
+            for t_end in (3.0, 3.5 * h, 5 * h, 0.375 * h):
                 report = compare_full_averaged(e, initial, t_end, max_step)
                 _, norms = reference_norms(e, initial, t_end,
-                                           lambda e, t_end: table_full_rhs(e, t_end, sub), sub)
+                                           lambda e, t_end: table_full_rhs(e, t_end, n), n)
                 assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
 
 
@@ -521,16 +517,16 @@ def test_compare_steps_a_sweep_run_as_each_flow_alone():
 def test_compare_sweep_runs_stay_within_a_hundredth_of_their_gap_of_a_fine_full_flow(shape):
     # each README-sweep run's full flow, as compare steps it (its norms are
     # those of this trajectory, bit for bit), against full_rhs(e) at 512
-    # steps a fast period, at every full-step time.  Its error under 1% of
-    # the gap moves a halving ratio by under ~2%; measured up to 3.7e-3 of
-    # the gap, at 16 steps a period for vertical-omega-2 at 0.025
+    # steps a fast period, at every step's time.  Its error under 1% of the
+    # gap moves a halving ratio by under ~2%; measured up to 3.7e-3 of the
+    # gap, at 16 steps a period for vertical-omega-2 at 0.025
     initial = FullState(2.0, 0.0, 0.0, 0.3)
     max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    for eps, sub in zip(README_SWEEP, (1, 2, 4)):
+    for eps, n in zip(README_SWEEP, (64, 32, 16)):
         e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
         report = compare_full_averaged(e, initial, 10.0, max_step)
         full, norms = reference_norms(e, initial, 10.0,
-                                      lambda e, t_end: table_full_rhs(e, t_end, sub), sub)
+                                      lambda e, t_end: table_full_rhs(e, t_end, n), n)
         assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
         fine = integrate(full_rhs(e), initial, (0.0, 10.0), e.fast_period / 512)
         at = np.searchsorted(fine.t, full.t)
@@ -539,28 +535,54 @@ def test_compare_sweep_runs_stay_within_a_hundredth_of_their_gap_of_a_fine_full_
         assert err <= 1e-2 * report.max_err_phi, (eps, err, report.max_err_phi)
 
 
-def flows_alone(e, initial, t_end, sub):
-    """Each flow of compare_full_averaged at ``sub`` reduced steps a full
-    step, integrated alone: a trajectory, or the exception it raises."""
-    h = e.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+@pytest.mark.parametrize("shape", PIN_SHAPES.values(), ids=PIN_SHAPES.keys())
+def test_compare_sweep_runs_reduced_flow_stays_within_2e_3_of_their_gap_of_a_fine_one(shape):
+    # each README-sweep run's reduced flow at the run's step, as compare
+    # steps it (test_compare_steps_a_sweep_run_as_each_flow_alone), against
+    # the reduced flow at 1/64 of that step, at every step's time; measured
+    # up to 1.35e-3 of the gap, for vertical-omega-2 at 0.025
+    initial = FullState(2.0, 0.0, 0.0, 0.3)
+    max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    # the moments do not depend on epsilon, so runs that share a step share
+    # the reduced flow: the README sweep's three runs do
+    flows = {}
+    for eps, n in zip(README_SWEEP, (64, 32, 16)):
+        e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
+        report = compare_full_averaged(e, initial, 10.0, max_step)
+        step = e.fast_period / n
+        if step not in flows:
+            g = reduced_rhs(averaged_params(velocity_moments(e), initial.p_alpha,
+                                            PhysicalParams()))
+            flows[step] = [integrate(g, [initial.phi, initial.p_phi], (0.0, 10.0), h)
+                           for h in (step, step / 64)]
+        red, fine = flows[step]
+        at = np.searchsorted(fine.t, red.t)
+        assert np.array_equal(fine.t[at], red.t)
+        err = np.max(np.abs(red.y[:, 0] - fine.y[at, 0]))
+        assert err <= 2e-3 * report.max_err_phi, (eps, err, report.max_err_phi)
+
+
+def flows_alone(e, initial, t_end, n):
+    """Each flow of compare_full_averaged at ``n`` steps a fast period,
+    integrated alone: a trajectory, or the exception it raises."""
     try:
         ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
     except ValueError as exc:
         return [exc]
     out = []
-    for rhs, y0, step in ((table_full_rhs(e, t_end, sub), initial, sub * h),
-                          (reduced_rhs(ap), [initial.phi, initial.p_phi], h)):
+    for rhs, y0 in ((table_full_rhs(e, t_end, n), initial),
+                    (reduced_rhs(ap), [initial.phi, initial.p_phi])):
         try:
-            out.append(integrate(rhs, y0, (0.0, t_end), step))
+            out.append(integrate(rhs, y0, (0.0, t_end), e.fast_period / n))
         except ValueError as exc:
             out.append(exc)
     return out
 
 
 def test_compare_sweep_runs_fail_as_one_of_their_flows_alone_at_the_float_corners():
-    # a run at 16 full steps a fast period fails with the exception type,
-    # message and blow-up time that one of its flows alone fails with, or
-    # gives the norms of the two trajectories when neither fails
+    # a run at 16 steps a fast period fails with the exception type, message
+    # and blow-up time that one of its flows alone fails with, or gives the
+    # norms of the two trajectories when neither fails
     rng = random.Random(2612)
     corners = [(phi, p_phi, p_alpha) for phi in CORNER_PHI
                for p_phi in CORNER_MOMENTA for p_alpha in CORNER_MOMENTA]
@@ -572,9 +594,9 @@ def test_compare_sweep_runs_fail_as_one_of_their_flows_alone_at_the_float_corner
             if not (math.isfinite(p_phi) and math.isfinite(p_alpha)):
                 continue  # refused before any step, whatever the step
             initial = FullState(phi, rng.choice((0.0, 0.5)), p_phi, p_alpha)
-            # a final group of two whole reduced steps and a shorter one
+            # a whole step and a shorter one, or one fast period
             t_end = rng.choice((e.fast_period / 10.0, e.fast_period))
-            alone = flows_alone(e, initial, t_end, 4)
+            alone = flows_alone(e, initial, t_end, 16)
             failed = [x for x in alone if isinstance(x, Exception)]
             try:
                 report = compare_full_averaged(e, initial, t_end, max_step)
@@ -586,23 +608,23 @@ def test_compare_sweep_runs_fail_as_one_of_their_flows_alone_at_the_float_corner
                 continue
             assert not failed, (initial, t_end, failed)
             full, red = alone
-            at = np.searchsorted(red.t, full.t)
             assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == (
-                np.max(np.abs(full.y[:, 0] - red.y[at, 0])),
-                np.max(np.abs(full.y[:, 2] - red.y[at, 1])),
+                np.max(np.abs(full.y[:, 0] - red.y[:, 0])),
+                np.max(np.abs(full.y[:, 2] - red.y[:, 1])),
                 np.max(np.abs(full.y[:, 3] - initial.p_alpha)))
     assert failures > 0
 
 
 def test_compare_reports_a_reduced_blow_up_at_the_end_of_its_own_step():
     # a p_phi near the float range's end overflows the reduced flow's first
-    # step, which a sweep run checks before its full step of 2 or 4 ends
+    # step, as it does the full flow's: the run's one grid reports it at the
+    # end of that step, fast_period / n at 64, 32 and 16 steps a fast period
     max_step = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    for eps in README_SWEEP:
+    for eps, n in zip(README_SWEEP, (64, 32, 16)):
         e = Excitation(eps, 1.0, xi=SIN)
         with pytest.raises(IntegrationBlowUpError) as err:
             compare_full_averaged(e, FullState(2.0, 0.0, 5e307, 0.0), e.fast_period, max_step)
-        assert err.value.time == e.fast_period / dynamics.STEPS_PER_FAST_PERIOD, eps
+        assert err.value.time == e.fast_period / n, eps
 
 
 def product_reference(e, initial, t_end):
