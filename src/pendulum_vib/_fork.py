@@ -27,30 +27,23 @@ def workers(n_items: int) -> int:
     return min(n_items, cpus)
 
 
-def in_order(n: int, item: Callable[[int], bytes], use: Callable[[bytes], None],
-             cost: Callable[[int], float] = lambda i: 1.0) -> None:
+def in_order(n: int, item: Callable[[int], bytes], use: Callable[[bytes], None]) -> None:
     """Call ``use(item(i))`` for ``i in range(n)``, in order.
 
-    With ``w = workers(n)``, each item in turn goes to the least-loaded of
-    ``w`` workers by ``cost``, the first one on a tie, so with equal costs
-    item ``i`` goes to worker ``i % w``.  Worker 0 is this process, and each
-    other worker a child made with ``os.fork``.  A child sends each item as
-    it makes it down its own pipe, as the item's length in 8 bytes and then
-    the bytes, stops at its first exception and leaves through ``os._exit``.
-    This process hands every item to ``use`` in turn, its own or a child's,
-    so each process holds one item at a time.  An item whose record is missing
-    or short is made here, as is every later item of that child: the first
-    item that fails raises its own exception after the items before it are
-    used.  Where a pipe or a process cannot be made, the items left are made
-    here.  Every child is reaped before this returns or raises, and killed
-    first if this process raises.  With one worker nothing is forked.
+    With ``w = workers(n)``, item ``i`` goes to worker ``i % w``.  Worker 0
+    is this process, and each other worker a child made with ``os.fork``.  A
+    child sends each item as it makes it down its own pipe, as the item's
+    length in 8 bytes and then the bytes, stops at its first exception and
+    leaves through ``os._exit``.  This process hands every item to ``use`` in
+    turn, its own or a child's, so each process holds one item at a time.
+    An item whose record is missing or short is made here, as is every later
+    item of that child: the first item that fails raises its own exception
+    after the items before it are used.  Where a pipe or a process cannot be
+    made, the items left are made here.  Every child is reaped before this
+    returns or raises, and killed first if this process raises.  With one
+    worker nothing is forked.
     """
     w = workers(n)
-    loads = [0.0] * w
-    owner = []  # per item, its worker
-    for i in range(n):
-        owner.append(loads.index(min(loads)))
-        loads[owner[-1]] += cost(i)
     pipes = [None] * w  # per worker, the pipe its records arrive on; None: made here
     children = []
     try:
@@ -65,19 +58,18 @@ def in_order(n: int, item: Callable[[int], bytes], use: Callable[[bytes], None],
                 break
             if pid == 0:
                 try:
-                    for i in range(n):
-                        if owner[i] == k:
-                            data = item(i)
-                            record = memoryview(len(data).to_bytes(8, "little") + data)
-                            while record:  # a write to a pipe may take part of it
-                                record = record[os.write(wfd, record):]
+                    for i in range(k, n, w):
+                        data = item(i)
+                        record = memoryview(len(data).to_bytes(8, "little") + data)
+                        while record:  # a write to a pipe may take part of it
+                            record = record[os.write(wfd, record):]
                 finally:
                     os._exit(0)
             os.close(wfd)
             pipes[k] = open(r, "rb")
             children.append((pid, pipes[k]))
         for i in range(n):
-            pipe = pipes[owner[i]]
+            pipe = pipes[i % w]
             if pipe is not None:
                 head = pipe.read(8)
                 if len(head) == 8:

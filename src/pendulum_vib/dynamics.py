@@ -257,7 +257,7 @@ def integrate(
         try:
             y = rk4_step(rhs, t, y, h)
         except ValueError:
-            _replay_checked(t, (rhs, y, h, t_next))
+            _replay_checked(rhs, t, y, h, t_next)
             raise
         _finite(y, t_next)
         ts.append(t_next)
@@ -304,24 +304,21 @@ def _time_grid(
     return y, t0, steps
 
 
-def _replay_checked(t: float, *flows: tuple[Rhs, Sequence[float], float, float]) -> None:
-    """Replay RK4 steps from time t that raised ValueError, with their stages
-    checked; each flow is ``(rhs, y, h, t_next)``, and its stages' times and
-    inputs are those of :func:`rk4_step`.
+def _replay_checked(rhs: Rhs, t: float, y: Sequence[float], h: float, t_next: float) -> None:
+    """Replay an RK4 step of size h from (t, y) that raised ValueError, with
+    its stages checked; the stages' times and inputs are those of
+    :func:`rk4_step`.
 
-    The flows go stage by stage: a stage checks the inputs of every flow, then
-    calls each flow's ``rhs`` in turn.  math.sin and math.cos refuse an
-    infinite argument, so a stage that overflowed raises
-    IntegrationBlowUpError at its flow's ``t_next`` here; an ``rhs``'s own
+    Each stage's input is checked before ``rhs`` is called on it.  math.sin
+    and math.cos refuse an infinite argument, so a stage that overflowed
+    raises IntegrationBlowUpError at ``t_next`` here; an ``rhs``'s own
     ValueError is raised again, by the replay or by the caller's ``raise``.
     """
-    slopes = [None] * len(flows)
+    k = None
     for c in (0.0, 0.5, 0.5, 1.0):
-        points = [y if k is None else [a + c * h * b for a, b in zip(y, k)]
-                  for (_, y, h, _), k in zip(flows, slopes)]
-        for (_, _, _, t_next), z in zip(flows, points):
-            _finite(z, t_next)
-        slopes = [rhs(t + c * h if c else t, *z) for (rhs, _, h, _), z in zip(flows, points)]
+        z = y if k is None else [a + c * h * b for a, b in zip(y, k)]
+        _finite(z, t_next)
+        k = rhs(t + c * h if c else t, *z)
 
 
 def _finite(y: Sequence[float], t: float) -> None:
@@ -370,12 +367,13 @@ def compare_full_averaged(
     ``omega * t / epsilon`` by rounding.  The reduced stages compute dV
     inline, with (A - C, B) read once per call and
     :func:`pendulum_vib.potential.dv`'s operations in its order, and raise
-    where dv refuses.  A step that raises is replayed with both flows'
-    stages checked, stage by stage, so an overflowed stage raises
-    IntegrationBlowUpError and otherwise the first failing call raises its
-    own error.  A state that turns non-finite raises IntegrationBlowUpError
-    at the end of its step.  Input checks and the step-count limit are those
-    of :func:`integrate` at the run's step.
+    where dv refuses.  A step that raises is replayed by
+    :func:`_replay_checked` as one six-float flow, the full flow's slopes at
+    the step's own velocities and then :func:`reduced_rhs`'s, so an
+    overflowed stage raises IntegrationBlowUpError and otherwise the first
+    failing call raises its own error.  A state that turns non-finite raises
+    IntegrationBlowUpError at the end of its step.  Input checks and the
+    step-count limit are those of :func:`integrate` at the run's step.
     """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
@@ -443,8 +441,9 @@ def compare_full_averaged(
             q4 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
         except ValueError:
             vels = iter((v1, v2, v2, v4))
-            full_flow = (lambda _, *w: f(next(vels), *w), [phi, alpha, p_phi, p_alpha], h, t_next)
-            _replay_checked(t, full_flow, (reduced_rhs(ap), [phi_r, p_r], h, t_next))
+            g = reduced_rhs(ap)
+            _replay_checked(lambda u, *z: (*f(next(vels), *z[:4]), *g(u, *z[4:])),
+                            t, [phi, alpha, p_phi, p_alpha, phi_r, p_r], h, t_next)
             raise
         h6 = h / 6.0
         phi = phi + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -491,12 +490,12 @@ def compare_sweep(
     sweep, as a serial loop gives them.
 
     Every run steps at most the coarsest run's step,
-    ``runs[0].fast_period / STEPS_PER_FAST_PERIOD``.  The runs go to
-    :func:`pendulum_vib._fork.in_order` finest first, each at a cost of its
-    steps per unit time, so this process runs the finest.  An item is a
-    run's three norms as doubles, and each report is rebuilt from them bit
-    for bit.  Where a run fails, the runs are made again here in sweep
-    order, so the first run in sweep order that fails raises its own error.
+    ``runs[0].fast_period / STEPS_PER_FAST_PERIOD``, so the runs of a
+    halving sweep all take the same number of steps.  The runs go to
+    :func:`pendulum_vib._fork.in_order` in sweep order, and an item is a
+    run's three norms as doubles, from which each report is rebuilt bit for
+    bit.  in_order makes a stopped child's run again here, in sweep order,
+    so the first run in sweep order that fails raises its own error.
     An excitation that fails the symmetry check raises
     ``SymmetryViolationError`` before any run: the moments do not depend on
     epsilon.
@@ -507,21 +506,12 @@ def compare_sweep(
     from ._fork import in_order
 
     max_step = runs[0].fast_period / STEPS_PER_FAST_PERIOD
-    finest_first = runs[::-1]
     norms = []
 
     def item(j: int) -> bytes:
-        rep = compare_full_averaged(finest_first[j], start, t_end, max_step)
+        rep = compare_full_averaged(runs[j], start, t_end, max_step)
         return array("d", (rep.max_err_phi, rep.max_err_p_phi, rep.p_alpha_drift)).tobytes()
 
-    def cost(j: int) -> float:
-        return _steps_a_period(finest_first[j], max_step) / finest_first[j].fast_period
-
-    try:
-        in_order(len(runs), item, norms.append, cost)
-    except Exception:
-        for run in runs:
-            compare_full_averaged(run, start, t_end, max_step)
-        raise
+    in_order(len(runs), item, norms.append)
     return [ComparisonReport(run.epsilon, t_end, *array("d", data))
-            for run, data in zip(runs, reversed(norms))]
+            for run, data in zip(runs, norms)]

@@ -289,10 +289,13 @@ def excitation_from_dict(doc: dict) -> Excitation:
 
 
 def load_excitation(path) -> Excitation:
-    """Read an Excitation from a JSON file."""
+    """Read an Excitation from a JSON file; a document nested deeper than
+    the JSON decoder can recurse raises ValueError."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}")
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read")
     return excitation_from_dict(doc)

@@ -59,6 +59,8 @@ _W, _U = "1 - |cos phi|", "|cos phi|"
 
 DomainLabel = Literal["I", "II", "boundary"]
 EquilibriumKind = Literal["stable", "unstable", "degenerate"]
+# an angle phi with its sine and cosine
+Point = tuple[float, float, float]
 
 
 class SingularConfigurationError(ValueError):
@@ -159,10 +161,14 @@ def _check_regular(s: float, b: float) -> None:
 
 def v_bar(phi: float, ap: AveragedParams) -> float:
     """Effective potential V(phi)."""
-    s = math.sin(phi)
+    return _v(math.sin(phi), math.cos(phi), ap)
+
+
+def _v(s: float, c: float, ap: AveragedParams) -> float:
+    """V at the angle whose sine and cosine are s and c."""
     _check_regular(s, ap.B)
     barrier = ap.B / (2.0 * s * s) if ap.B != 0.0 else 0.0
-    return barrier + 0.5 * ap.a_minus_c * s * s - math.cos(phi)
+    return barrier + 0.5 * ap.a_minus_c * s * s - c
 
 
 def dv(phi: float, ap: AveragedParams) -> float:
@@ -183,8 +189,11 @@ def d2v(phi: float, ap: AveragedParams) -> float:
     sum cancels and absorbs the barrier: at A - C = -1, where cos phi rounds
     to 1, it reads 0 while this form gives 1.5 s^2.
     """
-    s = math.sin(phi)
-    c = math.cos(phi)
+    return _d2v(math.sin(phi), math.cos(phi), ap)
+
+
+def _d2v(s: float, c: float, ap: AveragedParams) -> float:
+    """d2V at the angle whose sine and cosine are s and c."""
     _check_regular(s, ap.B)
     s2 = s * s
     if ap.B != 0.0:
@@ -296,6 +305,9 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     disagrees with the kind, raises :class:`InconsistentCountError`.  A
     subnormal B raises ValueError: the minimum next to phi = 0 sits at
     phi ~ B^(1/4), where sin^4 phi underflows and d2V loses its digits.
+    V and d2V are evaluated from the sine and cosine of each equilibrium's
+    distance to its pole, so one closer to pi than the float spacing there
+    gets its own values, not those at phi = math.pi.
     """
     if ap.B == 0.0:
         found = _planar(ap.a_minus_c)
@@ -307,16 +319,16 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
         found = _barrier(ap.a_minus_c, ap.B)
 
     eqs = []
-    for phi, kind in found:
-        second = d2v(phi, ap)
+    for (phi, s, c), kind in found:
+        second = _d2v(s, c, ap)
         if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
             raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
-        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v_bar(phi, ap), second_derivative=second))
+        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=_v(s, c, ap), second_derivative=second))
     return eqs
 
 
-def _planar(a: float) -> list[tuple[float, EquilibriumKind]]:
-    """(phi, kind) of the equilibria at B = 0, where dV = sin(phi) (a cos(phi) + 1).
+def _planar(a: float) -> list[tuple[Point, EquilibriumKind]]:
+    """(point, kind) of the equilibria at B = 0, where dV = sin(phi) (a cos(phi) + 1).
 
     Each kind is the sign of the curvature d2V there.  The interior root
     acos(-1 / a) merges with the pole at pi as a -> 1 and with the pole at 0
@@ -325,18 +337,18 @@ def _planar(a: float) -> list[tuple[float, EquilibriumKind]]:
     least ~2e-8 from both poles (at a = nextafter(±1, ±2)).
     """
     merged = abs(abs(a) - 1.0) <= BOUNDARY_REL
-    found = [(0.0, a + 1.0, a < 0.0)]
+    found = [(_point(0.0, 1.0), a + 1.0, a < 0.0)]
     if abs(a) > 1.0:
-        found.append((math.acos(-1.0 / a), (1.0 - a * a) / a, True))
-    found.append((math.pi, a - 1.0, a > 0.0))
+        found.append((_on(math.acos(-1.0 / a)), (1.0 - a * a) / a, True))
+    found.append((_point(0.0, -1.0), a - 1.0, a > 0.0))
     return [
-        (phi, "degenerate" if merged and merging else "stable" if curvature > 0.0 else "unstable")
-        for phi, curvature, merging in found
+        (pt, "degenerate" if merged and merging else "stable" if curvature > 0.0 else "unstable")
+        for pt, curvature, merging in found
     ]
 
 
-def _barrier(a: float, b: float) -> list[tuple[float, EquilibriumKind]]:
-    """(phi, kind) of the equilibria at B = b > 0, in the domain's brackets."""
+def _barrier(a: float, b: float) -> list[tuple[Point, EquilibriumKind]]:
+    """(point, kind) of the equilibria at B = b > 0, in the domain's brackets."""
     label, r = _domain(a, b)
     w_star = r / (1.0 + r)
     if a < -3.5:
@@ -344,35 +356,48 @@ def _barrier(a: float, b: float) -> list[tuple[float, EquilibriumKind]]:
         # where (1 + a) - a w cancels: bisect in u = cos phi on [0, 1/2] (the
         # mirror image of the A - C > 3.5 saddle below), and take phi from u
         u = _root(_in_u(a, b, 1.0), 0.0, 0.5, _U)
-        found = [(math.acos(u), "stable")]
+        found = [(_on(math.acos(u)), "stable")]
     else:
-        found = [(_phi(_root(_in_w(a, b, 1.0), 0.0, 1.0, _W), 1.0), "stable")]
+        found = [(_point(_root(_in_w(a, b, 1.0), 0.0, 1.0, _W), 1.0), "stable")]
     if label == "II":
         in_w = _in_w(a, b, -1.0)
         if r <= 1.0:  # w* <= 1/2
-            found.append((_phi(_root(in_w, w_star, 1.0, _W), -1.0), "unstable"))
-            found.append((_phi(_root(in_w, 0.0, w_star, _W), -1.0), "stable"))
+            found.append((_point(_root(in_w, w_star, 1.0, _W), -1.0), "unstable"))
+            found.append((_point(_root(in_w, 0.0, w_star, _W), -1.0), "stable"))
         else:
             # w* > 1/2 rounds to 1 once |c*| = 1 / (1 + r) is below the float
             # spacing there: bracket the equator side in u = |cos phi| instead
             in_u = _in_u(a, b, -1.0)
             u_star = 1.0 / (1.0 + r)
-            found.append((_phi(1.0 - _root(in_u, 0.0, u_star, _U), -1.0), "unstable"))
+            found.append((_point(1.0 - _root(in_u, 0.0, u_star, _U), -1.0), "unstable"))
             if in_w(0.5) < 0.0:  # sin^3(phi) dV is b > 0 at the pole
                 w_min = _root(in_w, 0.0, 0.5, _W)
             else:
                 w_min = 1.0 - _root(in_u, u_star, 0.5, _U)
-            found.append((_phi(w_min, -1.0), "stable"))
+            found.append((_point(w_min, -1.0), "stable"))
     elif label == "boundary":
-        found.append((_phi(w_star, -1.0), "degenerate"))
+        found.append((_point(w_star, -1.0), "degenerate"))
     return found
 
 
-def _phi(w: float, sign: float) -> float:
-    """The phi in [0, pi] with 1 - |cos phi| = w and cos phi of the given sign."""
+def _point(w: float, sign: float) -> Point:
+    """(phi, sin phi, cos phi) for the phi in [0, pi] with 1 - |cos phi| = w
+    and cos phi of the given sign.
+
+    The sine and cosine are taken of the distance ``half`` to the pole, so
+    they keep their digits where phi = pi - half rounds to pi: there V and
+    d2V at the rounded phi read the barrier at sin(math.pi) ~ 1.2e-16.
+    """
     half = 2.0 * math.asin(math.sqrt(0.5 * w))  # 1 - |cos(half)| = w
+    if sign > 0.0:
+        return half, math.sin(half), math.cos(half)
     # pi - half, rounded once: sin(math.pi) is the part of pi that math.pi drops
-    return half if sign > 0.0 else math.pi - (half - math.sin(math.pi))
+    return math.pi - (half - math.sin(math.pi)), math.sin(half), -math.cos(half)
+
+
+def _on(phi: float) -> Point:
+    """(phi, sin phi, cos phi)."""
+    return phi, math.sin(phi), math.cos(phi)
 
 
 class GammaPoint(Frozen):

@@ -174,6 +174,20 @@ def test_moments_refuses_an_excitation_off_the_schema(tmp_path, capsys, doc):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["moments"], ["compare", "--eps-sweep", "0.1,0.05"]])
+def test_a_too_deeply_nested_excitation_is_input_error(tmp_path, capsys, command):
+    # the JSON decoder recurses once a level and gives up with RecursionError
+    path = write(tmp_path, "deep.json", "[" * 100_000)
+    out_file = tmp_path / "out.json"
+    code = main([*command, "--excitation", path, "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path in captured.err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("phys, p_alpha", [
     ("1e-200,1e-200,1e-200", "0"),  # g l underflows to 0
     ("1e200,1e200,1e200", "1"),  # g l overflows
@@ -573,7 +587,7 @@ SCALAR_PINS = [
     (["moments", "--excitation", "{circular}", "--p-alpha", "0.3", "--phys", "2,0.5,4"],
      "f660f6e66d241ac57d5e95ce336e4b20ec85338c1863ea0502b809a9ea2a8953"),
     (["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
-     "fb9944faffb704c52904a5f43dcbb80d63e7a1ac078983a78cac676e4429f487"),
+     "707964b02d318dda25cf5ba34c8281d2f54d0b7c4063940204f26be3baea4739"),
     (["equilibria", "--a-minus-c", "0", "--b", "0.1"],
      "287d561354d9801a78070f7e508c24520de499e018ce735445ce890e19490da1"),
     (["domain", "--a-minus-c", "3.5", "--b", "0.01"],
@@ -592,17 +606,27 @@ def test_scalar_stdout_is_pinned(tmp_path, capsys, argv, pin):
     assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
-@pytest.mark.xfail(strict=True, reason="find_equilibria evaluates d2V at phi rounded to pi")
-def test_equilibria_gives_the_curvature_of_a_minimum_closer_to_pi_than_its_float_spacing(capsys):
+@pytest.mark.parametrize("argv, v, d2v", [
     # at B = 1e-70 the minimum next to pi sits at pi - x with
     # x^4 ~ B / (A - C - 1), x ~ 3.2e-18, far below the float spacing at pi;
-    # there d2V = 3 B / x^4 + (A - C - 1) + O(x^2) = 4 (A - C - 1) = 4, but
-    # d2V at phi = math.pi reads 1.0000013
-    code, out = run(capsys, ["equilibria", "--a-minus-c", "2", "--b", "1e-70"])
+    # there V = 1 + O(x^2) and d2V = 3 B / x^4 + (A - C - 1) + O(x^2) =
+    # 4 (A - C - 1) = 4, where d2V at phi = math.pi reads 1.0000013
+    (["--a-minus-c", "2", "--b", "1e-70"], 1.0, 4.0),
+    # at A - C = 1e300, B = 1, x^4 ~ 1e-300 and V = 1 / (2 x^2) + 1e300 x^2 / 2
+    # = 1e150, where V at phi = math.pi reads 7.5e267
+    (["--a-minus-c", "1e300", "--b", "1"], 1e150, 4e300),
+    # at B = 0 the pole at pi is the equilibrium itself: V = 1 and
+    # d2V = A - C - 1, where V at phi = math.pi reads 7.5e267
+    (["--a-minus-c", "1e300", "--b", "0"], 1.0, 1e300),
+])
+def test_equilibria_gives_v_and_d2v_of_an_equilibrium_closer_to_pi_than_its_float_spacing(
+        capsys, argv, v, d2v):
+    code, out = run(capsys, ["equilibria", *argv])
     assert code == 0
     near_pi = json.loads(out)["equilibria"][-1]
     assert near_pi["phi"] == math.pi
-    assert math.isclose(near_pi["d2v"], 4.0, rel_tol=1e-9)
+    assert math.isclose(near_pi["v"], v, rel_tol=1e-9)
+    assert math.isclose(near_pi["d2v"], d2v, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("p_max", ["inf", "1e308", "1e-320", "1e200"])
@@ -818,7 +842,7 @@ def test_compare_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsy
         assert (code, err) == (0, "")
         assert out_file.read_text(encoding="utf-8") == out
         if children is not None:
-            # on 8 CPUs the 0.1 and 0.05 runs each go to a child
+            # on 8 CPUs the 0.05 and 0.025 runs each go to a child
             assert len(forks) == children
         outs.append(out)
         assert_no_child_left()
@@ -847,6 +871,38 @@ def test_compare_reports_the_first_failing_run_of_the_sweep_in_one_process_and_i
         assert not (tmp_path / "c.json").exists()
         assert_no_child_left()
     assert forks
+
+
+def test_compare_reports_the_first_failing_run_when_a_later_one_fails_first(
+        tmp_path, capsys, monkeypatch, forks):
+    # the 0.05 and 0.025 runs fail with errors of their own; on 2 CPUs the
+    # 0.05 run is the child's and the 0.025 run the parent's, and the parent
+    # reports the 0.05 run's error, which it makes again after the child stops
+    log = tmp_path / "runs.log"
+
+    def compare(e, initial, t_end, max_step):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {e.epsilon!r}\n")
+        if e.epsilon < 0.1:
+            raise ValueError(f"the {e.epsilon!r} run fails")
+        return dynamics.ComparisonReport(e.epsilon, t_end, 1.0, 1.0, 0.0)
+
+    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
+    path = write(tmp_path, "v.json", README_VERTICAL_DOC)
+    argv = ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025",
+            "--out", str(tmp_path / "c.json")]
+    for cpus, children in ((1, 0), (2, 1), (8, 2)):
+        del forks[:]
+        log.write_text("")
+        code, out, err = run_on_cpus(monkeypatch, capsys, argv, cpus)
+        assert (code, out, err) == (1, "", "error: the 0.05 run fails\n")
+        assert not (tmp_path / "c.json").exists()
+        assert len(forks) == children
+        assert_no_child_left()
+        if cpus == 2:
+            runs = [tuple(line.split()) for line in log.read_text().splitlines()]
+            parent, child = str(os.getpid()), str(forks[0])
+            assert sorted(runs) == sorted([(parent, "0.1"), (child, "0.05"), (parent, "0.05")])
 
 
 def test_compare_leaves_no_child_behind(tmp_path, capsys, monkeypatch, forks):
@@ -921,16 +977,13 @@ def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("sweep, split", [
-    # a run's cost is its steps per unit time, at 64, 32 and 16 steps a fast
-    # period: equal, so finest first to the least-loaded worker alternates
-    ("0.1,0.05,0.025", [[0.025, 0.1], [0.05]]),
-    # at 64, 64, 32 and 32 a period, 640 : 800 : 640 : 800: 800 to the
-    # parent, 640 and 800 to the child, then 640 to the parent
-    ("0.1,0.08,0.05,0.04", [[0.04, 0.1], [0.05, 0.08]]),
-    # at 64, 64 and 32 a period, 640 : 914 : 640: 640 to the parent, 914 to
-    # the child, then 640 to the parent, where a cost of 1/eps would give 0.1
-    # to the child
-    ("0.1,0.07,0.05", [[0.05, 0.1], [0.07]]),
+    # run i goes to worker i % 2 in sweep order, whatever the runs' step
+    # counts: at 64, 32 and 16 steps a fast period they are equal
+    ("0.1,0.05,0.025", [[0.1, 0.025], [0.05]]),
+    # at 64, 64, 32 and 32 a period, in the ratio 640 : 800 : 640 : 800
+    ("0.1,0.08,0.05,0.04", [[0.1, 0.05], [0.08, 0.04]]),
+    # at 64, 64 and 32 a period, in the ratio 640 : 914 : 640
+    ("0.1,0.07,0.05", [[0.1, 0.05], [0.07]]),
 ])
 def test_compare_splits_the_sweep_by_step_count(tmp_path, capsys, monkeypatch, forks, sweep,
                                                 split):
@@ -954,7 +1007,7 @@ def test_compare_splits_the_sweep_by_step_count(tmp_path, capsys, monkeypatch, f
     assert list(by_pid) == forks
 
 
-def test_equal_costs_give_item_i_to_worker_i_mod_w(monkeypatch, forks):
+def test_in_order_gives_item_i_to_worker_i_mod_w(monkeypatch, forks):
     for n, w in product((1, 2, 7, 16, 67), (1, 2, 3, 8)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
         pids = []
@@ -970,6 +1023,22 @@ def portrait_digests(out, out_dir):
     for name in ("grid.csv", "contours.csv", "portrait.svg"):
         digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
     return digests
+
+
+@pytest.mark.parametrize("command", [["domain"], ["equilibria"], ["portrait", "--nx", "16"]])
+def test_a_negative_exponent_value_is_given_after_an_equals_sign(tmp_path, capsys, command):
+    # argparse reads "-2e3" after a space as an option, but takes it after "="
+    answers = []
+    for i, value in enumerate((["--a-minus-c=-2e3"], ["--a-minus-c", "-2000"])):
+        out_dir = tmp_path / str(i)
+        argv = [*command, *value, "--b", "0.5"]
+        if command[0] == "portrait":
+            argv += ["--out", str(out_dir)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        answers.append(portrait_digests(out, out_dir) if command[0] == "portrait" else out)
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("args, pins", PORTRAIT_PINS)
