@@ -2,8 +2,9 @@
 
 The global interpreter lock keeps threads from computing side by side, so
 items that share no state go to processes made with a plain ``os.fork``.
-This is the only module that forks, and only the subcommands that fork import
-it, which keeps it out of the import of every other subcommand.
+This is the only module that forks, and only the subcommands that fork,
+portrait and reproduce, import it, which keeps it out of the import of every
+other subcommand.
 """
 
 from __future__ import annotations

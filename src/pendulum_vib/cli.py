@@ -10,8 +10,9 @@ option it reads before it reads or writes any file.  Only portrait, and a
 read of ``Trajectory.t`` or ``.y``, loads numpy; portrait and dynamics are
 imported only by the subcommands that use them, so every subcommand but
 portrait and reproduce runs without numpy.  Likewise excitation is imported
-only by moments and compare, and the forking module _fork only by compare,
-portrait and reproduce.  portrait and reproduce build and check every grid
+only by moments and compare, and the forking module _fork only by portrait
+and reproduce, the only subcommands that fork; compare runs its sweep in this
+process.  portrait and reproduce build and check every grid
 before they make a directory; each portrait's contours are then traced and
 written in a forked child while grid.csv is written (see _write_portrait).
 """
@@ -257,7 +258,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         reports = compare_sweep(runs, FullState(*initial), args.t_end)
     except SymmetryViolationError as exc:
-        # compare_sweep checks it once, before any run or fork
+        # the sweep's first run checks it: the moments do not depend on epsilon
         rep = exc.report
         doc = {"error": "symmetry violation", "residuals": _residuals(rep), "tol": rep.tol}
         _emit_json(doc, args.out)

@@ -348,7 +348,9 @@ def compare_full_averaged(
     come from :func:`averaged_params` at unit physical values.  They are
     stepped from t = 0 in one scalar RK4 loop over six floats
     (phi, alpha, p_phi, p_alpha, phi_r, p_r) that keeps running maxima of the
-    three norms at the step ends and records no trajectory.
+    three norms at the step ends and records no trajectory (within
+    :func:`compare_sweep`, a run whose step a later run shares records the
+    reduced flow's step-end states).
 
     Both flows step on one grid of ``fast_period / n``, with ``n`` the fewest
     of 16, 32 and 64 steps a fast period whose step is no longer than
@@ -356,9 +358,10 @@ def compare_full_averaged(
     whole steps fall short of t_end.  At a fixed number of steps a period
     the full flow's RK4 error falls like epsilon**4, and the reduced flow
     has no time scale tied to epsilon, so :func:`compare_sweep` passes its
-    coarsest run's step.  Whole steps read the pivot velocity at their
-    stages from a table at the times ``j * step / 2``, whose fast phases are
-    theirs; a final shorter step evaluates it directly.
+    coarsest run's step and steps the reduced flow once for all its runs on
+    one step.  Whole steps read the pivot velocity at their stages from a
+    table at the times ``j * step / 2``, whose fast phases are theirs; a
+    final shorter step evaluates it directly.
 
     Every operation is that of :func:`rk4_step` in the same order, so each
     flow's states are bit for bit what :func:`integrate` gives it alone at
@@ -375,6 +378,22 @@ def compare_full_averaged(
     IntegrationBlowUpError at the end of its step.  Input checks and the
     step-count limit are those of :func:`integrate` at the run's step.
     """
+    return _compare_run(e, initial, t_end, max_step, None, False)
+
+
+def _compare_run(e: Excitation, initial: FullState, t_end: float, max_step: float | None,
+                 record: array | None, read: bool) -> ComparisonReport:
+    """:func:`compare_full_averaged`, with the reduced flow's step-end states
+    ``(phi_r, p_r)`` read from or appended to ``record``, an ``array('d')``.
+
+    With ``read`` false the run steps the reduced flow's four inline stages
+    and appends each step-end state to ``record`` unless it is None.  With
+    ``read`` true it takes the reduced states from ``record`` instead, and
+    replays a failing step from the recorded step-start state.  That is exact
+    for a record left by a run on the same step, start, span and averaged
+    parameters, as :func:`compare_sweep` passes it: a record is complete only
+    when its run's reduced flow neither refused nor overflowed.
+    """
     mm = velocity_moments(e)
     report = check_symmetry(mm)
     if not report.passed:
@@ -384,6 +403,8 @@ def compare_full_averaged(
     n = _steps_a_period(e, max_step)
     step = e.fast_period / n
     y, t, steps = _time_grid((*initial, initial.phi, initial.p_phi), (0.0, t_end), step)
+    if record is not None:
+        push, pull = record.append, iter(record).__next__
     table = [eval_velocity(e, j * (0.5 * step)) for j in range(2 * n)]
     j = 0
     phi, alpha, p_phi, p_alpha, phi_r, p_r = y
@@ -410,35 +431,37 @@ def compare_full_averaged(
                                p_alpha + hh * d2)
             a4, b4, c4, d4 = f(v4, phi + h * a3, alpha + h * b3, p_phi + h * c3,
                                p_alpha + h * d3)
-            # the reduced stages q_k are -dv's operations in dv's order, and a
-            # ValueError where dv refuses: the replay then raises dv's error.
-            # The p_r argument of a stage is that stage's slope of phi_r.
-            s, c = sin(phi_r), cos(phi_r)
-            s3 = s * s * s
-            if s3 * s == 0.0 and b != 0.0:
-                raise ValueError
-            q1 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
-            p2 = p_r + hh * q1
-            x = phi_r + hh * p_r
-            s, c = sin(x), cos(x)
-            s3 = s * s * s
-            if s3 * s == 0.0 and b != 0.0:
-                raise ValueError
-            q2 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
-            p3 = p_r + hh * q2
-            x = phi_r + hh * p2
-            s, c = sin(x), cos(x)
-            s3 = s * s * s
-            if s3 * s == 0.0 and b != 0.0:
-                raise ValueError
-            q3 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
-            p4 = p_r + h * q3
-            x = phi_r + h * p3
-            s, c = sin(x), cos(x)
-            s3 = s * s * s
-            if s3 * s == 0.0 and b != 0.0:
-                raise ValueError
-            q4 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
+            if not read:
+                # the reduced stages q_k are -dv's operations in dv's order,
+                # and a ValueError where dv refuses: the replay then raises
+                # dv's error.  The p_r argument of a stage is that stage's
+                # slope of phi_r.
+                s, c = sin(phi_r), cos(phi_r)
+                s3 = s * s * s
+                if s3 * s == 0.0 and b != 0.0:
+                    raise ValueError
+                q1 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
+                p2 = p_r + hh * q1
+                x = phi_r + hh * p_r
+                s, c = sin(x), cos(x)
+                s3 = s * s * s
+                if s3 * s == 0.0 and b != 0.0:
+                    raise ValueError
+                q2 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
+                p3 = p_r + hh * q2
+                x = phi_r + hh * p2
+                s, c = sin(x), cos(x)
+                s3 = s * s * s
+                if s3 * s == 0.0 and b != 0.0:
+                    raise ValueError
+                q3 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
+                p4 = p_r + h * q3
+                x = phi_r + h * p3
+                s, c = sin(x), cos(x)
+                s3 = s * s * s
+                if s3 * s == 0.0 and b != 0.0:
+                    raise ValueError
+                q4 = -((-b * c / s3 if b != 0.0 else 0.0) + a * s * c + s)
         except ValueError:
             vels = iter((v1, v2, v2, v4))
             g = reduced_rhs(ap)
@@ -450,8 +473,14 @@ def compare_full_averaged(
         alpha = alpha + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         p_phi = p_phi + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
         p_alpha = p_alpha + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        phi_r = phi_r + h6 * (p_r + 2.0 * p2 + 2.0 * p3 + p4)
-        p_r = p_r + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if read:
+            phi_r, p_r = pull(), pull()
+        else:
+            phi_r = phi_r + h6 * (p_r + 2.0 * p2 + 2.0 * p3 + p4)
+            p_r = p_r + h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            if record is not None:
+                push(phi_r)
+                push(p_r)
         # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
         if ((phi - phi) + (alpha - alpha) + (p_phi - p_phi) + (p_alpha - p_alpha)
                 + (phi_r - phi_r) + (p_r - p_r) != 0.0):
@@ -487,31 +516,32 @@ def compare_sweep(
     runs: list[Excitation], start: FullState, t_end: float,
 ) -> list[ComparisonReport]:
     """:func:`compare_full_averaged` at each run of a decreasing epsilon
-    sweep, as a serial loop gives them.
+    sweep, in sweep order, so the first run that fails raises its own error.
 
-    Every run steps at most the coarsest run's step,
+    The runs may differ only in epsilon; other runs raise ValueError before
+    any is made.  Every run steps at most the coarsest run's step,
     ``runs[0].fast_period / STEPS_PER_FAST_PERIOD``, so the runs of a
-    halving sweep all take the same number of steps.  The runs go to
-    :func:`pendulum_vib._fork.in_order` in sweep order, and an item is a
-    run's three norms as doubles, from which each report is rebuilt bit for
-    bit.  in_order makes a stopped child's run again here, in sweep order,
-    so the first run in sweep order that fails raises its own error.
-    An excitation that fails the symmetry check raises
-    ``SymmetryViolationError`` before any run: the moments do not depend on
-    epsilon.
+    halving sweep all step on one grid.  The reduced flow does not depend on
+    epsilon (nor do the moments), so it is stepped once for each distinct
+    step: the first run on a step that a later run shares records its
+    states, each later run on it reads them (see :func:`_compare_run`), and
+    the record is dropped after its last reader.  Each report is bit for bit
+    that of the run alone.  A record holds two doubles a step, up to 16 MB
+    at the step-count limit.  An excitation that fails the symmetry check
+    raises ``SymmetryViolationError`` at the first run.
     """
-    report = check_symmetry(velocity_moments(runs[0]))
-    if not report.passed:
-        raise SymmetryViolationError(report)
-    from ._fork import in_order
-
-    max_step = runs[0].fast_period / STEPS_PER_FAST_PERIOD
-    norms = []
-
-    def item(j: int) -> bytes:
-        rep = compare_full_averaged(runs[j], start, t_end, max_step)
-        return array("d", (rep.max_err_phi, rep.max_err_p_phi, rep.p_alpha_drift)).tobytes()
-
-    in_order(len(runs), item, norms.append)
-    return [ComparisonReport(run.epsilon, t_end, *array("d", data))
-            for run, data in zip(runs, norms)]
+    first = runs[0]
+    if any((run.omega, run.axes) != (first.omega, first.axes) for run in runs):
+        raise ValueError("the runs of a sweep may differ only in epsilon")
+    max_step = first.fast_period / STEPS_PER_FAST_PERIOD
+    steps = [run.fast_period / _steps_a_period(run, max_step) for run in runs]
+    records, reports = {}, []
+    for i, (run, step) in enumerate(zip(runs, steps)):
+        record = records.pop(step, None)
+        read, later = record is not None, step in steps[i + 1:]
+        if later and not read:
+            record = array("d")
+        reports.append(_compare_run(run, start, t_end, max_step, record, read))
+        if later:
+            records[step] = record
+    return reports

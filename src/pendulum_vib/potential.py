@@ -305,6 +305,8 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     disagrees with the kind, raises :class:`InconsistentCountError`.  A
     subnormal B raises ValueError: the minimum next to phi = 0 sits at
     phi ~ B^(1/4), where sin^4 phi underflows and d2V loses its digits.
+    So does a V or d2V past the float range (2 (A - C) overflows for
+    |A - C| above ~8.99e307).
     V and d2V are evaluated from the sine and cosine of each equilibrium's
     distance to its pole, so one closer to pi than the float spacing there
     gets its own values, not those at phi = math.pi.
@@ -320,10 +322,12 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
 
     eqs = []
     for (phi, s, c), kind in found:
-        second = _d2v(s, c, ap)
+        second, v = _d2v(s, c, ap), _v(s, c, ap)
+        if not (math.isfinite(v) and math.isfinite(second)):
+            raise ValueError(f"A - C = {ap.a_minus_c} with B = {ap.B} is out of range")
         if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
             raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
-        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=_v(s, c, ap), second_derivative=second))
+        eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v, second_derivative=second))
     return eqs
 
 

@@ -629,6 +629,23 @@ def test_equilibria_gives_v_and_d2v_of_an_equilibrium_closer_to_pi_than_its_floa
     assert math.isclose(near_pi["d2v"], d2v, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("command", ["equilibria", "portrait"])
+@pytest.mark.parametrize("a_minus_c, b", [("-1e308", "1"), ("-1e308", "0"), ("1e308", "0")])
+def test_an_a_minus_c_whose_curvature_overflows_is_input_error(tmp_path, capsys, command,
+                                                              a_minus_c, b):
+    # 2 (A - C) in d2V overflows: it read inf or NaN at the equilibria, which
+    # json refused, a kind check missed or a portrait drew
+    out_dir = tmp_path / "out"
+    argv = [command, f"--a-minus-c={a_minus_c}", "--b", b]
+    code = main(argv + (["--nx", "16", "--out", str(out_dir)] if command == "portrait" else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    message = f"A - C = {float(a_minus_c)} with B = {float(b)} is out of range"
+    assert captured.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("p_max", ["inf", "1e308", "1e-320", "1e200"])
 def test_portrait_refuses_a_p_window_it_cannot_sample(tmp_path, capsys, p_max):
     # inf and 1e308 overflow to a NaN p axis; at the default 512 points,
@@ -761,15 +778,13 @@ def test_compare_writes_an_infinite_ratio_as_null(tmp_path, capsys, monkeypatch)
     # a finer error of exactly 0 gives an infinite ratio, which fails the band
     assert _ratio_verdict([1.0, 0.0]) == ([math.inf], False)
 
-    # keyed on epsilon, not on call order: the sweep's runs may each run in
-    # another process
     errs = {0.1: 1.0, 0.05: 0.0}
 
-    def compare(e, initial, t_end, max_step):
+    def compare(e, initial, t_end, max_step, record, read):
         err = errs[e.epsilon]
         return dynamics.ComparisonReport(e.epsilon, t_end, err, err, 0.0)
 
-    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
+    monkeypatch.setattr(dynamics, "_compare_run", compare)
     path = write(tmp_path, "v.json", VERTICAL_DOC)
     code, out = run(capsys, ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05"])
     assert code == 2
@@ -828,28 +843,6 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("doc, pin", COMPARE_PINS)
-def test_compare_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsys, monkeypatch,
-                                                                  forks, doc, pin):
-    path = write(tmp_path, "exc.json", doc)
-    outs = []
-    for cpus, children in ((1, 0), (None, None), (8, 2)):
-        out_file = tmp_path / f"out-{cpus}.json"
-        argv = ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025",
-                "--t-end", "10", "--out", str(out_file)]
-        del forks[:]
-        code, out, err = run_on_cpus(monkeypatch, capsys, argv, cpus)
-        assert (code, err) == (0, "")
-        assert out_file.read_text(encoding="utf-8") == out
-        if children is not None:
-            # on 8 CPUs the 0.05 and 0.025 runs each go to a child
-            assert len(forks) == children
-        outs.append(out)
-        assert_no_child_left()
-    assert outs[0] == outs[1] == outs[2]
-    assert hashlib.sha256(outs[0].encode()).hexdigest() == pin
-
-
 @pytest.mark.parametrize("doc, sweep, initial, err", [
     (README_VERTICAL_DOC, "0.1,1e-300", "2,0,0,0.3",
      "error: integrating (0.0, 10.0) at step 3.926990816987241e-301 takes 2.54648e+301 steps, "
@@ -861,150 +854,36 @@ def test_compare_gives_the_same_bytes_in_one_process_and_in_many(tmp_path, capsy
     (ROADMAP_CIRCULAR_DOC, "0.1,0.05,0.025", "0.001,0,0,0",
      "error: non-finite state reached at t = 4.516039439535327\n"),
 ])
-def test_compare_reports_the_first_failing_run_of_the_sweep_in_one_process_and_in_many(
-        tmp_path, capsys, monkeypatch, forks, doc, sweep, initial, err):
+def test_compare_reports_the_first_failing_run_of_the_sweep(tmp_path, capsys, doc, sweep,
+                                                            initial, err):
     path = write(tmp_path, "exc.json", doc)
-    argv = ["compare", "--excitation", path, "--eps-sweep", sweep, "--initial", initial,
-            "--out", str(tmp_path / "c.json")]
-    for cpus in (1, None, 8):
-        assert run_on_cpus(monkeypatch, capsys, argv, cpus) == (1, "", err)
-        assert not (tmp_path / "c.json").exists()
-        assert_no_child_left()
-    assert forks
+    code = main(["compare", "--excitation", path, "--eps-sweep", sweep, "--initial", initial,
+                 "--out", str(tmp_path / "c.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", err)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_compare_reports_the_first_failing_run_when_a_later_one_fails_first(
-        tmp_path, capsys, monkeypatch, forks):
-    # the 0.05 and 0.025 runs fail with errors of their own; on 2 CPUs the
-    # 0.05 run is the child's and the 0.025 run the parent's, and the parent
-    # reports the 0.05 run's error, which it makes again after the child stops
-    log = tmp_path / "runs.log"
+        tmp_path, capsys, monkeypatch):
+    # the 0.05 and 0.025 runs fail with errors of their own; the sweep runs
+    # in sweep order and stops at the 0.05 run's
+    runs = []
 
-    def compare(e, initial, t_end, max_step):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {e.epsilon!r}\n")
+    def compare(e, initial, t_end, max_step, record, read):
+        runs.append(e.epsilon)
         if e.epsilon < 0.1:
             raise ValueError(f"the {e.epsilon!r} run fails")
         return dynamics.ComparisonReport(e.epsilon, t_end, 1.0, 1.0, 0.0)
 
-    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
+    monkeypatch.setattr(dynamics, "_compare_run", compare)
     path = write(tmp_path, "v.json", README_VERTICAL_DOC)
-    argv = ["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025",
-            "--out", str(tmp_path / "c.json")]
-    for cpus, children in ((1, 0), (2, 1), (8, 2)):
-        del forks[:]
-        log.write_text("")
-        code, out, err = run_on_cpus(monkeypatch, capsys, argv, cpus)
-        assert (code, out, err) == (1, "", "error: the 0.05 run fails\n")
-        assert not (tmp_path / "c.json").exists()
-        assert len(forks) == children
-        assert_no_child_left()
-        if cpus == 2:
-            runs = [tuple(line.split()) for line in log.read_text().splitlines()]
-            parent, child = str(os.getpid()), str(forks[0])
-            assert sorted(runs) == sorted([(parent, "0.1"), (child, "0.05"), (parent, "0.05")])
-
-
-def test_compare_leaves_no_child_behind(tmp_path, capsys, monkeypatch, forks):
-    passing = write(tmp_path, "v.json", README_VERTICAL_DOC)
-    in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
-    # a symmetry violation is found before the sweep, and nothing is forked
-    for argv, code, children in (
-        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025"], 0, 2),
-        (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05,0.025"], 2, 0),
-        (["compare", "--excitation", passing, "--eps-sweep", "0.1,0.05,0.025",
-          "--t-end", "1e9"], 1, 2),
-    ):
-        del forks[:]
-        assert run_on_cpus(monkeypatch, capsys, argv, 8)[0] == code
-        assert len(forks) == children
-        assert_no_child_left()
-
-
-def test_compare_forks_nothing_while_other_threads_run(tmp_path, capsys, monkeypatch, forks):
-    # a fork copies only the calling thread, so a threaded caller gets the
-    # serial loop
-    import threading
-
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(30.0,))
-    waiter.start()
-    try:
-        doc, pin = COMPARE_PINS[0].values
-        path = write(tmp_path, "v.json", doc)
-        code, out, _ = run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
-                                                         "--eps-sweep", "0.1,0.05,0.025"], 8)
-    finally:
-        release.set()
-        waiter.join(30.0)
-    assert not waiter.is_alive()
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == pin
-    assert forks == []
-
-
-def test_compare_runs_the_sweep_itself_when_it_cannot_fork(tmp_path, capsys, monkeypatch,
-                                                           forks):
-    def refuse():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    doc, pin = COMPARE_PINS[0].values
-    path = write(tmp_path, "v.json", doc)
-    code, out, err = run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
-                                                       "--eps-sweep", "0.1,0.05,0.025"], 8)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == pin
-
-
-def test_an_interrupted_compare_kills_and_reaps_its_children(tmp_path, capsys, monkeypatch,
-                                                             forks):
-    parent = os.getpid()
-
-    def compare(e, initial, t_end, max_step):
-        if os.getpid() != parent:
-            time.sleep(60)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
-    path = write(tmp_path, "v.json", README_VERTICAL_DOC)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
-                                          "--eps-sweep", "0.1,0.05,0.025"], 8)
-    assert time.perf_counter() - t0 < 30.0
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("sweep, split", [
-    # run i goes to worker i % 2 in sweep order, whatever the runs' step
-    # counts: at 64, 32 and 16 steps a fast period they are equal
-    ("0.1,0.05,0.025", [[0.1, 0.025], [0.05]]),
-    # at 64, 64, 32 and 32 a period, in the ratio 640 : 800 : 640 : 800
-    ("0.1,0.08,0.05,0.04", [[0.1, 0.05], [0.08, 0.04]]),
-    # at 64, 64 and 32 a period, in the ratio 640 : 914 : 640
-    ("0.1,0.07,0.05", [[0.1, 0.05], [0.07]]),
-])
-def test_compare_splits_the_sweep_by_step_count(tmp_path, capsys, monkeypatch, forks, sweep,
-                                                split):
-    log = tmp_path / "runs.log"
-
-    def compare(e, initial, t_end, max_step):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {e.epsilon!r}\n")
-        return dynamics.ComparisonReport(e.epsilon, t_end, e.epsilon, e.epsilon, e.epsilon)
-
-    monkeypatch.setattr(dynamics, "compare_full_averaged", compare)
-    path = write(tmp_path, "v.json", README_VERTICAL_DOC)
-    code, _, err = run_on_cpus(monkeypatch, capsys,
-                               ["compare", "--excitation", path, "--eps-sweep", sweep], 2)
-    assert code in (0, 2) and err == ""
-    by_pid = {}
-    for line in log.read_text().splitlines():
-        pid, eps = line.split()
-        by_pid.setdefault(int(pid), []).append(float(eps))
-    assert [by_pid.pop(os.getpid())] + list(by_pid.values()) == split
-    assert list(by_pid) == forks
+    code = main(["compare", "--excitation", path, "--eps-sweep", "0.1,0.05,0.025",
+                 "--out", str(tmp_path / "c.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: the 0.05 run fails\n")
+    assert not (tmp_path / "c.json").exists()
+    assert runs == [0.1, 0.05]
 
 
 def test_in_order_gives_item_i_to_worker_i_mod_w(monkeypatch, forks):
@@ -1196,7 +1075,7 @@ def test_portrait_formats_the_rows_itself_when_it_cannot_fork(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("forked", [0, 1])
-def test_portrait_and_compare_make_the_items_themselves_when_no_pipe_is_left(
+def test_portrait_makes_the_items_itself_when_no_pipe_is_left(
         tmp_path, capsys, monkeypatch, forks, forked):
     # os.pipe fails at once, or after one child (portrait's contour child),
     # as where every file descriptor is in use: the items of the children not
@@ -1206,7 +1085,7 @@ def test_portrait_and_compare_make_the_items_themselves_when_no_pipe_is_left(
 
     def failing():
         attempts.append(None)
-        if len(attempts) % (forked + 1) == 0:  # each run stops forking at the first failure
+        if len(attempts) % (forked + 1) == 0:  # each call stops forking at the first failure
             raise OSError(errno.EMFILE, "Too many open files")
         return counted()
 
@@ -1218,14 +1097,6 @@ def test_portrait_and_compare_make_the_items_themselves_when_no_pipe_is_left(
     assert (code, err) == (0, "")
     assert portrait_digests(out, out_dir) == pins
     assert (len(attempts), len(forks)) == (2, forked)
-    del attempts[:], forks[:]
-    doc, pin = COMPARE_PINS[0].values
-    path = write(tmp_path, "v.json", doc)
-    code, out, err = run_on_cpus(monkeypatch, capsys, ["compare", "--excitation", path,
-                                                       "--eps-sweep", "0.1,0.05,0.025"], 8)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == pin
-    assert (len(attempts), len(forks)) == (forked + 1, forked)
 
 
 def test_portrait_forks_nothing_while_other_threads_run(tmp_path, capsys, monkeypatch, forks):
@@ -1497,9 +1368,9 @@ def imported_by(code: str) -> set[str]:
 
 
 def test_compare_and_the_cli_import_no_process_pool(tmp_path):
-    # compare, portrait and reproduce fork their workers themselves:
-    # multiprocessing and concurrent.futures each cost more to import than a
-    # short sweep takes, and start threads
+    # portrait and reproduce fork their workers themselves, and compare runs
+    # its sweep in one process: multiprocessing and concurrent.futures each
+    # cost more to import than a short sweep takes, and start threads
     pools = {"multiprocessing", "concurrent.futures", "pickle"}
     passing = write(tmp_path, "v.json", README_VERTICAL_DOC)
     in_phase = write(tmp_path, "p.json", IN_PHASE_DOC)
@@ -1508,7 +1379,7 @@ def test_compare_and_the_cli_import_no_process_pool(tmp_path):
         (["compare", "--excitation", in_phase, "--eps-sweep", "0.1,0.05"], 2),
         (["compare", "--excitation", passing, "--eps-sweep", "0.1,1e-300"], 1),
     ):
-        assert not pools & imported_modules(argv, code), argv
+        assert not (pools | {"pendulum_vib._fork"}) & imported_modules(argv, code), argv
     # numpy imports pickle itself; the writers add none of the three
     numpy = imported_by("import numpy")
     assert "pickle" in numpy

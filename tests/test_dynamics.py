@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from pendulum_vib.dynamics import (
     averaged_hamiltonian,
     averaged_params,
     compare_full_averaged,
+    compare_sweep,
     full_hamiltonian,
     full_rhs,
     integrate,
@@ -698,6 +700,133 @@ def test_compare_replays_a_failing_step_at_its_own_velocities(monkeypatch):
             assert replayed == vels[step_start:step_start + len(replayed)]
             longest = max(longest, len(replayed))
     assert longest >= 2
+
+
+def norm_bits(report):
+    return tuple(x.hex() for x in (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift))
+
+
+@pytest.mark.parametrize("sweep, per_period, distinct", [
+    # one step for the whole sweep
+    (README_SWEEP, (64, 32, 16), 1),
+    # the 0.1 and 0.05 runs share one step, the 0.08 and 0.04 runs another
+    ((0.1, 0.08, 0.05, 0.04), (64, 64, 32, 32), 2),
+    # the 0.1 and 0.05 runs share one step, and the 0.07 run has its own
+    ((0.1, 0.07, 0.05), (64, 64, 32), 2),
+])
+def test_compare_sweep_steps_the_averaged_flow_once_a_step_and_reports_each_run_as_alone(
+        monkeypatch, sweep, per_period, distinct):
+    # the averaged flow has no epsilon, so a sweep steps it once for each
+    # distinct step and the runs after the first on that step read its
+    # states; every report is bit for bit that of the run alone.  The spy:
+    # each full-flow slope takes two sines, each reduced stage one
+    start = FullState(2.0, 0.0, 0.0, 0.3)
+    calls = {"sin": 0, "slopes": 0}
+    slopes = dynamics._full_slopes
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def sin(self, x):
+            calls["sin"] += 1
+            return math.sin(x)
+
+    def counting_slopes(*args):
+        calls["slopes"] += 1
+        return slopes(*args)
+
+    for shape in PIN_SHAPES.values():
+        runs = [Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi) for eps in sweep]
+        max_step = runs[0].fast_period / dynamics.STEPS_PER_FAST_PERIOD
+        alone = [norm_bits(compare_full_averaged(run, start, 10.0, max_step)) for run in runs]
+        steps = {run.fast_period / n for run, n in zip(runs, per_period)}
+        assert len(steps) == distinct
+        reduced_steps = sum(len(list(dynamics._time_grid([], (0.0, 10.0), h)[2])) for h in steps)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "math", CountingMath())
+            m.setattr(dynamics, "_full_slopes", counting_slopes)
+            calls.update(sin=0, slopes=0)
+            swept = [norm_bits(r) for r in compare_sweep(runs, start, 10.0)]
+        assert swept == alone, shape
+        assert calls["sin"] - 2 * calls["slopes"] == 4 * reduced_steps, shape
+
+
+def test_compare_sweep_fails_at_a_later_run_as_that_run_alone(monkeypatch):
+    # the 0.025 run of the README sweep reads the averaged flow's states that
+    # the 0.1 run recorded; its full flow is made to overflow at the midpoint
+    # velocity of its fourth step, and the replay from the recorded
+    # step-start state reports the lone run's blow-up
+    start = FullState(2.0, 0.0, 0.0, 0.3)
+    runs = [Excitation(eps, 1.0, xi=SIN) for eps in README_SWEEP]
+    last = runs[-1]
+    max_step = runs[0].fast_period / dynamics.STEPS_PER_FAST_PERIOD
+    step = last.fast_period / 16
+    assert step == max_step
+    bad = eval_velocity(last, 7 * (0.5 * step))
+    slopes, run = dynamics._full_slopes, dynamics._compare_run
+    current = []
+
+    def failing(vel, *y):
+        k = slopes(vel, *y)
+        return (math.inf, *k[1:]) if current[-1] is last and vel == bad else k
+
+    monkeypatch.setattr(dynamics, "_full_slopes", failing)
+    monkeypatch.setattr(dynamics, "_compare_run",
+                        lambda e, *args: (current.append(e), run(e, *args))[1])
+    with pytest.raises(ValueError) as swept:
+        compare_sweep(runs, start, 10.0)
+    assert current == runs
+    with pytest.raises(ValueError) as alone:
+        compare_full_averaged(last, start, 10.0, max_step)
+    assert type(swept.value) is type(alone.value) is IntegrationBlowUpError
+    assert str(swept.value) == str(alone.value)
+    assert swept.value.time == alone.value.time == 4 * step
+
+
+@pytest.mark.parametrize("sweep, kept, live", [
+    # per run: "fill" records its step's averaged flow, "read" reads it and
+    # None does neither; then the records alive as the run starts
+    (README_SWEEP, ("fill", "read", "read"), [0, 1, 1]),
+    ((0.1, 0.08, 0.05, 0.04), ("fill", "fill", "read", "read"), [0, 1, 2, 1]),
+    ((0.1, 0.07, 0.05), ("fill", None, "read"), [0, 1, 1]),
+    ((0.1, 0.07), (None, None), [0, 0]),
+])
+def test_compare_sweep_records_a_step_only_for_its_later_runs_and_drops_it_after_them(
+        monkeypatch, sweep, kept, live):
+    # a record holds two doubles a step, so it is made only when a later run
+    # shares its step and dropped after its last reader
+    start = FullState(2.0, 0.0, 0.0, 0.3)
+    runs = [Excitation(eps, 1.0, xi=SIN) for eps in sweep]
+    run, seen, alive, refs = dynamics._compare_run, [], [], []
+
+    def spy(e, initial, t_end, max_step, record, read):
+        alive.append(sum(ref() is not None for ref in refs))
+        rep = run(e, initial, t_end, max_step, record, read)
+        seen.append(None if record is None else "read" if read else "fill")
+        if seen[-1] == "fill":
+            refs.append(weakref.ref(record))
+            step = e.fast_period / dynamics._steps_a_period(e, max_step)
+            assert len(record) == 2 * len(list(dynamics._time_grid([], (0.0, t_end), step)[2]))
+        return rep
+
+    monkeypatch.setattr(dynamics, "_compare_run", spy)
+    compare_sweep(runs, start, 10.0)
+    assert (tuple(seen), alive) == (kept, live)
+    assert all(ref() is None for ref in refs)
+    seen.clear()
+    compare_full_averaged(runs[0], start, 10.0)
+    assert seen == [None]
+
+
+def test_compare_sweep_refuses_runs_that_differ_in_more_than_epsilon(monkeypatch):
+    # the averaged flow a run reads must be its own: omega and the series
+    # set the moments, so a sweep's runs may differ only in epsilon
+    start = FullState(2.0, 0.0, 0.0, 0.3)
+    monkeypatch.setattr(dynamics, "_compare_run", lambda *args: pytest.fail("a run was made"))
+    for other in (Excitation(0.2, 2.0, xi=SIN), Excitation(0.05, 1.0, xi=SIN, tau=SIN)):
+        with pytest.raises(ValueError, match="differ only in epsilon"):
+            compare_sweep([Excitation(0.1, 1.0, xi=SIN), other], start, 10.0)
 
 
 def test_compare_readme_sweep_is_pinned():

@@ -362,6 +362,28 @@ def test_find_equilibria_refuses_a_subnormal_barrier():
         assert eq.second_derivative == pytest.approx(4.0 * (1.0 + amc), rel=1e-6)
 
 
+def test_find_equilibria_gives_finite_values_or_refuses_past_the_float_range():
+    # 2 (A - C) in d2V overflows from |A - C| = 2^1023 (~8.99e307) up: V and
+    # d2V at every equilibrium are finite, or find_equilibria refuses the
+    # point as bad input, naming A - C wherever 2 (A - C) overflows
+    rng = np.random.default_rng(3108)
+    magnitudes = [10.0 ** float(x) for x in rng.uniform(300.0, math.log10(1.79e308), 40)]
+    for magnitude in magnitudes + [2.0 ** 1023, 1.79e308]:
+        for amc in (magnitude, -magnitude):
+            for b in (0.0, 1e-300, 1.0, 1e300):
+                try:
+                    eqs = find_equilibria(AveragedParams.from_a_minus_c(amc, b))
+                except ValueError as exc:
+                    # below 2^1023 only a minimum next to a pole, where sin^4
+                    # underflows, is refused
+                    assert (str(exc).startswith(f"A - C = {amc}") if magnitude >= 2.0 ** 1023
+                            else isinstance(exc, SingularConfigurationError)), (amc, b, exc)
+                    continue
+                assert magnitude < 2.0 ** 1023 and eqs, (amc, b)
+                for eq in eqs:
+                    assert all(map(math.isfinite, (eq.phi, eq.v_value, eq.second_derivative)))
+
+
 def test_just_inside_domain_two_near_gamma():
     b_star = fold_b(2.0)
     assert classify_domain(AveragedParams.from_a_minus_c(2.0, b_star * (1.0 - 1e-7))) == "II"
