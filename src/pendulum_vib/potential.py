@@ -54,7 +54,7 @@ __all__ = [
 
 # Relative distance |B - B*| / B* to gamma within which a point is "boundary".
 BOUNDARY_REL = 1e-12
-# the bisection variables, as named in error messages
+# the root finder's variables, as named in error messages
 _W, _U = "1 - |cos phi|", "|cos phi|"
 
 DomainLabel = Literal["I", "II", "boundary"]
@@ -271,24 +271,59 @@ def _in_u(a: float, b: float, sign: float) -> Callable[[float], float]:
 
 
 def _root(f: Callable[[float], float], lo: float, hi: float, var: str) -> float:
-    """The one root in [lo, hi] of f, by bisection.
+    """The one root in [lo, hi] of f, by the Illinois method.
 
-    The bracket is split at its geometric mean while it spans more than a
-    factor of two, so a root next to lo = 0 (w ~ sqrt(B) next to a pole)
-    takes the same 60-odd steps to the last bit as any other.
+    A chord step cuts the bracket at the zero of the chord through the ends'
+    weighted values of f, or at the float next to an end that the zero
+    rounds to, and halves the weight of an end that two chord steps in a row
+    leave in place, so that the next chord reaches past the root.  A chord
+    step that leaves the bracket holding the point where bisection would
+    have split it is followed by a bisection step, which moves an end and
+    keeps its weight; so no root takes more than about twice bisection's
+    evaluations.  Bisection splits at the geometric mean while the bracket
+    spans more than a factor of two, so a root next to lo = 0 (w ~ sqrt(B)
+    next to a pole) takes as few halvings as any other.  The sign change
+    stays bracketed throughout; the search stops at an exact zero of f, or
+    when no float lies strictly between lo and hi.
     """
-    f_lo = f(lo)
-    if (f_lo < 0.0) == (f(hi) < 0.0):
+    f_lo, f_hi = f(lo), f(hi)
+    if (f_lo < 0.0) == (f_hi < 0.0):
         raise InconsistentCountError(f"no equilibrium with {var} in [{lo}, {hi}]")
+    k_lo = k_hi = 1.0  # the chord's weights on f_lo and f_hi
+    moved = 0  # the end that the last chord step moved: -1 for lo, 1 for hi
+    split = math.nan  # where bisection would have split the last step's bracket
+    tiny = sys.float_info.min
     while True:
-        floor = max(lo, sys.float_info.min)
+        floor = lo if lo > tiny else tiny
         mid = math.sqrt(floor) * math.sqrt(hi) if hi > 2.0 * floor else 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if (f(mid) < 0.0) == (f_lo < 0.0):
-            lo = mid
+        chord = not lo < split < hi
+        if chord:
+            x = lo + (hi - lo) * (k_lo * f_lo / (k_lo * f_lo - k_hi * f_hi))
+            if x <= lo:
+                x = math.nextafter(lo, hi)
+            elif x >= hi:
+                x = math.nextafter(hi, lo)
+            chord = lo < x < hi  # False only when x is NaN
+        if not chord:
+            x = mid
+        split = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, fx
+            if chord:
+                if moved < 0:
+                    k_hi *= 0.5
+                k_lo, moved = 1.0, -1
         else:
-            hi = mid
+            hi, f_hi = x, fx
+            if chord:
+                if moved > 0:
+                    k_lo *= 0.5
+                k_hi, moved = 1.0, 1
 
 
 def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
@@ -305,8 +340,11 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     disagrees with the kind, raises :class:`InconsistentCountError`.  A
     subnormal B raises ValueError: the minimum next to phi = 0 sits at
     phi ~ B^(1/4), where sin^4 phi underflows and d2V loses its digits.
-    So does a V or d2V past the float range (2 (A - C) overflows for
-    |A - C| above ~8.99e307).
+    So does a minimum at sin(phi) ~ (B / |A - C|)^(1/4) where sin^4 phi
+    underflows (A - C = 1e300 with B = 1e-300), a V or d2V past the float
+    range (2 (A - C) overflows for |A - C| above ~8.99e307), and a d2V that
+    cancels to 0 where the kind says it cannot (A - C = B = 1e200 puts the
+    minimum ~1e-67 from phi = pi/2, where d2V's terms of 1e200 cancel).
     V and d2V are evaluated from the sine and cosine of each equilibrium's
     distance to its pole, so one closer to pi than the float spacing there
     gets its own values, not those at phi = math.pi.
@@ -322,9 +360,19 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
 
     eqs = []
     for (phi, s, c), kind in found:
+        if ap.B != 0.0 and s * s * s * s == 0.0:
+            raise ValueError(
+                f"A - C = {ap.a_minus_c} with B = {ap.B} puts a minimum of V next to a pole"
+                " past the float range, where sin(phi)^4 underflows"
+            )
         second, v = _d2v(s, c, ap), _v(s, c, ap)
         if not (math.isfinite(v) and math.isfinite(second)):
             raise ValueError(f"A - C = {ap.a_minus_c} with B = {ap.B} is out of range")
+        if second == 0.0 and kind != "degenerate":
+            raise ValueError(
+                f"A - C = {ap.a_minus_c} with B = {ap.B} is out of range:"
+                f" d2V cancels to 0 at the {kind} equilibrium at phi = {phi}"
+            )
         if kind != "degenerate" and (second > 0.0) != (kind == "stable"):
             raise InconsistentCountError(f"{kind} equilibrium at phi = {phi} has d2V = {second}")
         eqs.append(Equilibrium(phi=phi, kind=kind, v_value=v, second_derivative=second))
@@ -357,7 +405,7 @@ def _barrier(a: float, b: float) -> list[tuple[Point, EquilibriumKind]]:
     w_star = r / (1.0 + r)
     if a < -3.5:
         # the minimum sits at cos phi < 1 / |A - C| < 2/7, next to the equator,
-        # where (1 + a) - a w cancels: bisect in u = cos phi on [0, 1/2] (the
+        # where (1 + a) - a w cancels: solve in u = cos phi on [0, 1/2] (the
         # mirror image of the A - C > 3.5 saddle below), and take phi from u
         u = _root(_in_u(a, b, 1.0), 0.0, 0.5, _U)
         found = [(_on(math.acos(u)), "stable")]

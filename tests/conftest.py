@@ -77,6 +77,24 @@ def brute_force_roots(f, lo: float, hi: float, n: int, width: float = 1e-13) -> 
     return roots
 
 
+def last_bit_bisection(f, lo: float, hi: float) -> float:
+    """The sign change of f in [lo, hi], halved at the midpoint to the last bit.
+
+    A midpoint that rounds to an end means no float lies strictly between
+    the ends; that end is returned.
+    """
+    negative_at_lo = f(lo) < 0.0
+    assert negative_at_lo != (f(hi) < 0.0), (lo, hi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return mid
+        if (f(mid) < 0.0) == negative_at_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
 def sin3_dv(phi, a: float, b: float):
     """sin^3(phi) dV/dphi = sin^4 phi (a cos phi + 1) - b cos phi, finite at the poles."""
     s = np.sin(phi)

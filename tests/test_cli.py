@@ -587,7 +587,7 @@ SCALAR_PINS = [
     (["moments", "--excitation", "{circular}", "--p-alpha", "0.3", "--phys", "2,0.5,4"],
      "f660f6e66d241ac57d5e95ce336e4b20ec85338c1863ea0502b809a9ea2a8953"),
     (["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
-     "707964b02d318dda25cf5ba34c8281d2f54d0b7c4063940204f26be3baea4739"),
+     "5e7c971a1f018d6afb83b5167e63863228312b435cd4d8a0a74344d9af5dd429"),
     (["equilibria", "--a-minus-c", "0", "--b", "0.1"],
      "287d561354d9801a78070f7e508c24520de499e018ce735445ce890e19490da1"),
     (["domain", "--a-minus-c", "3.5", "--b", "0.01"],
@@ -643,6 +643,29 @@ def test_an_a_minus_c_whose_curvature_overflows_is_input_error(tmp_path, capsys,
     assert captured.out == ""
     message = f"A - C = {float(a_minus_c)} with B = {float(b)} is out of range"
     assert captured.err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["equilibria", "portrait"])
+@pytest.mark.parametrize("a_minus_c, b, reason", [
+    # the minimum next to each pole sits ~(B / (A - C))^(1/4) = 1e-150 from
+    # it, where sin^4 underflows: the refusal named neither parameter
+    ("1e300", "1e-300", "puts a minimum of V next to a pole past the float range,"
+                        " where sin(phi)^4 underflows"),
+    # next to gamma the minimum sits ~1e-67 from pi/2, where d2V's terms of
+    # 1e200 cancel: it read 0 at a stable equilibrium and exited 2
+    ("1e200", "1e200", "is out of range: d2V cancels to 0 at the stable equilibrium"),
+])
+def test_a_minimum_past_the_float_resolution_is_input_error(tmp_path, capsys, command,
+                                                            a_minus_c, b, reason):
+    out_dir = tmp_path / "out"
+    argv = [command, "--a-minus-c", a_minus_c, "--b", b]
+    code = main(argv + (["--nx", "16", "--out", str(out_dir)] if command == "portrait" else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: A - C = {float(a_minus_c)} with B = {float(b)} {reason}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert not out_dir.exists()
 
 

@@ -11,10 +11,12 @@ from conftest import (
     central_diff,
     close_rel,
     fold_b,
+    last_bit_bisection,
     pole_aware_roots,
     sin3_dv,
 )
 
+from pendulum_vib import potential
 from pendulum_vib.excitation import MomentMatrix
 from pendulum_vib.potential import (
     AveragedParams,
@@ -300,7 +302,7 @@ def test_three_equilibria_at_a_huge_a_minus_c(amc, b):
 def test_lone_minimum_at_a_hugely_negative_a_minus_c(amc, b):
     # the minimum sits at cos phi ~ 1 / (|A - C| + B), below pi/2 by far less
     # than the float spacing, so the float nearest it is math.pi / 2, which
-    # lies below pi/2; bisected in w = 1 - cos phi, where (1 + a) - a w
+    # lies below pi/2; found in w = 1 - cos phi, where (1 + a) - a w
     # cancels, it landed one float above
     eqs = find_equilibria(AveragedParams.from_a_minus_c(amc, b))
     assert [eq.kind for eq in eqs] == ["stable"]
@@ -374,10 +376,12 @@ def test_find_equilibria_gives_finite_values_or_refuses_past_the_float_range():
                 try:
                     eqs = find_equilibria(AveragedParams.from_a_minus_c(amc, b))
                 except ValueError as exc:
-                    # below 2^1023 only a minimum next to a pole, where sin^4
-                    # underflows, is refused
-                    assert (str(exc).startswith(f"A - C = {amc}") if magnitude >= 2.0 ** 1023
-                            else isinstance(exc, SingularConfigurationError)), (amc, b, exc)
+                    # every refusal names A - C; below 2^1023 only a minimum
+                    # next to a pole, where sin^4 underflows, is refused
+                    message = str(exc)
+                    assert message.startswith(f"A - C = {amc}"), (amc, b, exc)
+                    assert (magnitude >= 2.0 ** 1023
+                            or message.endswith("where sin(phi)^4 underflows")), (amc, b, exc)
                     continue
                 assert magnitude < 2.0 ** 1023 and eqs, (amc, b)
                 for eq in eqs:
@@ -420,6 +424,88 @@ def test_near_gamma_sweep_matches_the_pole_aware_scan():
         delta = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -2.0))
         label = check_against_pole_aware_scan(gp.a_minus_c, gp.b * (1.0 + delta), focus=(phi,))
         assert label == ("I" if delta > 0.0 else "II")
+
+
+def root_finder_sweep(gamma_exponents=(-4.0, -2.0)) -> list[tuple[float, float]]:
+    """Seeded (A - C, B) points over the reproduce box, the band next to
+    gamma and the corners, with B from the smallest normal float to 1e300.
+
+    The band puts B at a relative distance 10^x from gamma, with x
+    uniform between ``gamma_exponents``.
+    """
+    rng = np.random.default_rng(32)
+    points = [(float(rng.uniform(-1.0, 4.0)), float(rng.uniform(0.05, 1.5))) for _ in range(150)]
+    for _ in range(100):
+        a = float(rng.uniform(1.05, 8.0))
+        rel = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(*gamma_exponents))
+        points.append((a, fold_b(a) * (1.0 + rel)))
+    for low in (-30.0, math.log10(sys.float_info.min)):
+        for _ in range(100):
+            b = float(10.0 ** rng.uniform(low, 6.0))
+            points.append((float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0)), b))
+    for b in (sys.float_info.min, 1e300):
+        points += [(a, b) for a in (-1e6, -3.6, -1.0, 0.5, 2.0, 3.0, 5.0, 1e3, 1e6)]
+    return points
+
+
+def test_root_finder_averages_at_most_20_evaluations_a_root(monkeypatch):
+    # bisection to the last bit took 63 evaluations of f a root on average
+    # and 65 at most; the sweep, down to 1e-10 from gamma, must average at
+    # most 20 and never take more than twice bisection's most
+    counts, brackets = [], set()
+
+    def counted(f, lo, hi, var):
+        calls = [0]
+
+        def g(x):
+            calls[0] += 1
+            return f(x)
+
+        found = root(g, lo, hi, var)
+        counts.append(calls[0])
+        brackets.add((var, lo == 0.0, hi if hi in (0.5, 1.0) else "star"))
+        return found
+
+    root = potential._root
+    monkeypatch.setattr(potential, "_root", counted)
+    points = root_finder_sweep((-10.0, -2.0))
+    for amc, b in points:
+        find_equilibria(AveragedParams.from_a_minus_c(amc, b))
+    assert sum(counts) / len(counts) <= 20.0
+    assert max(counts) <= 130
+    # the sweep takes B over the float range and every bracket of _barrier,
+    # told apart by (variable, lo == 0, hi): the minimum next to phi = 0 in
+    # w, or for A - C < -3.5 in u; the r <= 1 saddle and far minimum in w;
+    # the r > 1 saddle in u, and the far minimum in w or in u by the sign
+    # of in_w(0.5)
+    assert (min(b for _, b in points), max(b for _, b in points)) == (sys.float_info.min, 1e300)
+    w, u = "1 - |cos phi|", "|cos phi|"
+    assert brackets == {
+        (w, True, 1.0), (u, True, 0.5), (w, False, 1.0), (w, True, "star"),
+        (u, True, "star"), (w, True, 0.5), (u, False, 0.5),
+    }
+
+
+def test_root_finder_lands_within_32_ulps_of_a_last_bit_bisection():
+    # f is a polynomial rounded at every operation, so its sign is noise
+    # within a few ulps of the root; plain bisection of the same f in the
+    # same bracket pins down one of its sign changes to the last bit.  Closer
+    # than 1e-4 to gamma two roots merge, f is flat between them and its
+    # sign is noise over thousands of ulps (two bisections that split the
+    # bracket at different points land up to ~3e4 ulps apart at 1e-10);
+    # test_near_gamma_sweep_matches_the_pole_aware_scan holds those roots
+    def bisected(f, lo, hi, var):
+        return last_bit_bisection(f, lo, hi)
+
+    for amc, b in root_finder_sweep():
+        ap = AveragedParams.from_a_minus_c(amc, b)
+        found = [eq.phi for eq in find_equilibria(ap)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(potential, "_root", bisected)
+            reference = [eq.phi for eq in find_equilibria(ap)]
+        assert len(found) == len(reference), (amc, b)
+        ulps = np.abs(np.array(found).view(np.int64) - np.array(reference).view(np.int64))
+        assert ulps.max() <= 32, (amc, b, found, reference)
 
 
 def test_gamma_csv_round_trip():
