@@ -88,6 +88,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
     phys = PhysicalParams(*_parse_float_list(args.phys, expect=3, what="--phys"))
     if not (0.0 < args.tol < math.inf):
         raise ValueError("--tol must be positive and finite")
+    if not math.isfinite(args.p_alpha):
+        raise ValueError(f"--p-alpha must be finite, got {args.p_alpha}")
     from .excitation import check_symmetry, load_excitation, velocity_moments
 
     e = load_excitation(args.excitation)
@@ -240,6 +242,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     initial = _parse_float_list(args.initial, expect=4, what="--initial")
     if not all(map(math.isfinite, initial)):
         raise ValueError(f"--initial must be finite, got {initial}")
+    if not (0.0 < args.t_end < math.inf):
+        raise ValueError(f"--t-end must be positive and finite, got {args.t_end}")
     from .excitation import Excitation, SymmetryViolationError, load_excitation
 
     e = load_excitation(args.excitation)

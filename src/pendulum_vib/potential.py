@@ -54,7 +54,8 @@ __all__ = [
 
 # Relative distance |B - B*| / B* to gamma within which a point is "boundary".
 BOUNDARY_REL = 1e-12
-# the root finder's variables, as named in error messages
+# the root finder's variables, as named in error messages: w on the pole
+# half |cos phi| >= 1/2 and u on the equator half (see _between)
 _W, _U = "1 - |cos phi|", "|cos phi|"
 
 DomainLabel = Literal["I", "II", "boundary"]
@@ -344,7 +345,9 @@ def find_equilibria(ap: AveragedParams) -> list[Equilibrium]:
     underflows (A - C = 1e300 with B = 1e-300), a V or d2V past the float
     range (2 (A - C) overflows for |A - C| above ~8.99e307), and a d2V that
     cancels to 0 where the kind says it cannot (A - C = B = 1e200 puts the
-    minimum ~1e-67 from phi = pi/2, where d2V's terms of 1e200 cancel).
+    minimum ~1e-67 from phi = pi/2, where d2V's terms of 1e200 cancel;
+    A - C = B = 1e16, with the minimum ~3.7e-6 from it, is answered, but
+    past ~1e14 there d2V keeps fewer of its digits as B grows).
     V and d2V are evaluated from the sine and cosine of each equilibrium's
     distance to its pole, so one closer to pi than the float spacing there
     gets its own values, not those at phi = math.pi.
@@ -400,36 +403,44 @@ def _planar(a: float) -> list[tuple[Point, EquilibriumKind]]:
 
 
 def _barrier(a: float, b: float) -> list[tuple[Point, EquilibriumKind]]:
-    """(point, kind) of the equilibria at B = b > 0, in the domain's brackets."""
+    """(point, kind) of the equilibria at B = b > 0, in the domain's brackets.
+
+    Each root of sin^3(phi) dV lies between two of the pole, the equator
+    and, in domain II, the fold, each given as its (w, u) = (1 - |cos phi|,
+    |cos phi|) with neither taken from the other; :func:`_between` solves
+    it on the half that holds it.
+    """
     label, r = _domain(a, b)
-    w_star = r / (1.0 + r)
-    if a < -3.5:
-        # the minimum sits at cos phi < 1 / |A - C| < 2/7, next to the equator,
-        # where (1 + a) - a w cancels: solve in u = cos phi on [0, 1/2] (the
-        # mirror image of the A - C > 3.5 saddle below), and take phi from u
-        u = _root(_in_u(a, b, 1.0), 0.0, 0.5, _U)
-        found = [(_on(math.acos(u)), "stable")]
-    else:
-        found = [(_point(_root(_in_w(a, b, 1.0), 0.0, 1.0, _W), 1.0), "stable")]
+    pole, equator, fold = (0.0, 1.0), (1.0, 0.0), (r / (1.0 + r), 1.0 / (1.0 + r))
+    found = [(_between(a, b, 1.0, pole, equator, -b), "stable")]
     if label == "II":
-        in_w = _in_w(a, b, -1.0)
-        if r <= 1.0:  # w* <= 1/2
-            found.append((_point(_root(in_w, w_star, 1.0, _W), -1.0), "unstable"))
-            found.append((_point(_root(in_w, 0.0, w_star, _W), -1.0), "stable"))
-        else:
-            # w* > 1/2 rounds to 1 once |c*| = 1 / (1 + r) is below the float
-            # spacing there: bracket the equator side in u = |cos phi| instead
-            in_u = _in_u(a, b, -1.0)
-            u_star = 1.0 / (1.0 + r)
-            found.append((_point(1.0 - _root(in_u, 0.0, u_star, _U), -1.0), "unstable"))
-            if in_w(0.5) < 0.0:  # sin^3(phi) dV is b > 0 at the pole
-                w_min = _root(in_w, 0.0, 0.5, _W)
-            else:
-                w_min = 1.0 - _root(in_u, u_star, 0.5, _U)
-            found.append((_point(w_min, -1.0), "stable"))
+        found.append((_between(a, b, -1.0, fold, equator, -1.0), "unstable"))
+        found.append((_between(a, b, -1.0, pole, fold, b), "stable"))
     elif label == "boundary":
-        found.append((_point(w_star, -1.0), "degenerate"))
+        found.append((_point(fold[0], -1.0), "degenerate"))
     return found
+
+
+def _between(a: float, b: float, sign: float, near: tuple[float, float],
+             far: tuple[float, float], f_near: float) -> Point:
+    """The point of the one root, with cos phi of the given sign, between
+    the (w, u) ends near and far; near is the end nearer the pole, and the
+    theory gives sin^3(phi) dV the sign of f_near there.
+
+    A root keeps its digits in w where |cos phi| >= 1/2 and in u below
+    that, so it is solved in w on [near, min(far, 1/2)] or in u on
+    [far, min(near, 1/2)].  Where both ends lie in one half that half holds
+    it; otherwise the sign of f at |cos phi| = 1/2 tells which half does,
+    read in the variable of the bracket that ends there, since _root reads
+    it again.  Where in_w and in_u round f there to opposite signs, 1/2 is
+    the root.  A root found in u takes phi from acos(sign u).
+    """
+    in_w, in_u = _in_w(a, b, sign), _in_u(a, b, sign)
+    if far[0] <= 0.5 or (near[0] < 0.5 and (in_w(0.5) < 0.0) != (f_near < 0.0)):
+        return _point(_root(in_w, near[0], min(far[0], 0.5), _W), sign)
+    if near[0] >= 0.5 or (in_u(0.5) < 0.0) == (f_near < 0.0):
+        return _on(math.acos(sign * _root(in_u, far[1], min(near[1], 0.5), _U)))
+    return _point(0.5, sign)
 
 
 def _point(w: float, sign: float) -> Point:

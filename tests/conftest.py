@@ -6,7 +6,7 @@ independent of the library code paths they audit.  ``written`` reads what
 a portrait writer writes, ``excitation_doc`` and ``ZERO_MOMENTS`` build
 test inputs, ``full_slopes`` writes the full flow's equations term by term,
 and ``Bounded`` evaluates them exactly, with the magnitude that bounds their
-rounding error.
+rounding error.  ``fold_b`` and ``minimum_cos`` bisect in 60-digit decimals.
 """
 
 import io
@@ -262,3 +262,25 @@ def fold_b(a: float) -> float:
             else:
                 hi = mid
         return float((mid * mid - 1) ** 3 / (4 * mid ** 3))
+
+
+def minimum_cos(a: float, b: float) -> Decimal:
+    """cos phi of the minimum of V with cos phi > 0, at A - C = a and B = b > 0,
+    in 60-digit arithmetic.
+
+    sin^3(phi) dV = (1 - c^2)^2 (a c + 1) - b c is 1 at c = 0 and -b at
+    c = 1, with one root between.  Bisection in 60-digit decimals of the
+    float inputs, taken exactly, finds it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(a), Decimal(b)
+        lo, hi = Decimal(0), Decimal(1)
+        while True:
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                return mid
+            if (1 - mid * mid) ** 2 * (a * mid + 1) - b * mid > 0:
+                lo = mid
+            else:
+                hi = mid

@@ -586,8 +586,10 @@ SCALAR_PINS = [
      "cae956234acbd31e5f6477f0cc1cd37291f2967e297e10100f7736a82f6c7291"),
     (["moments", "--excitation", "{circular}", "--p-alpha", "0.3", "--phys", "2,0.5,4"],
      "f660f6e66d241ac57d5e95ce336e4b20ec85338c1863ea0502b809a9ea2a8953"),
+    # r = 1 puts the fold at |cos phi| = 1/2, so the saddle is solved in u
+    # on [0, 1/2]
     (["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
-     "5e7c971a1f018d6afb83b5167e63863228312b435cd4d8a0a74344d9af5dd429"),
+     "68e32733ed58c6b975ffc664b2ccf93ee9c126d3b547d62580a73487077a5426"),
     (["equilibria", "--a-minus-c", "0", "--b", "0.1"],
      "287d561354d9801a78070f7e508c24520de499e018ce735445ce890e19490da1"),
     (["domain", "--a-minus-c", "3.5", "--b", "0.01"],
@@ -756,6 +758,25 @@ def test_compare_names_the_given_initial_state_when_it_is_not_finite(tmp_path, c
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: --initial must be finite, got {shown}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--t-end", "nan"], "--t-end must be positive and finite, got nan"),
+    (["compare", "--t-end", "inf"], "--t-end must be positive and finite, got inf"),
+    (["compare", "--t-end", "0"], "--t-end must be positive and finite, got 0.0"),
+    (["compare", "--t-end=-1"], "--t-end must be positive and finite, got -1.0"),
+    (["moments", "--p-alpha", "nan"], "--p-alpha must be finite, got nan"),
+])
+def test_an_option_is_checked_before_the_excitation_file_is_read(tmp_path, capsys, argv, message):
+    # the missing file was reported first; with a real file the error read
+    # "t_span must be finite, got (0.0, nan)" or "p_alpha must be finite",
+    # naming no option
+    sweep = ["--eps-sweep", "0.1,0.05"] if argv[0] == "compare" else []
+    code = main([argv[0], "--excitation", str(tmp_path / "missing.json"), *sweep, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_compare_refuses_asymmetric_excitation(tmp_path, capsys):

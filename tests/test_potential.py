@@ -12,6 +12,7 @@ from conftest import (
     close_rel,
     fold_b,
     last_bit_bisection,
+    minimum_cos,
     pole_aware_roots,
     sin3_dv,
 )
@@ -313,6 +314,39 @@ def test_lone_minimum_at_a_hugely_negative_a_minus_c(amc, b):
     assert np.sign(below) != np.sign(above), phi
 
 
+@pytest.mark.parametrize("amc, b", [
+    (1e8, 1e8), (1e10, 1e10), (1e12, 1e12), (1e14, 1e14), (1e16, 1e16), (1e20, 1.000000000001e20),
+])
+def test_a_barrier_above_a_large_a_minus_c_puts_the_minimum_at_the_equator(amc, b):
+    # the minimum next to phi = 0 sits at cos phi ~ (1 / (2 (A - C)))^(1/3)
+    # on A - C = B, and ~1e-8 short of pi/2 at (1e20, 1.000000000001e20);
+    # solved in w = 1 - cos phi, where (1 + a) - a w drops the 1, it was
+    # 3.3e-10 off at 1e12, 2.4e-8 at 1e14, and refused at 1e16.  Past 1e14
+    # d2V's own terms of size B cancel, so only its position is held there
+    eq = find_equilibria(AveragedParams.from_a_minus_c(amc, b))[0]
+    c = minimum_cos(amc, b)
+    assert eq.kind == "stable"
+    assert abs(math.cos(eq.phi) - float(c)) <= 1e-11, (eq.phi, c)
+    if amc <= 1e14:
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, bd, s2 = Decimal(amc), Decimal(b), 1 - c * c
+            exact = 3 * bd * c * c / (s2 * s2) + bd / s2 + a * (c * c - s2) + c
+            assert abs(Decimal(eq.second_derivative) - exact) <= Decimal("1e-6") * exact
+
+
+@pytest.mark.parametrize("amc, b", [(0.2, 1.2375), (0.16, 1.215), (-0.15, 1.0406250000000001)])
+def test_a_minimum_at_cos_phi_one_half_is_found(amc, b):
+    # B = 0.5625 (2 + (A - C)) puts the minimum at cos phi = 1/2, where
+    # sin^3(phi) dV read in w = 1 - cos phi rounds to below 0 and read in
+    # u = cos phi to 0: the root's half was picked by one reading and its
+    # bracket checked with the other, which raised InconsistentCountError
+    assert potential._in_w(amc, b, 1.0)(0.5) < 0.0 <= potential._in_u(amc, b, 1.0)(0.5)
+    (eq,) = find_equilibria(AveragedParams.from_a_minus_c(amc, b))
+    assert eq.kind == "stable"
+    assert abs(math.cos(eq.phi) - float(minimum_cos(amc, b))) <= 1e-15, eq.phi
+
+
 def test_lone_minimum_next_to_the_pole_at_a_minus_c_minus_one():
     # at A - C = -1 the minimum sits at phi ~ (2 B)^(1/6), where cos phi
     # rounds to 1 and a (c^2 - s^2) + c, summed as written, cancels to 0 and
@@ -451,38 +485,49 @@ def root_finder_sweep(gamma_exponents=(-4.0, -2.0)) -> list[tuple[float, float]]
 def test_root_finder_averages_at_most_20_evaluations_a_root(monkeypatch):
     # bisection to the last bit took 63 evaluations of f a root on average
     # and 65 at most; the sweep, down to 1e-10 from gamma, must average at
-    # most 20 and never take more than twice bisection's most
-    counts, brackets = [], set()
+    # most 20, the evaluation that picks a root's half included, and never
+    # take more than twice bisection's most in one bracket
+    calls, counts, brackets = [0], [], set()
 
-    def counted(f, lo, hi, var):
-        calls = [0]
+    def counting(make):
+        def made(a, b, sign):
+            f = make(a, b, sign)
 
-        def g(x):
-            calls[0] += 1
-            return f(x)
+            def g(x):
+                calls[0] += 1
+                return f(x)
 
-        found = root(g, lo, hi, var)
-        counts.append(calls[0])
-        brackets.add((var, lo == 0.0, hi if hi in (0.5, 1.0) else "star"))
+            g.sign = sign
+            return g
+
+        return made
+
+    def recorded(f, lo, hi, var):
+        before = calls[0]
+        found = root(f, lo, hi, var)
+        counts.append(calls[0] - before)
+        brackets.add((var, f.sign, lo == 0.0))
+        assert 0.0 <= lo < hi <= 0.5, (var, lo, hi)
         return found
 
     root = potential._root
-    monkeypatch.setattr(potential, "_root", counted)
+    monkeypatch.setattr(potential, "_in_w", counting(potential._in_w))
+    monkeypatch.setattr(potential, "_in_u", counting(potential._in_u))
+    monkeypatch.setattr(potential, "_root", recorded)
     points = root_finder_sweep((-10.0, -2.0))
     for amc, b in points:
         find_equilibria(AveragedParams.from_a_minus_c(amc, b))
-    assert sum(counts) / len(counts) <= 20.0
+    assert calls[0] / len(counts) <= 20.0
     assert max(counts) <= 130
-    # the sweep takes B over the float range and every bracket of _barrier,
-    # told apart by (variable, lo == 0, hi): the minimum next to phi = 0 in
-    # w, or for A - C < -3.5 in u; the r <= 1 saddle and far minimum in w;
-    # the r > 1 saddle in u, and the far minimum in w or in u by the sign
-    # of in_w(0.5)
+    # the sweep takes B over the float range, and every root is solved
+    # inside one half, hi <= 1/2 in its variable; it takes w and u brackets
+    # for both signs of cos phi, told apart by (variable, sign, lo == 0):
+    # lo is the pole (w = 0), the equator (u = 0) or the fold
     assert (min(b for _, b in points), max(b for _, b in points)) == (sys.float_info.min, 1e300)
     w, u = "1 - |cos phi|", "|cos phi|"
     assert brackets == {
-        (w, True, 1.0), (u, True, 0.5), (w, False, 1.0), (w, True, "star"),
-        (u, True, "star"), (w, True, 0.5), (u, False, 0.5),
+        (w, 1.0, True), (u, 1.0, True),
+        (w, -1.0, True), (w, -1.0, False), (u, -1.0, True), (u, -1.0, False),
     }
 
 
