@@ -11,7 +11,8 @@ read of ``Trajectory.t`` or ``.y``, loads numpy; portrait and dynamics are
 imported only by the subcommands that use them, so every subcommand but
 portrait and reproduce runs without numpy.  Likewise excitation is imported
 only by moments and compare, and the forking module _fork only by portrait
-and reproduce, the only subcommands that fork; compare runs its sweep in this
+and reproduce, the only subcommands that fork; compare hands the excitation
+and its amplitudes to dynamics.compare_sweep, which runs the sweep in this
 process.  portrait and reproduce build and check every grid
 before they make a directory; each portrait's contours are then traced and
 written in a forked child while grid.csv is written (see _write_portrait).
@@ -235,8 +236,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # one amplitude gives no ratio to check, and the sweep would pass vacuously
     if len(sweep) < 2:
         raise ValueError(f"--eps-sweep needs at least two amplitudes, got {len(sweep)}")
-    if any(x <= 0.0 for x in sweep):
-        raise ValueError("--eps-sweep entries must be positive")
+    if not all(0.0 < x < math.inf for x in sweep):
+        raise ValueError(f"--eps-sweep entries must be positive and finite, got {sweep}")
     if any(b >= a for a, b in zip(sweep, sweep[1:])):
         raise ValueError("--eps-sweep must be strictly decreasing")
     initial = _parse_float_list(args.initial, expect=4, what="--initial")
@@ -247,11 +248,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .excitation import Excitation, SymmetryViolationError, load_excitation
 
     e = load_excitation(args.excitation)
-    runs = [Excitation(eps, e.omega, e.tau, e.eta, e.xi) for eps in sweep]
     # a span shorter than one fast period of the largest epsilon cannot show
     # the averaging error: its errors can all sit below ERROR_FLOOR, where no
     # ratio is checked, and the sweep would pass having shown nothing
-    period = runs[0].fast_period
+    period = Excitation(sweep[0], e.omega).fast_period
     if args.t_end < period:
         raise ValueError(
             f"--t-end {args.t_end!r} is shorter than one fast period ({period!r}) "
@@ -260,9 +260,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .dynamics import FullState, compare_sweep
 
     try:
-        reports = compare_sweep(runs, FullState(*initial), args.t_end)
+        reports = compare_sweep(e, sweep, FullState(*initial), args.t_end)
     except SymmetryViolationError as exc:
-        # the sweep's first run checks it: the moments do not depend on epsilon
+        # checked once, before any run: the moments do not depend on epsilon
         rep = exc.report
         doc = {"error": "symmetry violation", "residuals": _residuals(rep), "tol": rep.tol}
         _emit_json(doc, args.out)

@@ -338,30 +338,27 @@ class ComparisonReport(Frozen):
         self._freeze(epsilon, t_end, max_err_phi, max_err_p_phi, p_alpha_drift)
 
 
-def compare_full_averaged(
-    e: Excitation, initial: FullState, t_end: float, max_step: float | None = None,
-) -> ComparisonReport:
-    """Integrate the full and reduced systems from the same slow state.
+def compare_full_averaged(e: Excitation, initial: FullState, t_end: float) -> ComparisonReport:
+    """Integrate the full and reduced systems from the same slow state at
+    ``e``'s amplitude alone: :func:`compare_sweep` of the one amplitude, so
+    at 64 steps a fast period."""
+    return compare_sweep(e, [e.epsilon], initial, t_end)[0]
 
-    Requires a symmetric excitation (the reduced system assumes it).  Both
-    flows are in units m = l = g = 1 (time unit sqrt(l / g)), so (A, B, C)
-    come from :func:`averaged_params` at unit physical values.  They are
-    stepped from t = 0 in one scalar RK4 loop over six floats
+
+def _compare_run(e: Excitation, ap: AveragedParams, initial: FullState, t_end: float, n: int,
+                 record: array | None, read: bool) -> ComparisonReport:
+    """One run of :func:`compare_sweep`: the full flow of ``e`` and the
+    reduced flow of ``ap``, stepped from t = 0 on one grid of
+    ``e.fast_period / n`` that ends in a shorter step where its whole steps
+    fall short of t_end.
+
+    Both flows are in units m = l = g = 1 (time unit sqrt(l / g)).  They are
+    stepped in one scalar RK4 loop over six floats
     (phi, alpha, p_phi, p_alpha, phi_r, p_r) that keeps running maxima of the
-    three norms at the step ends and records no trajectory (within
-    :func:`compare_sweep`, a run whose step a later run shares records the
-    reduced flow's step-end states).
-
-    Both flows step on one grid of ``fast_period / n``, with ``n`` the fewest
-    of 16, 32 and 64 steps a fast period whose step is no longer than
-    ``max_step`` (64 when it is None); it ends in a shorter step where its
-    whole steps fall short of t_end.  At a fixed number of steps a period
-    the full flow's RK4 error falls like epsilon**4, and the reduced flow
-    has no time scale tied to epsilon, so :func:`compare_sweep` passes its
-    coarsest run's step and steps the reduced flow once for all its runs on
-    one step.  Whole steps read the pivot velocity at their stages from a
-    table at the times ``j * step / 2``, whose fast phases are theirs; a
-    final shorter step evaluates it directly.
+    three norms at the step ends and records no trajectory.  Whole steps
+    read the pivot velocity at their stages from a table at the times
+    ``j * step / 2``, whose fast phases are theirs; a final shorter step
+    evaluates it directly.
 
     Every operation is that of :func:`rk4_step` in the same order, so each
     flow's states are bit for bit what :func:`integrate` gives it alone at
@@ -377,30 +374,16 @@ def compare_full_averaged(
     failing call raises its own error.  A state that turns non-finite raises
     IntegrationBlowUpError at the end of its step.  Input checks and the
     step-count limit are those of :func:`integrate` at the run's step.
-    """
-    return _compare_run(e, initial, t_end, max_step, None, False)
-
-
-def _compare_run(e: Excitation, initial: FullState, t_end: float, max_step: float | None,
-                 record: array | None, read: bool) -> ComparisonReport:
-    """:func:`compare_full_averaged`, with the reduced flow's step-end states
-    ``(phi_r, p_r)`` read from or appended to ``record``, an ``array('d')``.
 
     With ``read`` false the run steps the reduced flow's four inline stages
-    and appends each step-end state to ``record`` unless it is None.  With
-    ``read`` true it takes the reduced states from ``record`` instead, and
-    replays a failing step from the recorded step-start state.  That is exact
-    for a record left by a run on the same step, start, span and averaged
-    parameters, as :func:`compare_sweep` passes it: a record is complete only
-    when its run's reduced flow neither refused nor overflowed.
+    and appends each step-end state ``(phi_r, p_r)`` to ``record``, an
+    ``array('d')``, unless it is None.  With ``read`` true it takes the
+    reduced states from ``record`` instead, and replays a failing step from
+    the recorded step-start state.  That is exact for a record left by a run
+    on the same step, start, span and averaged parameters, as
+    :func:`compare_sweep` passes it: a record is complete only when its
+    run's reduced flow neither refused nor overflowed.
     """
-    mm = velocity_moments(e)
-    report = check_symmetry(mm)
-    if not report.passed:
-        raise SymmetryViolationError(report)
-
-    ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
-    n = _steps_a_period(e, max_step)
     step = e.fast_period / n
     y, t, steps = _time_grid((*initial, initial.phi, initial.p_phi), (0.0, t_end), step)
     if record is not None:
@@ -505,43 +488,44 @@ def _compare_run(e: Excitation, initial: FullState, t_end: float, max_step: floa
     )
 
 
-def _steps_a_period(e: Excitation, max_step: float | None) -> int:
-    """The fewest of 16, 32 and 64 steps a fast period of ``e`` whose step is
-    no longer than ``max_step``, and 64 when it is None."""
-    fits = (k for k in (16, 32) if max_step is not None and e.fast_period / k <= max_step)
-    return next(fits, STEPS_PER_FAST_PERIOD)
-
-
 def compare_sweep(
-    runs: list[Excitation], start: FullState, t_end: float,
+    e: Excitation, epsilons: Sequence[float], initial: FullState, t_end: float,
 ) -> list[ComparisonReport]:
-    """:func:`compare_full_averaged` at each run of a decreasing epsilon
-    sweep, in sweep order, so the first run that fails raises its own error.
+    """:func:`_compare_run` at each amplitude of a decreasing sweep, each
+    run the excitation ``e`` at that epsilon, in sweep order, so the first
+    run that fails raises its own error.
 
-    The runs may differ only in epsilon; other runs raise ValueError before
-    any is made.  Every run steps at most the coarsest run's step,
-    ``runs[0].fast_period / STEPS_PER_FAST_PERIOD``, so the runs of a
-    halving sweep all step on one grid.  The reduced flow does not depend on
-    epsilon (nor do the moments), so it is stepped once for each distinct
+    The moments, and so the symmetry check and (A, B, C), do not depend on
+    epsilon: they are computed once, from ``e`` at unit physical values, and
+    an excitation that fails the check raises ``SymmetryViolationError``
+    before any run.  Each run takes ``n``, the fewest of 16, 32 and 64 steps
+    a fast period whose step is no longer than the first run's step at
+    ``STEPS_PER_FAST_PERIOD``, so the runs of a halving sweep all step on one
+    grid and a lone amplitude takes 64.  At a fixed number of steps a period
+    the full flow's RK4 error falls like epsilon**4, and the reduced flow has
+    no time scale tied to epsilon, so it is stepped once for each distinct
     step: the first run on a step that a later run shares records its
-    states, each later run on it reads them (see :func:`_compare_run`), and
-    the record is dropped after its last reader.  Each report is bit for bit
-    that of the run alone.  A record holds two doubles a step, up to 16 MB
-    at the step-count limit.  An excitation that fails the symmetry check
-    raises ``SymmetryViolationError`` at the first run.
+    states, each later run on it reads them, and the record is dropped after
+    its last reader.  Each report is bit for bit that of the run alone.  A
+    record holds two doubles a step, up to 16 MB at the step-count limit.
     """
-    first = runs[0]
-    if any((run.omega, run.axes) != (first.omega, first.axes) for run in runs):
-        raise ValueError("the runs of a sweep may differ only in epsilon")
-    max_step = first.fast_period / STEPS_PER_FAST_PERIOD
-    steps = [run.fast_period / _steps_a_period(run, max_step) for run in runs]
+    runs = [Excitation(eps, e.omega, e.tau, e.eta, e.xi) for eps in epsilons]
+    mm = velocity_moments(e)
+    report = check_symmetry(mm)
+    if not report.passed:
+        raise SymmetryViolationError(report)
+    ap = averaged_params(mm, initial.p_alpha, PhysicalParams())
+    coarsest = runs[0].fast_period / STEPS_PER_FAST_PERIOD
+    ns = [next((k for k in (16, 32) if run.fast_period / k <= coarsest), STEPS_PER_FAST_PERIOD)
+          for run in runs]
+    steps = [run.fast_period / n for run, n in zip(runs, ns)]
     records, reports = {}, []
-    for i, (run, step) in enumerate(zip(runs, steps)):
+    for i, (run, n, step) in enumerate(zip(runs, ns, steps)):
         record = records.pop(step, None)
         read, later = record is not None, step in steps[i + 1:]
         if later and not read:
             record = array("d")
-        reports.append(_compare_run(run, start, t_end, max_step, record, read))
+        reports.append(_compare_run(run, ap, initial, t_end, n, record, read))
         if later:
             records[step] = record
     return reports

@@ -96,6 +96,8 @@ class AveragedParams(Frozen):
     @classmethod
     def from_a_minus_c(cls, a_minus_c: float, b: float) -> "AveragedParams":
         """Parameters with the given difference, using the smaller of A, C as zero."""
+        if not math.isfinite(a_minus_c):
+            raise ValueError(f"A - C must be finite, got {a_minus_c}")
         if a_minus_c >= 0.0:
             return cls(A=a_minus_c, B=b, C=0.0)
         return cls(A=0.0, B=b, C=-a_minus_c)

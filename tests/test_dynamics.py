@@ -413,6 +413,13 @@ def reference_norms(e, initial, t_end, full_flow, n=dynamics.STEPS_PER_FAST_PERI
     )
 
 
+def compare_alone(e, initial, t_end, n):
+    """One run of compare_sweep alone at ``n`` steps a fast period: no record
+    to fill or read, and (A, B, C) from ``e``'s moments, unchecked."""
+    ap = averaged_params(velocity_moments(e), initial.p_alpha, PhysicalParams())
+    return dynamics._compare_run(e, ap, initial, t_end, n, None, False)
+
+
 def test_compare_steps_both_flows_as_one_product_system():
     # RK4 acts on each component separately, so the product system's norms
     # are bit-identical to those of each flow integrated alone, the full one
@@ -475,17 +482,27 @@ def test_compare_steps_each_run_at_the_fewest_steps_a_period_within_the_coarsest
 
     monkeypatch.setattr(dynamics, "eval_velocity", counting("velocity", velocity))
     monkeypatch.setattr(dynamics, "_full_slopes", counting("slopes", slopes))
-    max_step = Excitation(sweep[0], 1.0).fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    for eps, n in zip(sweep, per_period):
-        e = Excitation(eps, 1.0, xi=SIN)
-        # a lone run keeps 64 steps a fast period
-        for max_step_given, steps_a_period in ((max_step, n), (None, 64)):
-            grid = list(dynamics._time_grid([], (0.0, 10.0), e.fast_period / steps_a_period)[2])
-            calls.update(velocity=0, slopes=0)
-            compare_full_averaged(e, FullState(2.0, 0.0, 0.0, 0.3), 10.0, max_step_given)
-            # a table of 2 n phases, and two velocities for the final shorter step
-            assert calls == {"velocity": 2 * steps_a_period + 2, "slopes": 4 * len(grid)}, eps
-            assert grid[-1][1] < e.fast_period / steps_a_period
+    run, seen = dynamics._compare_run, []
+
+    def spy(e, ap, initial, t_end, n, record, read):
+        calls.update(velocity=0, slopes=0)
+        report = run(e, ap, initial, t_end, n, record, read)
+        seen.append((e, n, dict(calls)))
+        return report
+
+    monkeypatch.setattr(dynamics, "_compare_run", spy)
+    start = FullState(2.0, 0.0, 0.0, 0.3)
+    compare_sweep(Excitation(sweep[0], 1.0, xi=SIN), sweep, start, 10.0)
+    # a lone run keeps 64 steps a fast period
+    for eps in sweep:
+        compare_full_averaged(Excitation(eps, 1.0, xi=SIN), start, 10.0)
+    assert [(e.epsilon, n) for e, n, _ in seen] == [*zip(sweep, per_period),
+                                                   *((eps, 64) for eps in sweep)]
+    for e, steps_a_period, counted in seen:
+        grid = list(dynamics._time_grid([], (0.0, 10.0), e.fast_period / steps_a_period)[2])
+        # a table of 2 n phases, and two velocities for the final shorter step
+        assert counted == {"velocity": 2 * steps_a_period + 2, "slopes": 4 * len(grid)}, e
+        assert grid[-1][1] < e.fast_period / steps_a_period
 
 
 def test_compare_steps_a_sweep_run_as_each_flow_alone():
@@ -502,14 +519,13 @@ def test_compare_steps_a_sweep_run_as_each_flow_alone():
         for _ in range(2)
     ]
     for shape, initial in cases:
-        max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
         for eps, n in ((0.05, 32), (0.025, 16)):
             e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
             h = e.fast_period / n
             # spans ending in a shorter final step, one of whole steps, and
             # one shorter than a step
             for t_end in (3.0, 3.5 * h, 5 * h, 0.375 * h):
-                report = compare_full_averaged(e, initial, t_end, max_step)
+                report = compare_alone(e, initial, t_end, n)
                 _, norms = reference_norms(e, initial, t_end,
                                            lambda e, t_end: table_full_rhs(e, t_end, n), n)
                 assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
@@ -523,10 +539,9 @@ def test_compare_sweep_runs_stay_within_a_hundredth_of_their_gap_of_a_fine_full_
     # gap moves a halving ratio by under ~2%; measured up to 3.7e-3 of the
     # gap, at 16 steps a period for vertical-omega-2 at 0.025
     initial = FullState(2.0, 0.0, 0.0, 0.3)
-    max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
     for eps, n in zip(README_SWEEP, (64, 32, 16)):
         e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
-        report = compare_full_averaged(e, initial, 10.0, max_step)
+        report = compare_alone(e, initial, 10.0, n)
         full, norms = reference_norms(e, initial, 10.0,
                                       lambda e, t_end: table_full_rhs(e, t_end, n), n)
         assert (report.max_err_phi, report.max_err_p_phi, report.p_alpha_drift) == norms
@@ -544,13 +559,12 @@ def test_compare_sweep_runs_reduced_flow_stays_within_2e_3_of_their_gap_of_a_fin
     # the reduced flow at 1/64 of that step, at every step's time; measured
     # up to 1.35e-3 of the gap, for vertical-omega-2 at 0.025
     initial = FullState(2.0, 0.0, 0.0, 0.3)
-    max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
     # the moments do not depend on epsilon, so runs that share a step share
     # the reduced flow: the README sweep's three runs do
     flows = {}
     for eps, n in zip(README_SWEEP, (64, 32, 16)):
         e = Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi)
-        report = compare_full_averaged(e, initial, 10.0, max_step)
+        report = compare_alone(e, initial, 10.0, n)
         step = e.fast_period / n
         if step not in flows:
             g = reduced_rhs(averaged_params(velocity_moments(e), initial.p_alpha,
@@ -591,7 +605,6 @@ def test_compare_sweep_runs_fail_as_one_of_their_flows_alone_at_the_float_corner
     failures = 0
     for shape in (VERTICAL, CIRCULAR):
         e = Excitation(0.025, shape.omega, shape.tau, shape.eta, shape.xi)
-        max_step = shape.fast_period / dynamics.STEPS_PER_FAST_PERIOD
         for phi, p_phi, p_alpha in corners:
             if not (math.isfinite(p_phi) and math.isfinite(p_alpha)):
                 continue  # refused before any step, whatever the step
@@ -601,7 +614,7 @@ def test_compare_sweep_runs_fail_as_one_of_their_flows_alone_at_the_float_corner
             alone = flows_alone(e, initial, t_end, 16)
             failed = [x for x in alone if isinstance(x, Exception)]
             try:
-                report = compare_full_averaged(e, initial, t_end, max_step)
+                report = compare_alone(e, initial, t_end, 16)
             except ValueError as exc:
                 failures += 1
                 assert any(type(exc) is type(x) and str(exc) == str(x)
@@ -621,11 +634,10 @@ def test_compare_reports_a_reduced_blow_up_at_the_end_of_its_own_step():
     # a p_phi near the float range's end overflows the reduced flow's first
     # step, as it does the full flow's: the run's one grid reports it at the
     # end of that step, fast_period / n at 64, 32 and 16 steps a fast period
-    max_step = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
     for eps, n in zip(README_SWEEP, (64, 32, 16)):
         e = Excitation(eps, 1.0, xi=SIN)
         with pytest.raises(IntegrationBlowUpError) as err:
-            compare_full_averaged(e, FullState(2.0, 0.0, 5e307, 0.0), e.fast_period, max_step)
+            compare_alone(e, FullState(2.0, 0.0, 5e307, 0.0), e.fast_period, n)
         assert err.value.time == e.fast_period / n, eps
 
 
@@ -679,18 +691,16 @@ def test_compare_replays_a_failing_step_at_its_own_velocities(monkeypatch):
                         lambda vel, *y: (vels.append(vel), slopes(vel, *y))[1])
     monkeypatch.setattr(dynamics, "_replay_checked",
                         lambda *args: (starts.append(len(vels)), replay(*args))[1])
-    coarsest = VERTICAL.fast_period / dynamics.STEPS_PER_FAST_PERIOD
-    runs = [(e, None) for e in (VERTICAL, CIRCULAR)]
-    runs += [(Excitation(0.025, e.omega, e.tau, e.eta, e.xi), coarsest)
-             for e in (VERTICAL, CIRCULAR)]
+    runs = [(e, 64) for e in (VERTICAL, CIRCULAR)]
+    runs += [(Excitation(0.025, e.omega, e.tau, e.eta, e.xi), 16) for e in (VERTICAL, CIRCULAR)]
     longest = 0
-    for (e, max_step), phi, p_phi, p_alpha in itertools.product(
+    for (e, n), phi, p_phi, p_alpha in itertools.product(
         runs, CORNER_PHI, CORNER_MOMENTA, CORNER_MOMENTA
     ):
         vels.clear()
         starts.clear()
         try:
-            compare_full_averaged(e, FullState(phi, 0.0, p_phi, p_alpha), e.fast_period, max_step)
+            compare_alone(e, FullState(phi, 0.0, p_phi, p_alpha), e.fast_period, n)
         except ValueError:
             pass
         if starts:
@@ -738,8 +748,7 @@ def test_compare_sweep_steps_the_averaged_flow_once_a_step_and_reports_each_run_
 
     for shape in PIN_SHAPES.values():
         runs = [Excitation(eps, shape.omega, shape.tau, shape.eta, shape.xi) for eps in sweep]
-        max_step = runs[0].fast_period / dynamics.STEPS_PER_FAST_PERIOD
-        alone = [norm_bits(compare_full_averaged(run, start, 10.0, max_step)) for run in runs]
+        alone = [norm_bits(compare_alone(run, start, 10.0, n)) for run, n in zip(runs, per_period)]
         steps = {run.fast_period / n for run, n in zip(runs, per_period)}
         assert len(steps) == distinct
         reduced_steps = sum(len(list(dynamics._time_grid([], (0.0, 10.0), h)[2])) for h in steps)
@@ -747,7 +756,7 @@ def test_compare_sweep_steps_the_averaged_flow_once_a_step_and_reports_each_run_
             m.setattr(dynamics, "math", CountingMath())
             m.setattr(dynamics, "_full_slopes", counting_slopes)
             calls.update(sin=0, slopes=0)
-            swept = [norm_bits(r) for r in compare_sweep(runs, start, 10.0)]
+            swept = [norm_bits(r) for r in compare_sweep(shape, sweep, start, 10.0)]
         assert swept == alone, shape
         assert calls["sin"] - 2 * calls["slopes"] == 4 * reduced_steps, shape
 
@@ -760,25 +769,24 @@ def test_compare_sweep_fails_at_a_later_run_as_that_run_alone(monkeypatch):
     start = FullState(2.0, 0.0, 0.0, 0.3)
     runs = [Excitation(eps, 1.0, xi=SIN) for eps in README_SWEEP]
     last = runs[-1]
-    max_step = runs[0].fast_period / dynamics.STEPS_PER_FAST_PERIOD
     step = last.fast_period / 16
-    assert step == max_step
+    assert step == runs[0].fast_period / dynamics.STEPS_PER_FAST_PERIOD
     bad = eval_velocity(last, 7 * (0.5 * step))
     slopes, run = dynamics._full_slopes, dynamics._compare_run
     current = []
 
     def failing(vel, *y):
         k = slopes(vel, *y)
-        return (math.inf, *k[1:]) if current[-1] is last and vel == bad else k
+        return (math.inf, *k[1:]) if current[-1] == last and vel == bad else k
 
     monkeypatch.setattr(dynamics, "_full_slopes", failing)
     monkeypatch.setattr(dynamics, "_compare_run",
                         lambda e, *args: (current.append(e), run(e, *args))[1])
     with pytest.raises(ValueError) as swept:
-        compare_sweep(runs, start, 10.0)
+        compare_sweep(runs[0], README_SWEEP, start, 10.0)
     assert current == runs
     with pytest.raises(ValueError) as alone:
-        compare_full_averaged(last, start, 10.0, max_step)
+        compare_alone(last, start, 10.0, 16)
     assert type(swept.value) is type(alone.value) is IntegrationBlowUpError
     assert str(swept.value) == str(alone.value)
     assert swept.value.time == alone.value.time == 4 * step
@@ -800,18 +808,18 @@ def test_compare_sweep_records_a_step_only_for_its_later_runs_and_drops_it_after
     runs = [Excitation(eps, 1.0, xi=SIN) for eps in sweep]
     run, seen, alive, refs = dynamics._compare_run, [], [], []
 
-    def spy(e, initial, t_end, max_step, record, read):
+    def spy(e, ap, initial, t_end, n, record, read):
         alive.append(sum(ref() is not None for ref in refs))
-        rep = run(e, initial, t_end, max_step, record, read)
+        rep = run(e, ap, initial, t_end, n, record, read)
         seen.append(None if record is None else "read" if read else "fill")
         if seen[-1] == "fill":
             refs.append(weakref.ref(record))
-            step = e.fast_period / dynamics._steps_a_period(e, max_step)
+            step = e.fast_period / n
             assert len(record) == 2 * len(list(dynamics._time_grid([], (0.0, t_end), step)[2]))
         return rep
 
     monkeypatch.setattr(dynamics, "_compare_run", spy)
-    compare_sweep(runs, start, 10.0)
+    compare_sweep(runs[0], sweep, start, 10.0)
     assert (tuple(seen), alive) == (kept, live)
     assert all(ref() is None for ref in refs)
     seen.clear()
@@ -819,14 +827,35 @@ def test_compare_sweep_records_a_step_only_for_its_later_runs_and_drops_it_after
     assert seen == [None]
 
 
-def test_compare_sweep_refuses_runs_that_differ_in_more_than_epsilon(monkeypatch):
-    # the averaged flow a run reads must be its own: omega and the series
-    # set the moments, so a sweep's runs may differ only in epsilon
+def test_compare_sweep_computes_the_averaged_system_once_and_checks_symmetry_before_any_run(
+        monkeypatch):
+    # the moments, the symmetry check and (A, B, C) do not depend on
+    # epsilon: one 3-run sweep computes each once, an asymmetric excitation
+    # raises before any run, and each report is the lone run's at its n
     start = FullState(2.0, 0.0, 0.0, 0.3)
-    monkeypatch.setattr(dynamics, "_compare_run", lambda *args: pytest.fail("a run was made"))
-    for other in (Excitation(0.2, 2.0, xi=SIN), Excitation(0.05, 1.0, xi=SIN, tau=SIN)):
-        with pytest.raises(ValueError, match="differ only in epsilon"):
-            compare_sweep([Excitation(0.1, 1.0, xi=SIN), other], start, 10.0)
+    calls, runs = {"velocity_moments": 0, "check_symmetry": 0, "averaged_params": 0}, []
+    run = dynamics._compare_run
+
+    def spy(e, ap, initial, t_end, n, record, read):
+        runs.append((e, n))
+        return run(e, ap, initial, t_end, n, record, read)
+
+    with monkeypatch.context() as m:
+        for name in calls:
+            def counting(*args, name=name, fn=getattr(dynamics, name)):
+                calls[name] += 1
+                return fn(*args)
+            m.setattr(dynamics, name, counting)
+        m.setattr(dynamics, "_compare_run", spy)
+        swept = compare_sweep(CIRCULAR, README_SWEEP, start, 10.0)
+        assert calls == {"velocity_moments": 1, "check_symmetry": 1, "averaged_params": 1}
+        made = runs.copy()
+        with pytest.raises(SymmetryViolationError):
+            compare_sweep(Excitation(0.1, 1.0, tau=COS, eta=COS), README_SWEEP, start, 10.0)
+        assert runs == made
+    assert [(e.epsilon, n) for e, n in made] == list(zip(README_SWEEP, (64, 32, 16)))
+    assert [norm_bits(r) for r in swept] == [norm_bits(compare_alone(e, start, 10.0, n))
+                                            for e, n in made]
 
 
 def test_compare_readme_sweep_is_pinned():
