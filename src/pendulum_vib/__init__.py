@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "dynamics": (
         "ComparisonReport", "FullState", "IntegrationBlowUpError", "Trajectory",
-        "averaged_hamiltonian", "compare_full_averaged", "full_hamiltonian", "full_rhs",
-        "integrate", "reduced_rhs",
+        "averaged_hamiltonian", "compare_full_averaged", "compare_sweep", "full_hamiltonian",
+        "full_rhs", "integrate", "reduced_rhs",
     ),
     "portrait": (
         "LevelContours", "PortraitGrid", "build_grid", "contours_to_csv", "extract_contours",

@@ -52,6 +52,7 @@ __all__ = [
     "rk4_step",
     "integrate",
     "compare_full_averaged",
+    "compare_sweep",
 ]
 
 STEPS_PER_FAST_PERIOD = 64

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import importlib
@@ -1349,7 +1350,7 @@ PACKAGE_EXPORTS = (
     "SingularConfigurationError classify_domain d2v dv find_equilibria gamma_curve "
     "gamma_point v_bar ComparisonReport FullState IntegrationBlowUpError PhysicalParams "
     "SymmetryViolationError Trajectory averaged_hamiltonian averaged_params "
-    "compare_full_averaged full_hamiltonian full_rhs integrate "
+    "compare_full_averaged compare_sweep full_hamiltonian full_rhs integrate "
     "reduced_rhs LevelContours PortraitGrid build_grid contours_to_csv extract_contours "
     "grid_to_csv render_svg __version__"
 ).split()
@@ -1795,6 +1796,12 @@ def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
     argvs = (
         ["domain", "--a-minus-c", "2", "--b", "0.1"],
         ["equilibria", "--a-minus-c", "3.5", "--b", "0.01"],
+        [],
+        ["nosuch"],
+        ["--", "domain", "--a-minus-c", "2", "--b", "0.1"],
+        ["domain", "--a-min=2", "--b=0.1"],
+        ["domain", "--a-minus-c", "2", "--b", "0.1", "extra"],
+        ["equilibria", "--a-minus-c", "two", "--b", "0.1"],
         ["domain", "--a-minus-c", "1"],  # missing --b
     )
     assert cli.build_parser() is cli.build_parser()
@@ -1814,6 +1821,14 @@ def test_one_process_answers_each_argv_as_a_fresh_one_would(capsys):
         (["equilibria", "--a-minus-c", "1", "--b", "-1"], 1),
         (["moments", "--excitation", "{missing}"], 1),
         (["compare", "--excitation", "{missing}", "--eps-sweep", "0.1,0.05"], 1),
+        # argvs that name no subcommand go to the top-level parser
+        ([], 1),
+        (["nosuch"], 1),
+        (["--", "domain", "--a-minus-c", "2", "--b", "0.1"], 1),
+        # the rest are parsed by the subcommand's own parser
+        (["domain", "--a-min=2", "--b=0.1"], 0),
+        (["domain", "--a-minus-c", "2", "--b", "0.1", "extra"], 1),
+        (["equilibria", "--a-minus-c", "two", "--b", "0.1"], 1),
     ],
 )
 def test_exit_codes_are_the_same_in_process_and_in_a_fresh_one(tmp_path, capsys, argv, expected):
@@ -1830,5 +1845,142 @@ def test_exit_codes_are_the_same_in_process_and_in_a_fresh_one(tmp_path, capsys,
         assert here.out == "" and here.err.startswith("error: ")
     elif argv[0] == "compare":
         assert here.err == "" and json.loads(here.out)["error"] == "symmetry violation"
-    else:
+    elif argv[0] == "moments":
         assert here.err == "" and json.loads(here.out)["symmetry"]["passed"] is False
+    else:
+        assert here.err == "" and json.loads(here.out)["domain"] == "II"
+
+
+def test_main_parses_each_argv_as_the_top_level_parser_does(monkeypatch, capsys):
+    # main hands the options after a subcommand's name to that subcommand's
+    # parser; argparse's own top-level pass must agree with it, Namespace,
+    # error text and exit code alike, on any Python that runs the package
+    argvs = (
+        ["domain", "--a-minus-c", "2", "--b", "0.1"],
+        ["equilibria", "--a-minus-c=-2e3", "--b", "0.5", "--out", "eq.json"],
+        ["domain", "--a-min=2", "--b=0.1"],
+        ["domain", "--a", "2", "--b", "0.1", "--b", "0.2"],
+        ["curve"],
+        ["moments", "--excitation", "e.json", "--phys", "2,1,1"],
+        ["portrait", "--a-minus-c", "1", "--b", "0.1", "--nx", "16", "--p-max", "3"],
+        ["compare", "--excitation", "e.json", "--eps-sweep", "0.1,0.05"],
+        ["reproduce", "--samples", "2", "--out", "r"],
+        [],
+        ["nosuch"],
+        ["--", "domain", "--a-minus-c", "2", "--b", "0.1"],
+        ["domain", "--", "--a-minus-c", "2", "--b", "0.1"],
+        ["domain", "--a-minus-c", "1"],
+        ["domain", "--a-minus-c", "2", "--b", "0.1", "extra"],
+        ["domain", "--a-minus-c", "2", "--b", "0.1", "--extra"],
+        ["equilibria", "--a-minus-c", "two", "--b", "0.1"],
+        ["portrait", "--a-minus-c", "1", "--b", "0.1", "--nx", "abc"],
+        ["moments", "--excitation", "e.json", "--p", "1"],
+        ["compare", "--excitation", "e.json", "--eps-sweep", "0.1,0.05", "--t-end", "-inf"],
+        ["domain", "--help"],
+        ["--help"],
+    )
+    parser = cli.build_parser()
+
+    def top_level(argv):
+        try:
+            return vars(parser.parse_args(argv)), "", ""
+        except ValueError as exc:
+            return 1, "", f"error: {exc}\n"
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().out, ""
+
+    # main's parse, recorded; the subcommand it names does not run
+    parsed = []
+
+    def parse_args(self, args=None, namespace=None):
+        ns = argparse.ArgumentParser.parse_args(self, args, namespace)
+        parsed.append(dict(vars(ns)))
+        ns.func = lambda ns: 0
+        return ns
+
+    for argv in argvs:
+        expected = top_level(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli._Parser, "parse_args", parse_args)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        if isinstance(expected[0], dict):
+            assert code == 0 and captured.err == "" and len(parsed) == 1, argv
+            expected[0].pop("command")
+            parsed[0].pop("command", None)
+            assert parsed.pop() == expected[0], argv
+        else:
+            assert (code, captured.out, captured.err) == expected and parsed == [], argv
+
+
+def random_json_doc(rng, depth=0):
+    """A document of str keys, the scalars JSON writes and nested dicts,
+    lists and tuples, with the float and string corners json.dumps handles."""
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice((None, True, False))
+    if kind == 1:
+        # signal.SIGTERM is an int whose repr is not its number
+        return rng.choice((0, -1, 2**64, -(2**64) - 1, rng.randrange(-(2**80), 2**80),
+                           signal.SIGTERM))
+    if kind == 2:
+        return rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-7, 1e22, 0.1,
+                           sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+                           float(rng.randrange(-(2**53), 2**53))))
+    if kind == 3:
+        # any finite bit pattern, some of them numpy scalars
+        x = np.frombuffer(rng.randbytes(8), dtype=np.float64)[0]
+        while not np.isfinite(x):
+            x = np.frombuffer(rng.randbytes(8), dtype=np.float64)[0]
+        return x if rng.random() < 0.2 else float(x)
+    if kind in (4, 5):
+        return random_json_text(rng)
+    n = rng.choice((0, 1, 2, 3, 4))
+    if kind in (6, 7):
+        return {random_json_text(rng): random_json_doc(rng, depth + 1) for _ in range(n)}
+    items = [random_json_doc(rng, depth + 1) for _ in range(n)]
+    return tuple(items) if kind == 8 else items
+
+
+def random_json_text(rng):
+    alphabet = 'ab"\\/\b\f\n\r\t\x00\x1f\x7f é∞\u2028\U0001f600'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def test_json_writer_gives_json_dumps_bytes_and_refusals():
+    rng = random.Random(3535)
+    for i in range(10_000):
+        doc = random_json_doc(rng)
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False), i
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        for doc in (bad, [1.0, bad], {"a": {"b": (bad,)}}):
+            with pytest.raises(ValueError) as theirs:
+                json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+            with pytest.raises(ValueError) as ours:
+                cli._json(doc)
+            assert str(ours.value) == str(theirs.value), doc
+    assert str(ours.value).startswith("Out of range float values are not JSON compliant: ")
+    for doc in ({1, 2}, {"a": [{1}]}, np.int64(1)):
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError) as ours:
+            cli._json(doc)
+        assert str(ours.value) == str(theirs.value), doc
+
+
+def test_a_refused_document_writes_nothing(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "eq.json"
+    argv = ["equilibria", "--a-minus-c", "2", "--b", "0.1", "--out", str(out)]
+    monkeypatch.setattr(cli, "equilibrium_report", lambda ap: {"a": [1.0, math.nan]})
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+    assert not out.exists()
+    monkeypatch.setattr(cli, "equilibrium_report", lambda ap: {"a": {1.0}})
+    with pytest.raises(TypeError):
+        main(argv)
+    assert capsys.readouterr().out == "" and not out.exists()
